@@ -7,9 +7,11 @@ Problem files are JSON with an explicit signature (blade tokens such as
      "points": ["0", "1 + e1", "e1", "e2", "e12"],
      "values": ["1", "-1", "1", "e12", "-e2"]}
 
-All output is exact; ``--decimal N`` appends clearly marked N-digit
-approximations. Exit codes: 0 success, 2 parse/input error, 3 collinearity
-violation, 4 repeated conjugacy class in R(0,3).
+All output is exact; ``--decimal N`` appends one clearly marked line in the
+same layout with every coefficient rounded to N significant digits. Count
+flags are checked while the arguments are parsed. Exit codes: 0 success,
+2 parse/input error, 3 collinearity violation, 4 repeated conjugacy class
+in R(0,3).
 """
 
 from __future__ import annotations
@@ -59,37 +61,15 @@ def _decimal_str(value, digits: int) -> str:
     return str(ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)))
 
 
-def _decimal_multivector(mv: Multivector, digits: int) -> str:
-    parts = []
-    for mask, c in enumerate(mv.coeffs):
-        if not c:
-            continue
-        body = _decimal_str(abs(c), digits)
-        if mask:
-            blade = "e" + "".join(
-                str(b + 1) for b in range(mask.bit_length()) if mask >> b & 1
-            )
-            body = f"{body} {blade}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _decimal_polynomial(poly: Polynomial, digits: int) -> str:
-    if not poly:
-        return "(0)"
-    terms = []
-    for h in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[h]
-        if not c:
-            continue
-        body = f"({_decimal_multivector(c, digits)})"
-        terms.append(body if h == 0 else f"X^{h}*{body}")
-    return " + ".join(terms)
+def _non_negative(text: str) -> int:
+    # argparse type: a bad value exits 2 before any work is done
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _load_problem(path: str) -> InterpolationProblem:
@@ -130,7 +110,8 @@ def cmd_interpolate(args) -> int:
     poly = interpolate(problem)
     print(poly)
     if args.decimal:
-        print(f"approx[{args.decimal} digits] ~ {_decimal_polynomial(poly, args.decimal)}")
+        approx = poly.format(lambda v: _decimal_str(v, args.decimal))
+        print(f"approx[{args.decimal} digits] ~ {approx}")
     if args.verify:
         for x, w in problem.pairs:
             print(f"residual at {x}: {poly(x) - w}")
@@ -162,7 +143,8 @@ def cmd_eval(args) -> int:
     value = poly(point)
     print(value)
     if args.decimal:
-        print(f"approx[{args.decimal} digits] ~ {_decimal_multivector(value, args.decimal)}")
+        approx = value.format(lambda v: _decimal_str(v, args.decimal))
+        print(f"approx[{args.decimal} digits] ~ {approx}")
     return EXIT_OK
 
 
@@ -205,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="cross-check against the linear-system oracle"
     )
     p_int.add_argument(
-        "--max-degree", type=int, default=None, metavar="D",
+        "--max-degree", type=_non_negative, default=None, metavar="D",
         help="oracle degree bound (default: the construction bound)",
     )
     p_int.add_argument(
-        "--decimal", type=int, default=0, metavar="N",
+        "--decimal", type=_non_negative, default=0, metavar="N",
         help="also print N-digit decimal approximations",
     )
     p_int.set_defaults(func=cmd_interpolate)
@@ -218,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-s", "--signature", required=True, metavar="P,Q")
     p_eval.add_argument("polynomial", help="polynomial text, e.g. 'X^2*(1) + (e1)'")
     p_eval.add_argument("point", help="multivector text, e.g. '1 + e1'")
-    p_eval.add_argument("--decimal", type=int, default=0, metavar="N")
+    p_eval.add_argument("--decimal", type=_non_negative, default=0, metavar="N")
     p_eval.set_defaults(func=cmd_eval)
 
     p_diag = sub.add_parser(

@@ -1,23 +1,25 @@
 """Exact Lagrange interpolation over the quaternions and over R_{0,3}.
 
-Given pairwise distinct quadratic-cone points with prescribed values, both
-constructions build one basis polynomial per interpolation node — equal to
-1 there and vanishing at every other node — and sum them against the
-values. Nodes are grouped by conjugacy class:
+Given pairwise distinct quadratic-cone points with prescribed values, one
+construction serves both algebras: it builds a basis polynomial per
+interpolation node — equal to 1 there and vanishing at every other node —
+and sums them against the values. Nodes are grouped by conjugacy class:
 
 * quaternions: every class may carry any number of points, but from the
   third one on the data must satisfy the collinearity condition
   (x_h - x_1)^-1 (w_h - w_1) = (x_2 - x_1)^-1 (w_2 - w_1), because any
   polynomial restricted to a class sphere is an affine map. Only the
-  first two points per class enter the construction; the degree bound is
+  first two points per class enter the construction, and each
+  multi-point class contributes its characteristic polynomial to the
+  basis polynomials of the other classes; the degree bound is
   d = -1 + sum of min(group size, 2).
 
-* R_{0,3}: zero divisors force one point per class; the degree bound is
-  m - 1 for m points.
+* R_{0,3}: zero divisors force one point per class, so the construction
+  reduces to its singleton case; the degree bound is m - 1 for m points.
 
 A brute-force oracle solves the same problem as an exact rational linear
 system in the coefficient coordinates, classifying existence and
-uniqueness independently of the constructions above.
+uniqueness independently of the construction above.
 """
 
 from __future__ import annotations
@@ -149,76 +151,72 @@ def _append_chain(sig: Signature, roots) -> Polynomial:
     return t
 
 
-def _quaternion_basis(grouping: ClassGrouping):
+def _characteristic_product(groups, sig: Signature) -> Polynomial | None:
+    """Product of the groups' characteristic polynomials; None for no groups."""
+    delta = None
+    for g in groups:
+        chi = characteristic_poly(g.cls_id, sig)
+        delta = chi if delta is None else delta * chi
+    return delta
+
+
+def _lagrange_triplets(problem: InterpolationProblem):
+    """(node, value, basis polynomial) for every node the construction uses.
+
+    Singleton classes come first, then the first two points of each
+    multi-point class (there are none in R_{0,3}). A basis polynomial is
+    L * L(node)^-1 with L = Delta * P: P vanishes at the other singleton
+    nodes and, for a multi-point node, at its class partner; Delta is the
+    product of the characteristic polynomials of the other multi-point
+    classes, left out when there are none.
+    """
+    grouping = group_by_class(problem)
     for j, g in enumerate(grouping.groups, start=1):
-        if g.size >= 3:
-            h = first_collinearity_violation(g)
-            if h is not None:
-                raise CollinearityViolated(j, h, g.points[0])
+        h = first_collinearity_violation(g)
+        if h is not None:
+            raise CollinearityViolated(j, h, g.points[0])
+    sig = grouping.sig
     singles = [g for g in grouping.groups if g.size == 1]
     multis = [g for g in grouping.groups if g.size > 1]
     anchors = [g.points[0] for g in singles]
-    sig = grouping.sig
 
-    basis = []
-    delta_all = Polynomial.one(sig)
-    for g in multis:
-        delta_all = delta_all * characteristic_poly(g.cls_id, sig)
-    for j, g in enumerate(singles):
-        p_j = _append_chain(sig, anchors[:j] + anchors[j + 1 :])
-        l_star = delta_all * p_j
-        basis.append((g.points[0], g.values[0], l_star * l_star(g.points[0]).inverse()))
-    for k, g in enumerate(multis):
-        delta_others = Polynomial.one(sig)
-        for other in multis[:k] + multis[k + 1 :]:
-            delta_others = delta_others * characteristic_poly(other.cls_id, sig)
-        for ell in (0, 1):
-            p_k = _append_chain(sig, anchors + [g.points[1 - ell]])
-            l_star = delta_others * p_k
-            node = g.points[ell]
-            basis.append((node, g.values[ell], l_star * l_star(node).inverse()))
-    return basis
-
-
-def _r03_basis(grouping: ClassGrouping):
-    sig = grouping.sig
-    points = [g.points[0] for g in grouping.groups]
-    values = [g.values[0] for g in grouping.groups]
-    basis = []
-    for j, x_j in enumerate(points):
+    def basis(node, value, roots, delta):
         try:
-            p_j = _append_chain(sig, points[:j] + points[j + 1 :])
-            basis.append((x_j, values[j], p_j * p_j(x_j).inverse()))
+            l_star = _append_chain(sig, roots)
+            if delta is not None:
+                l_star = delta * l_star
+            return node, value, l_star * l_star(node).inverse()
         except NotInvertible as exc:
             raise InternalNonInvertible(
-                f"construction hit a non-invertible value for node {x_j}: {exc}"
+                f"construction hit a non-invertible value for node {node}: {exc}"
             ) from exc
-    return basis
+
+    delta_all = _characteristic_product(multis, sig)
+    triplets = [
+        basis(g.points[0], g.values[0], anchors[:j] + anchors[j + 1 :], delta_all)
+        for j, g in enumerate(singles)
+    ]
+    for k, g in enumerate(multis):
+        delta_others = _characteristic_product(multis[:k] + multis[k + 1 :], sig)
+        for ell in (0, 1):
+            roots = anchors + [g.points[1 - ell]]
+            triplets.append(basis(g.points[ell], g.values[ell], roots, delta_others))
+    return triplets
 
 
 def lagrange_basis(problem: InterpolationProblem):
     """(node, basis polynomial) pairs: each polynomial is 1 at its node and
     0 at every other node used by the construction (first two per class in
     the quaternionic case)."""
-    grouping = group_by_class(problem)
-    if problem.sig == QUATERNIONS:
-        triplets = _quaternion_basis(grouping)
-    else:
-        triplets = _r03_basis(grouping)
-    return tuple((node, poly) for node, _, poly in triplets)
+    return tuple((node, poly) for node, _, poly in _lagrange_triplets(problem))
 
 
 def interpolate(problem: InterpolationProblem) -> Polynomial:
     """The unique interpolating polynomial within the construction's degree bound."""
     if not problem.pairs:
         raise ValueError("cannot interpolate an empty problem")
-    grouping = group_by_class(problem)
-    if problem.sig == QUATERNIONS:
-        triplets = _quaternion_basis(grouping)
-    else:
-        triplets = _r03_basis(grouping)
     total = Polynomial.zero(problem.sig)
-    for _, value, poly in triplets:
+    for _, value, poly in _lagrange_triplets(problem):
         total = total + poly * value
     return total
 

@@ -14,7 +14,9 @@ results may be shared freely.
 Text syntax, accepted by :meth:`Multivector.parse` and produced by
 ``str()``: a sum of terms, each an optional rational coefficient followed
 by an optional blade token (``e`` plus strictly ascending digits), e.g.
-``3/2 + e1 - 2 e23 + 1/5 e123``. Printing orders blades by bitmask.
+``3/2 + e1 - 2 e23 + 1/5 e123``. Printing orders blades by bitmask;
+:meth:`Multivector.format` writes the same layout with another text form
+for the coefficients.
 """
 
 from __future__ import annotations
@@ -211,7 +213,10 @@ class Multivector:
                         )
                     prev = i
                     mask |= 1 << (i - 1)
-            value = Fraction(number) if number is not None else _ONE
+            try:
+                value = Fraction(number) if number is not None else _ONE
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {number!r}") from None
             coeffs[mask] += sign * value
             sign, number, blade = _ONE, None, None
             seen_any = True
@@ -245,26 +250,32 @@ class Multivector:
         return cls(sig, coeffs)
 
     def __str__(self) -> str:
-        parts = []
+        return self.format(str)
+
+    def format(self, number) -> str:
+        """Text form with each coefficient magnitude written by ``number``.
+
+        ``number`` maps a positive ``Fraction`` to text, so ``x.format(str)``
+        is ``str(x)``. Terms follow blade order with their signs between
+        them; a blade whose coefficient is exactly 1 is written bare.
+        """
+        out = ""
         for mask, c in enumerate(self.coeffs):
             if not c:
                 continue
-            sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
             if mask == 0:
-                body = str(mag)
+                body = number(mag)
             elif mag == 1:
                 body = _blade_name(mask)
             else:
-                body = f"{mag} {_blade_name(mask)}"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                body = f"{number(mag)} {_blade_name(mask)}"
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            out += body
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"Multivector({self.sig}, '{self}')"

@@ -199,18 +199,20 @@ class Polynomial:
     # ---- text form -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "(0)"
-        parts = []
-        for h in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[h]
-            if not c:
-                continue
-            if h == 0:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"X^{h}*({c})")
-        return " + ".join(parts)
+        return self.format(str)
+
+    def format(self, number) -> str:
+        """Text form with every coefficient written by ``Multivector.format(number)``.
+
+        ``p.format(str)`` is ``str(p)``: highest degree first, zero
+        coefficients omitted, the zero polynomial written ``(0)``.
+        """
+        terms = [
+            f"X^{h}*({c.format(number)})" if h else f"({c.format(number)})"
+            for h, c in reversed(tuple(enumerate(self.coeffs)))
+            if c
+        ]
+        return " + ".join(terms) or "(0)"
 
     def __repr__(self) -> str:
         return f"Polynomial({self.sig}, '{self}')"
@@ -466,7 +468,8 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
             else from_quaternion_pair(free, pinned)
         )
         if x not in reps:
-            assert not p(x), "sampled representative failed to be a root"
+            if p(x):
+                raise AssertionError(f"sampled representative {x} is not a root")
             reps.append(x)
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
 

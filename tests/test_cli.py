@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from clifflag import Multivector, Polynomial, QUATERNIONS, R03
 from clifflag.cli import main
 
@@ -81,8 +83,26 @@ def test_interpolate_decimal_marked(tmp_path, capsys):
     code = main(["interpolate", write(tmp_path, THREE_POINT_DOC), "--decimal", "5"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[1].startswith("approx[5 digits] ~")
-    assert "0.13333" in lines[1]
+    assert lines == [
+        THREE_POINT_RESULT,
+        "approx[5 digits] ~ "
+        "X^2*(0.13333 e1 - 0.066667 e2 + 0.66667 e12 + 0.66667 e3 + 0.26667 e13"
+        " - 0.46667 e23)"
+        " + X^1*(0.13333 - 0.86667 e1 + 0.6 e2 + 0.73333 e12 + 0.93333 e3 - 0.4 e13"
+        " - 0.46667 e23 + 0.46667 e123)"
+        " + (0.13333 + 0.66667 e2 + 0.066667 e12 + 0.26667 e3 - 0.66667 e13"
+        " + 0.46667 e123)",
+    ]
+
+
+def test_interpolate_decimal_five_points(tmp_path, capsys):
+    code = main(["interpolate", write(tmp_path, FIVE_POINT_DOC), "--decimal", "5"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [
+        "X^3*(e1) + X^2*(1) + (1)",
+        "approx[5 digits] ~ X^3*(e1) + X^2*(1) + (1)",
+    ]
 
 
 def test_eval_five_point_interpolant(capsys):
@@ -188,3 +208,49 @@ def test_eval_decimal_output(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "1/3"
     assert lines[1] == "approx[4 digits] ~ 0.3333"
+
+
+def test_eval_decimal_output_with_blades(capsys):
+    code = main(
+        ["eval", "-s", "0,3", "X^1*(1/3 e1 - 2/7 e23) + (e12)", "1 + e1", "--decimal", "4"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [
+        "-1/3 + 1/3 e1 + e12 - 2/7 e23 - 2/7 e123",
+        "approx[4 digits] ~ -0.3333 + 0.3333 e1 + e12 - 0.2857 e23 - 0.2857 e123",
+    ]
+
+
+def test_exit_code_zero_denominator_in_eval(capsys):
+    assert main(["eval", "-s", "0,2", "X^1*(1/0)", "1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_exit_code_zero_denominator_in_diagnose(capsys):
+    assert main(["diagnose", "-s", "0,2", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_exit_code_zero_denominator_in_problem_file(tmp_path, capsys):
+    doc = dict(FIVE_POINT_DOC, values=["1", "-1", "1/0", "e12", "-e2"])
+    assert main(["interpolate", write(tmp_path, doc)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--decimal", "--max-degree"])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_interpolate_bad_count_flag_rejected_before_work(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", write(tmp_path, FIVE_POINT_DOC), "--oracle", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_eval_negative_decimal_rejected_before_work(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-s", "0,2", "X^1*(1/3)", "1", "--decimal", "-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
