@@ -267,19 +267,15 @@ def brute_force_interpolate(
     rows = []
     rhs = []
     for x, w in problem.pairs:
-        power_columns = []
+        # block h of the rows is the matrix of a_h -> x^h a_h
         power = Multivector.one(sig)
-        for _ in range(max_degree + 1):
-            power_columns.append(
-                [(power * Multivector.blade(sig, j)).coeffs for j in range(dim)]
-            )
+        blocks = [power.left_multiplication_matrix()]
+        for _ in range(max_degree):
             power = power * x
+            blocks.append(power.left_multiplication_matrix())
         for out in range(dim):
-            row = []
-            for cols in power_columns:
-                row.extend(cols[j][out] for j in range(dim))
-            rows.append(row)
-            rhs.append(w.coeffs[out])
+            rows.append([v for block in blocks for v in block[out]])
+        rhs.extend(w.coeffs)
 
     kind, solution = solve_exact(rows, rhs)
     if kind == "none":

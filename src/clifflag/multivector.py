@@ -83,9 +83,18 @@ class Signature:
     def __str__(self) -> str:
         return f"R({self.p},{self.q})"
 
+    @classmethod
+    def _builtin(cls, p: int, q: int) -> Signature:
+        # The cap bounds the algebras a caller asks for; the module's own
+        # constants bypass it, so that importing the package never fails.
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "p", p)
+        object.__setattr__(sig, "q", q)
+        return sig
 
-QUATERNIONS = Signature(0, 2)
-R03 = Signature(0, 3)
+
+QUATERNIONS = Signature._builtin(0, 2)
+R03 = Signature._builtin(0, 3)
 
 
 @lru_cache(maxsize=None)
@@ -102,6 +111,15 @@ def _blade_product(a: int, b: int, p: int) -> tuple[int, int]:
     if ((a & b) >> p).bit_count() & 1:
         sign = -sign
     return a ^ b, sign
+
+
+@lru_cache(maxsize=None)
+def _left_signs(sig: Signature) -> tuple[tuple[int, ...], ...]:
+    # signs[k][j]: e_(k^j) * e_j = signs[k][j] * e_k
+    dim, p = sig.dim, sig.p
+    return tuple(
+        tuple(_blade_product(k ^ j, j, p)[1] for j in range(dim)) for k in range(dim)
+    )
 
 
 def _blade_name(mask: int) -> str:
@@ -367,6 +385,20 @@ class Multivector:
             n >>= 1
         return result
 
+    def left_multiplication_matrix(self) -> list[list[Fraction]]:
+        """Matrix of the real-linear map y -> self * y in blade coordinates.
+
+        Entry [k][j] is the e_k coordinate of self * e_j, which is
+        +-self[k ^ j]; so ``(self * y).coeffs[k]`` is the dot product of
+        row k with ``y.coeffs``.
+        """
+        coeffs = self.coeffs
+        negated = [-c for c in coeffs]
+        return [
+            [coeffs[k ^ j] if s > 0 else negated[k ^ j] for j, s in enumerate(signs)]
+            for k, signs in enumerate(_left_signs(self.sig))
+        ]
+
     # ---- accessors -------------------------------------------------------
 
     def coeff(self, mask: int) -> Fraction:
@@ -466,11 +498,8 @@ class Multivector:
             n_inv = Multivector.from_components(sig, {0: a / d, 7: -b / d})
             return self.conjugate() * n_inv
         # general signature: solve x * y = 1 exactly
-        dim = sig.dim
-        columns = [(self * Multivector.blade(sig, j)).coeffs for j in range(dim)]
-        rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-        rhs = [_ONE if i == 0 else _ZERO for i in range(dim)]
-        kind, solution = solve_exact(rows, rhs)
+        rhs = [_ONE] + [_ZERO] * (sig.dim - 1)
+        kind, solution = solve_exact(self.left_multiplication_matrix(), rhs)
         if kind != "unique":
             raise NotInvertible(str(self))
         return Multivector(sig, solution)

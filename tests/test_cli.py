@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,48 @@ def test_eval_negative_decimal_rejected_before_work(capsys):
         main(["eval", "-s", "0,2", "X^1*(1/3)", "1", "--decimal", "-3"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI = ("-m", "clifflag.cli")
+
+
+def run_capped(cap, *args):
+    """Run a fresh interpreter on `args` with CLIFFLAG_MAX_DIM set to `cap`."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, CLIFFLAG_MAX_DIM=cap, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("cap", ["1", "2", "abc"])
+def test_import_succeeds_under_any_cap(cap):
+    done = run_capped(cap, "-c", "import clifflag, clifflag.cli; print(clifflag.R03)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "R(0,3)"
+
+
+def test_signature_above_cap_exits_2(tmp_path):
+    done = run_capped("2", *CLI, "eval", "-s", "0,3", "X^1*(1)", "e1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds the dimension cap 2" in done.stderr
+    done = run_capped("2", *CLI, "interpolate", write(tmp_path, THREE_POINT_DOC))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds the dimension cap 2" in done.stderr
+    # a signature within the cap still works
+    done = run_capped("2", *CLI, "interpolate", write(tmp_path, FIVE_POINT_DOC))
+    assert (done.returncode, done.stdout) == (0, "X^3*(e1) + X^2*(1) + (1)\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnose", "interpolate"])
+def test_invalid_cap_exits_2_with_message(tmp_path, command):
+    argv = {
+        "eval": ["-s", "0,2", "X^1*(1)", "e1"],
+        "diagnose": ["-s", "0,2", "e1"],
+        "interpolate": [write(tmp_path, FIVE_POINT_DOC)],
+    }[command]
+    done = run_capped("abc", *CLI, command, *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "CLIFFLAG_MAX_DIM must be an integer, got 'abc'" in done.stderr
+    assert "Traceback" not in done.stderr

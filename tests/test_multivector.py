@@ -164,6 +164,41 @@ def test_not_invertible_cases():
         (Multivector.basis(s20, 1) - Multivector.basis(s20, 1, 2)).inverse()
 
 
+@pytest.mark.parametrize(
+    "p,q",
+    [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0),
+     (0, 4), (1, 3), (2, 2), (3, 1), (4, 0)],
+)
+def test_left_multiplication_matrix_matches_blade_products(p, q):
+    sig = Signature(p, q)
+    rng = random.Random(f"left-matrix {p},{q}")
+    for _ in range(3):
+        x = rand_multivector(rng, sig)
+        matrix = x.left_multiplication_matrix()
+        for k in range(sig.dim):
+            for j in range(sig.dim):
+                assert matrix[k][j] == (x * Multivector.blade(sig, j)).coeffs[k]
+        y = rand_multivector(rng, sig)
+        product = [sum((a * b for a, b in zip(row, y.coeffs)), Fraction(0)) for row in matrix]
+        assert product == list((x * y).coeffs)
+
+
+def test_inverse_r13_pinned():
+    # general-signature inverses go through the exact linear solve
+    s13 = Signature(1, 3)
+    x = Multivector.parse("2 + e1 - e23 + 1/2 e1234", s13)
+    assert str(x.inverse()) == (
+        "136/337 - 36/337 e1 + 92/337 e23 - 64/337 e123 + 32/337 e14 - 18/337 e1234"
+    )
+    x = Multivector.parse("1 + e2 + 3/2 e13 - e124", s13)
+    assert str(x.inverse()) == (
+        "12/89 - 52/89 e2 + 30/89 e13 - 48/89 e123 - 32/89 e14 - 20/89 e124"
+    )
+    for text in ("1 + e1", "1 + e14"):
+        with pytest.raises(NotInvertible):
+            Multivector.parse(text, s13).inverse()
+
+
 def test_invertibility_matches_psi_product():
     # invertible in R(0,3) iff psi+ psi- != 0, on random elements plus
     # forced zero divisors
