@@ -46,11 +46,11 @@ from .multivector import (
     Signature,
     from_quaternion_pair,
     max_dimension,
-    real_trace_and_norm,
     same_class,
     to_quaternion_pair,
 )
 from .poly import (
+    MAX_DEGREE,
     AffineRestriction,
     Polynomial,
     RootSet,
@@ -78,6 +78,7 @@ __all__ = [
     "HARD_DIM_LIMIT",
     "InternalNonInvertible",
     "InterpolationProblem",
+    "MAX_DEGREE",
     "MultiPointClassInR03",
     "Multivector",
     "NotInCone",
@@ -110,7 +111,6 @@ __all__ = [
     "max_dimension",
     "paravector_root_census",
     "real_root_multiplicity",
-    "real_trace_and_norm",
     "roots_in_class",
     "same_class",
     "to_quaternion_pair",

@@ -34,7 +34,7 @@ from .interpolate import (
     interpolate,
 )
 from .multivector import R03, Multivector, Signature, same_class
-from .poly import Polynomial
+from .poly import MAX_DEGREE, Polynomial
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,6 +69,13 @@ def _non_negative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _degree(text: str) -> int:
+    value = _non_negative(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
     return value
 
 
@@ -187,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="cross-check against the linear-system oracle"
     )
     p_int.add_argument(
-        "--max-degree", type=_non_negative, default=None, metavar="D",
+        "--max-degree", type=_degree, default=None, metavar="D",
         help="oracle degree bound (default: the construction bound)",
     )
     p_int.add_argument(

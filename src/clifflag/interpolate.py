@@ -1,25 +1,34 @@
 """Exact Lagrange interpolation over the quaternions and over R_{0,3}.
 
 Given pairwise distinct quadratic-cone points with prescribed values, one
-construction serves both algebras: it builds a basis polynomial per
-interpolation node — equal to 1 there and vanishing at every other node —
-and sums them against the values. Nodes are grouped by conjugacy class:
+Newton frame serves both algebras. Nodes are taken in a fixed order, and
+node i gets T_i, the product of root appends over the nodes before it,
+together with T_i(x_i)^-1. Evaluation is right-linear, (T c)(x) = T(x) c
+for a constant c, so the interpolant is built node by node as
+P += T_i T_i(x_i)^-1 (w_i - P(x_i)). The basis polynomial of a node is the
+same sum over indicator data (1 at that node, 0 elsewhere). The
+interpolant is unique within the degree bound, so both equal the paper's
+product construction, which the tests keep as their reference. Nodes are
+grouped by conjugacy class:
 
 * quaternions: every class may carry any number of points, but from the
   third one on the data must satisfy the collinearity condition
   (x_h - x_1)^-1 (w_h - w_1) = (x_2 - x_1)^-1 (w_2 - w_1), because any
   polynomial restricted to a class sphere is an affine map. Only the
-  first two points per class enter the construction, and each
-  multi-point class contributes its characteristic polynomial to the
-  basis polynomials of the other classes; the degree bound is
+  first two points per class are nodes; once T holds both, it vanishes
+  on their whole sphere. The degree bound is
   d = -1 + sum of min(group size, 2).
 
-* R_{0,3}: zero divisors force one point per class, so the construction
-  reduces to its singleton case; the degree bound is m - 1 for m points.
+* R_{0,3}: zero divisors force one point per class, so every point is a
+  node; the degree bound is m - 1 for m points.
 
 A brute-force oracle solves the same problem as an exact rational linear
 system in the coefficient coordinates, classifying existence and
 uniqueness independently of the construction above.
+
+The package attribute ``clifflag.interpolate`` is the function
+:func:`interpolate`, which shadows this submodule; reach the module with
+``importlib.import_module("clifflag.interpolate")``.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .errors import (
 )
 from .linsolve import solve_exact
 from .multivector import QUATERNIONS, R03, ConjugacyClassId, Multivector, Signature
-from .poly import Polynomial, append_root, characteristic_poly
+from .poly import Polynomial, append_root
 
 
 @dataclass(frozen=True)
@@ -144,81 +153,65 @@ def first_collinearity_violation(group: ClassGroup):
     return None
 
 
-def _append_chain(sig: Signature, roots) -> Polynomial:
-    t = Polynomial.one(sig)
-    for y in roots:
-        t = append_root(t, y)
-    return t
-
-
-def _characteristic_product(groups, sig: Signature) -> Polynomial | None:
-    """Product of the groups' characteristic polynomials; None for no groups."""
-    delta = None
-    for g in groups:
-        chi = characteristic_poly(g.cls_id, sig)
-        delta = chi if delta is None else delta * chi
-    return delta
-
-
-def _lagrange_triplets(problem: InterpolationProblem):
-    """(node, value, basis polynomial) for every node the construction uses.
+def _newton_frame(problem: InterpolationProblem):
+    """(node, value, T, T(node)^-1) for every node the construction uses.
 
     Singleton classes come first, then the first two points of each
-    multi-point class (there are none in R_{0,3}). A basis polynomial is
-    L * L(node)^-1 with L = Delta * P: P vanishes at the other singleton
-    nodes and, for a multi-point node, at its class partner; Delta is the
-    product of the characteristic polynomials of the other multi-point
-    classes, left out when there are none.
+    multi-point class (there are none in R_{0,3}). T is 1 at the first
+    node and grows by ``append_root`` over each earlier node, so it
+    vanishes at every earlier node and, once a class holds two of them,
+    on that whole class.
     """
     grouping = group_by_class(problem)
     for j, g in enumerate(grouping.groups, start=1):
         h = first_collinearity_violation(g)
         if h is not None:
             raise CollinearityViolated(j, h, g.points[0])
-    sig = grouping.sig
-    singles = [g for g in grouping.groups if g.size == 1]
-    multis = [g for g in grouping.groups if g.size > 1]
-    anchors = [g.points[0] for g in singles]
+    frame = []
+    t = Polynomial.one(grouping.sig)
+    for g in grouping.groups:
+        for node, value in zip(g.points[:2], g.values[:2]):
+            try:
+                if frame:
+                    t = append_root(t, frame[-1][0])
+                frame.append((node, value, t, t(node).inverse()))
+            except NotInvertible as exc:
+                raise InternalNonInvertible(
+                    f"construction hit a non-invertible value for node {node}: {exc}"
+                ) from exc
+    return frame
 
-    def basis(node, value, roots, delta):
-        try:
-            l_star = _append_chain(sig, roots)
-            if delta is not None:
-                l_star = delta * l_star
-            return node, value, l_star * l_star(node).inverse()
-        except NotInvertible as exc:
-            raise InternalNonInvertible(
-                f"construction hit a non-invertible value for node {node}: {exc}"
-            ) from exc
 
-    delta_all = _characteristic_product(multis, sig)
-    triplets = [
-        basis(g.points[0], g.values[0], anchors[:j] + anchors[j + 1 :], delta_all)
-        for j, g in enumerate(singles)
-    ]
-    for k, g in enumerate(multis):
-        delta_others = _characteristic_product(multis[:k] + multis[k + 1 :], sig)
-        for ell in (0, 1):
-            roots = anchors + [g.points[1 - ell]]
-            triplets.append(basis(g.points[ell], g.values[ell], roots, delta_others))
-    return triplets
+def _newton(frame, values) -> Polynomial:
+    """The polynomial within the degree bound taking ``values`` at the frame's
+    nodes: P += T * T(x)^-1 (w - P(x)) node by node, since T(x) c is the
+    value of T * c at x and T vanishes at every earlier node."""
+    poly = Polynomial.zero(frame[0][0].sig)
+    for (node, _, t, t_inv), value in zip(frame, values):
+        residual = value - poly(node)
+        if residual:
+            poly = poly + t * (t_inv * residual)
+    return poly
 
 
 def lagrange_basis(problem: InterpolationProblem):
     """(node, basis polynomial) pairs: each polynomial is 1 at its node and
     0 at every other node used by the construction (first two per class in
     the quaternionic case)."""
-    return tuple((node, poly) for node, _, poly in _lagrange_triplets(problem))
+    frame = _newton_frame(problem)
+    one, zero = Multivector.one(problem.sig), Multivector.zero(problem.sig)
+    return tuple(
+        (node, _newton(frame, [one if k == j else zero for k in range(len(frame))]))
+        for j, (node, _, _, _) in enumerate(frame)
+    )
 
 
 def interpolate(problem: InterpolationProblem) -> Polynomial:
     """The unique interpolating polynomial within the construction's degree bound."""
     if not problem.pairs:
         raise ValueError("cannot interpolate an empty problem")
-    total = Polynomial.zero(problem.sig)
-    for _, value, poly in _lagrange_triplets(problem):
-        total = total + poly * value
-    return total
+    frame = _newton_frame(problem)
+    return _newton(frame, [value for _, value, _, _ in frame])
 
 
 def interpolate_quaternion(problem: InterpolationProblem) -> Polynomial:

@@ -542,11 +542,6 @@ class Multivector:
         )
 
 
-def real_trace_and_norm(x: Multivector) -> bool:
-    """Simplified cone membership form used in the anti-euclidean algebras."""
-    return x.trace().is_scalar() and x.norm().is_scalar()
-
-
 def same_class(x: Multivector, y: Multivector) -> bool:
     return x.conjugacy_class() == y.conjugacy_class()
 

@@ -38,6 +38,10 @@ from .multivector import (
     to_quaternion_pair,
 )
 
+# Largest degree accepted from text: a polynomial literal's exponent and the
+# CLI's --max-degree. Each degree costs a coefficient or a power per point.
+MAX_DEGREE = 1000
+
 
 class Polynomial:
     """A polynomial over one Clifford algebra, right coefficients, exact."""
@@ -282,6 +286,8 @@ def _parse_term(term: str) -> tuple[int, str]:
             if pos == 0:
                 raise ParseError(f"missing exponent in term {term!r}")
             h = int(rest[:pos])
+            if h > MAX_DEGREE:
+                raise ParseError(f"exponent {h} in term {term!r} exceeds {MAX_DEGREE}")
             rest = rest[pos:].lstrip()
         else:
             h = 1
@@ -506,30 +512,24 @@ def factor_out_characteristic(
     """
     if cls_id.is_real:
         raise ValueError("expected a sphere class")
-    delta = characteristic_poly(cls_id, p.sig)
-    s = 0
-    q = p
-    while q:
-        quotient, remainder = divide_by_real(q, delta)
-        if remainder:
-            break
-        s += 1
-        q = quotient
-    return s, q
+    return _divide_out(p, characteristic_poly(cls_id, p.sig))
 
 
 def real_root_multiplicity(p: Polynomial, alpha) -> int:
     """Multiplicity of the real root alpha (0 when it is not a root)."""
-    factor = Polynomial.from_scalars(p.sig, (-Fraction(alpha), 1))
-    count = 0
-    q = p
-    while q and q.degree >= 1:
-        quotient, remainder = divide_by_real(q, factor)
+    return _divide_out(p, Polynomial.from_scalars(p.sig, (-Fraction(alpha), 1)))[0]
+
+
+def _divide_out(p: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]:
+    """Largest s with factor^s dividing P (0 for P = 0), plus the cofactor."""
+    s = 0
+    while p:
+        quotient, remainder = divide_by_real(p, factor)
         if remainder:
             break
-        count += 1
-        q = quotient
-    return count
+        s += 1
+        p = quotient
+    return s, p
 
 
 def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, int]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from clifflag import Multivector, Polynomial, QUATERNIONS, R03
+from clifflag import MAX_DEGREE, Multivector, Polynomial, QUATERNIONS, R03
 from clifflag.cli import main
 
 FIVE_POINT_DOC = {
@@ -251,6 +251,25 @@ def test_interpolate_bad_count_flag_rejected_before_work(tmp_path, capsys, flag,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+def test_max_degree_above_cap_rejected_before_work(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["interpolate", write(tmp_path, FIVE_POINT_DOC), "--oracle",
+             "--max-degree", str(MAX_DEGREE + 1)]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be at most {MAX_DEGREE}" in captured.err
+
+
+def test_eval_exponent_above_cap_exits_2(capsys):
+    assert main(["eval", "-s", "0,2", f"X^{MAX_DEGREE + 1}*(1)", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds {MAX_DEGREE}" in captured.err
 
 
 def test_eval_negative_decimal_rejected_before_work(capsys):

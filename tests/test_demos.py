@@ -1,0 +1,43 @@
+"""Every demo runs to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(path):
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_all_four_demos_are_found():
+    assert [p.name for p in DEMOS] == [
+        "quaternion_interpolation.py",
+        "r03_interpolation.py",
+        "root_structure.py",
+        "zero_divisors.py",
+    ]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_0(path):
+    done = run_demo(path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_quaternion_demo_prints_the_interpolant():
+    done = run_demo(ROOT / "demos" / "quaternion_interpolation.py")
+    lines = [line.strip() for line in done.stdout.splitlines()]
+    assert "P(X) = X^3*(e1) + X^2*(1) + (1)" in lines

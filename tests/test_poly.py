@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from clifflag import (
+    MAX_DEGREE,
     ConjugacyClassId,
     Multivector,
     NotInvertible,
@@ -396,6 +397,13 @@ def test_polynomial_parse_errors():
         Polynomial.parse("(1", H)
     with pytest.raises(ParseError):
         Polynomial.parse("", H)
+
+
+def test_polynomial_parse_degree_cap():
+    top = Polynomial.parse(f"X^{MAX_DEGREE}*(e1) + (1)", H)
+    assert top.degree == MAX_DEGREE and top.leading == I
+    with pytest.raises(ParseError, match=f"exponent {MAX_DEGREE + 1}"):
+        Polynomial.parse(f"X^{MAX_DEGREE + 1}*(e1) + (1)", H)
 
 
 def test_zero_polynomial_has_none_degree():

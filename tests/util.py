@@ -71,14 +71,20 @@ def rand_cone_point_r03(rng: random.Random, alpha=None, beta=None) -> Multivecto
     return r03_cone_point(alpha, beta, rng.choice(UNITS), rng.choice(UNITS))
 
 
-def random_h_problem(rng: random.Random, force_triple: bool = False) -> InterpolationProblem:
+def random_h_problem(
+    rng: random.Random, force_triple: bool = False, sizes=None
+) -> InterpolationProblem:
     """A feasible quaternionic problem; triple-point classes get values built
-    from the class's affine slope so the collinearity condition holds."""
-    n_classes = rng.randint(1, 3)
+    from the class's affine slope so the collinearity condition holds.
+    `sizes` fixes the number of points per class (random by default)."""
+    n_classes = len(sizes) if sizes else rng.randint(1, 3)
     params = rand_class_params(rng, n_classes)
     pairs = []
     for gi, (alpha, beta) in enumerate(params):
-        size = 3 if force_triple and gi == 0 else rng.choice((1, 1, 2, 3))
+        if sizes:
+            size = sizes[gi]
+        else:
+            size = 3 if force_triple and gi == 0 else rng.choice((1, 1, 2, 3))
         vecs = rng.sample(UNITS, size)
         pts = [quaternion_from_parts(alpha, [beta * c for c in v]) for v in vecs]
         vals = [rand_multivector(rng, QUATERNIONS, 3) for _ in range(min(size, 2))]
@@ -106,8 +112,9 @@ def random_h_problem_with_violation(rng: random.Random) -> InterpolationProblem:
     return InterpolationProblem.from_pairs(QUATERNIONS, pairs)
 
 
-def random_r03_problem(rng: random.Random) -> InterpolationProblem:
-    n_points = rng.randint(1, 4)
+def random_r03_problem(rng: random.Random, n_points=None) -> InterpolationProblem:
+    if n_points is None:
+        n_points = rng.randint(1, 4)
     pairs = []
     for alpha, beta in rand_class_params(rng, n_points):
         up, um = rng.sample(UNITS, 2)
