@@ -36,6 +36,10 @@ from .interpolate import (
 from .multivector import R03, Multivector, Signature, same_class
 from .poly import MAX_DEGREE, Polynomial
 
+# Largest number of points in a problem file. A problem's degree bound is
+# below its point count, so it stays within the cap on polynomial degrees.
+MAX_POINTS = MAX_DEGREE + 1
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_COLLINEARITY = 3
@@ -105,6 +109,8 @@ def _load_problem(path: str) -> InterpolationProblem:
         raise ParseError("points and values must be arrays of strings")
     if len(points) != len(values) or not points:
         raise ParseError("points and values must have equal length >= 1")
+    if len(points) > MAX_POINTS:
+        raise ParseError(f"problem has {len(points)} points; at most {MAX_POINTS} allowed")
     pairs = [
         (Multivector.parse(str(p), sig), Multivector.parse(str(w), sig))
         for p, w in zip(points, values)
@@ -123,16 +129,16 @@ def cmd_interpolate(args) -> int:
         for x, w in problem.pairs:
             print(f"residual at {x}: {poly(x) - w}")
     if args.oracle:
-        result = brute_force_interpolate(problem, args.max_degree)
+        bound = (
+            args.max_degree
+            if args.max_degree is not None
+            else group_by_class(problem).degree_bound
+        )
+        result = brute_force_interpolate(problem, bound)
         if result.kind == "unique":
             print("oracle: AGREE" if result.polynomial == poly else "oracle: DISAGREE")
         elif result.kind == "affine_family":
             member = all(result.polynomial(x) == w for x, w in problem.pairs)
-            bound = (
-                args.max_degree
-                if args.max_degree is not None
-                else group_by_class(problem).degree_bound
-            )
             status = "solution lies in it" if member else "DISAGREE"
             print(
                 f"oracle: AFFINE-FAMILY at max degree {bound} "

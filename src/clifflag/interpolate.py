@@ -1,15 +1,23 @@
 """Exact Lagrange interpolation over the quaternions and over R_{0,3}.
 
 Given pairwise distinct quadratic-cone points with prescribed values, one
-Newton frame serves both algebras. Nodes are taken in a fixed order, and
-node i gets T_i, the product of root appends over the nodes before it,
-together with T_i(x_i)^-1. Evaluation is right-linear, (T c)(x) = T(x) c
-for a constant c, so the interpolant is built node by node as
-P += T_i T_i(x_i)^-1 (w_i - P(x_i)). The basis polynomial of a node is the
-same sum over indicator data (1 at that node, 0 elsewhere). The
-interpolant is unique within the degree bound, so both equal the paper's
-product construction, which the tests keep as their reference. Nodes are
-grouped by conjugacy class:
+quaternion Newton frame serves both algebras. Nodes are taken in a fixed
+order, and node i gets T_i, the product of root appends over the nodes
+before it, together with T_i(x_i)^-1. Evaluation is right-linear,
+(T c)(x) = T(x) c for a constant c, so the interpolant is built node by
+node as P += T_i T_i(x_i)^-1 (w_i - P(x_i)). The basis polynomial of a
+node is the same sum over indicator data (1 at that node, 0 elsewhere).
+The interpolant is unique within the degree bound, so both equal the
+paper's product construction, which the tests keep as their reference.
+
+R_{0,3} is H (+) H through the central idempotents (1 +- e123)/2. The
+projections are ring homomorphisms and keep a cone point's trace and
+norm, so an R_{0,3} problem runs as two quaternion frames over the split
+nodes and values, recombined coefficient by coefficient. The frame keeps
+each quaternion as four integer numerators over one denominator (see
+``clifflag._quaternion``) and converts back to ``Multivector`` only for
+the result. Nodes are grouped by conjugacy class, on the caller's
+problem:
 
 * quaternions: every class may carry any number of points, but from the
   third one on the data must satisfy the collinearity condition
@@ -34,6 +42,7 @@ The package attribute ``clifflag.interpolate`` is the function
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     CollinearityViolated,
@@ -44,9 +53,18 @@ from .errors import (
     PointNotInCone,
     UnsupportedSignature,
 )
+from ._quaternion import ZERO, NewtonFrame, from_multivector, to_multivector
 from .linsolve import solve_exact
-from .multivector import QUATERNIONS, R03, ConjugacyClassId, Multivector, Signature
-from .poly import Polynomial, append_root
+from .multivector import (
+    QUATERNIONS,
+    R03,
+    ConjugacyClassId,
+    Multivector,
+    Signature,
+    from_quaternion_pair,
+    to_quaternion_pair,
+)
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -153,56 +171,70 @@ def first_collinearity_violation(group: ClassGroup):
     return None
 
 
-def _newton_frame(problem: InterpolationProblem):
-    """(node, value, T, T(node)^-1) for every node the construction uses.
+def _nodes(problem: InterpolationProblem):
+    """The construction's nodes and their values, in order.
 
     Singleton classes come first, then the first two points of each
-    multi-point class (there are none in R_{0,3}). T is 1 at the first
-    node and grows by ``append_root`` over each earlier node, so it
-    vanishes at every earlier node and, once a class holds two of them,
-    on that whole class.
+    multi-point class (there are none in R_{0,3}).
     """
     grouping = group_by_class(problem)
     for j, g in enumerate(grouping.groups, start=1):
         h = first_collinearity_violation(g)
         if h is not None:
             raise CollinearityViolated(j, h, g.points[0])
-    frame = []
-    t = Polynomial.one(grouping.sig)
+    nodes, values = [], []
     for g in grouping.groups:
-        for node, value in zip(g.points[:2], g.values[:2]):
-            try:
-                if frame:
-                    t = append_root(t, frame[-1][0])
-                frame.append((node, value, t, t(node).inverse()))
-            except NotInvertible as exc:
-                raise InternalNonInvertible(
-                    f"construction hit a non-invertible value for node {node}: {exc}"
-                ) from exc
-    return frame
+        nodes.extend(g.points[:2])
+        values.extend(g.values[:2])
+    return nodes, values
 
 
-def _newton(frame, values) -> Polynomial:
-    """The polynomial within the degree bound taking ``values`` at the frame's
-    nodes: P += T * T(x)^-1 (w - P(x)) node by node, since T(x) c is the
-    value of T * c at x and T vanishes at every earlier node."""
-    poly = Polynomial.zero(frame[0][0].sig)
-    for (node, _, t, t_inv), value in zip(frame, values):
-        residual = value - poly(node)
-        if residual:
-            poly = poly + t * (t_inv * residual)
-    return poly
+def _halves(x: Multivector):
+    """The quaternionic components of x: its H + H split in R_{0,3}, else x."""
+    return to_quaternion_pair(x) if x.sig == R03 else (x,)
+
+
+def _newton_frames(sig: Signature, nodes):
+    """One quaternion Newton frame per component, over the same nodes."""
+    frames = [NewtonFrame() for _ in range(2 if sig == R03 else 1)]
+    for node in nodes:
+        try:
+            for frame, half in zip(frames, _halves(node)):
+                frame.add_node(from_multivector(half))
+        except NotInvertible as exc:
+            raise InternalNonInvertible(
+                f"construction hit a non-invertible value for node {node}: {exc}"
+            ) from exc
+    return frames
+
+
+def _newton(frames, values) -> Polynomial:
+    """The polynomial within the degree bound taking ``values`` at the frames'
+    nodes, solved per component and recombined coefficient by coefficient."""
+    sig = values[0].sig
+    columns = zip(*([from_multivector(half) for half in _halves(w)] for w in values))
+    components = [frame.solve(column) for frame, column in zip(frames, columns)]
+    if sig != R03:
+        return Polynomial(sig, (to_multivector(a) for a in components[0]))
+    return Polynomial(
+        sig,
+        (
+            from_quaternion_pair(to_multivector(a), to_multivector(b))
+            for a, b in zip_longest(*components, fillvalue=ZERO)
+        ),
+    )
 
 
 def lagrange_basis(problem: InterpolationProblem):
     """(node, basis polynomial) pairs: each polynomial is 1 at its node and
     0 at every other node used by the construction (first two per class in
     the quaternionic case)."""
-    frame = _newton_frame(problem)
+    nodes, _ = _nodes(problem)
+    frames = _newton_frames(problem.sig, nodes)
     one, zero = Multivector.one(problem.sig), Multivector.zero(problem.sig)
     return tuple(
-        (node, _newton(frame, [one if k == j else zero for k in range(len(frame))]))
-        for j, (node, _, _, _) in enumerate(frame)
+        (node, _newton(frames, [one if k == j else zero for k in range(len(nodes))]))
+        for j, node in enumerate(nodes)
     )
 
 
@@ -210,8 +242,8 @@ def interpolate(problem: InterpolationProblem) -> Polynomial:
     """The unique interpolating polynomial within the construction's degree bound."""
     if not problem.pairs:
         raise ValueError("cannot interpolate an empty problem")
-    frame = _newton_frame(problem)
-    return _newton(frame, [value for _, value, _, _ in frame])
+    nodes, values = _nodes(problem)
+    return _newton(_newton_frames(problem.sig, nodes), values)
 
 
 def interpolate_quaternion(problem: InterpolationProblem) -> Polynomial:

@@ -281,11 +281,15 @@ def _parse_term(term: str) -> tuple[int, str]:
         if rest.startswith("^"):
             rest = rest[1:].lstrip()
             pos = 0
-            while pos < len(rest) and rest[pos].isdigit():
+            while pos < len(rest) and rest[pos] in "0123456789":
                 pos += 1
             if pos == 0:
                 raise ParseError(f"missing exponent in term {term!r}")
-            h = int(rest[:pos])
+            # int() refuses strings beyond 4300 digits, so count them first
+            digits = rest[:pos].lstrip("0")
+            if len(digits) > len(str(MAX_DEGREE)):
+                raise ParseError(f"exponent of {len(digits)} digits exceeds {MAX_DEGREE}")
+            h = int(digits or "0")
             if h > MAX_DEGREE:
                 raise ParseError(f"exponent {h} in term {term!r} exceeds {MAX_DEGREE}")
             rest = rest[pos:].lstrip()

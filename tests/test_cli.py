@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from clifflag import MAX_DEGREE, Multivector, Polynomial, QUATERNIONS, R03
-from clifflag.cli import main
+from clifflag.cli import MAX_POINTS, main
 
 FIVE_POINT_DOC = {
     "signature": {"p": 0, "q": 2},
@@ -65,6 +66,28 @@ def test_interpolate_oracle_above_bound(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "AFFINE-FAMILY" in out and "solution lies in it" in out
+
+
+def test_interpolate_oracle_groups_at_most_twice(tmp_path, capsys, monkeypatch):
+    # once for the construction, once for the oracle's bound when no
+    # --max-degree is given; the AFFINE-FAMILY line reuses that bound
+    module = importlib.import_module("clifflag.interpolate")
+    real, calls = module.group_by_class, []
+    counting = lambda problem: calls.append(problem) or real(problem)  # noqa: E731
+    for name in ("clifflag.interpolate", "clifflag.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "group_by_class", counting)
+    for doc, extra, expected in (
+        (FIVE_POINT_DOC, [], 2),
+        (THREE_POINT_DOC, [], 2),
+        (FIVE_POINT_DOC, ["--max-degree", "5"], 1),
+    ):
+        calls.clear()
+        assert main(["interpolate", write(tmp_path, doc), "--oracle", *extra]) == 0
+        assert len(calls) == expected
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "oracle: AFFINE-FAMILY at max degree 5 "
+        "(not unique, above the construction bound; solution lies in it)"
+    )
 
 
 def test_interpolate_three_points_r03(tmp_path, capsys):
@@ -179,6 +202,16 @@ def test_exit_code_bad_point_string(tmp_path, capsys):
 def test_exit_code_length_mismatch(tmp_path):
     doc = {"signature": {"p": 0, "q": 2}, "points": ["e1"], "values": []}
     assert main(["interpolate", write(tmp_path, doc)]) == 2
+
+
+def test_point_count_above_cap_rejected_before_parsing(tmp_path, capsys):
+    # unparseable texts: the count is checked before any point is read
+    n = MAX_POINTS + 1
+    doc = {"signature": {"p": 0, "q": 2}, "points": ["?"] * n, "values": ["?"] * n}
+    assert main(["interpolate", write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"problem has {n} points; at most {MAX_POINTS} allowed" in captured.err
 
 
 def test_exit_code_collinearity(tmp_path, capsys):

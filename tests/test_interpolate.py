@@ -1,5 +1,6 @@
 """Tests for the two Lagrange constructions and the linear-system oracle."""
 
+import importlib
 import random
 
 import pytest
@@ -165,6 +166,21 @@ def test_three_point_r03_interpolation():
     assert p.degree == 2
     oracle = brute_force_interpolate(THREE_POINTS)
     assert oracle.kind == "unique" and oracle.polynomial == p
+
+
+def test_each_construction_groups_once(monkeypatch):
+    # R(0,3) runs as two quaternion frames without regrouping the halves
+    module = importlib.import_module("clifflag.interpolate")
+    real, calls = module.group_by_class, []
+    monkeypatch.setattr(
+        module, "group_by_class", lambda problem: calls.append(problem) or real(problem)
+    )
+    r03_six = random_r03_problem(random.Random("group once"), n_points=6)
+    for problem in (FIVE_POINTS, THREE_POINTS, r03_six):
+        for construct in (interpolate, lagrange_basis):
+            calls.clear()
+            construct(problem)
+            assert calls == [problem]
 
 
 def test_interpolate_dispatch_checks_signature():

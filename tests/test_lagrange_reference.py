@@ -110,7 +110,7 @@ def test_quaternion_newton_equals_lagrange_equals_oracle(sizes):
     assert_newton_equals_lagrange_equals_oracle(random_h_problem(rng, sizes=sizes))
 
 
-@pytest.mark.parametrize("n_points", range(1, 9))
+@pytest.mark.parametrize("n_points", range(1, 11))
 def test_r03_newton_equals_lagrange_equals_oracle(n_points):
     rng = random.Random(f"r03:{n_points}")
     for _ in range(2):

@@ -406,6 +406,17 @@ def test_polynomial_parse_degree_cap():
         Polynomial.parse(f"X^{MAX_DEGREE + 1}*(e1) + (1)", H)
 
 
+def test_polynomial_parse_long_exponent():
+    # int() refuses more than 4300 digits; leading zeros do not count
+    with pytest.raises(ParseError, match="exceeds"):
+        Polynomial.parse("X^" + "1" * 4301 + "*(1)", H)
+    assert Polynomial.parse("X^0002*(1)", H).degree == 2
+    assert Polynomial.parse("X^" + "0" * 5000 + "3*(1)", H).degree == 3
+    # a non-ASCII digit is no exponent (int() would refuse it as well)
+    with pytest.raises(ParseError, match="missing exponent"):
+        Polynomial.parse("X^\u00b2*(1)", H)
+
+
 def test_zero_polynomial_has_none_degree():
     assert Polynomial.zero(H).degree is None
     assert Polynomial.constant(ZERO_H).degree is None

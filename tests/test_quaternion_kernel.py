@@ -1,0 +1,91 @@
+"""The integer quaternion kernel against Multivector and Polynomial.
+
+The kernel stores a quaternion as four integer numerators over one
+denominator; every operation must give the same exact value as the
+generic Fraction arithmetic of R(0,2), in lowest terms. Derandomized, so
+the suite stays deterministic.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clifflag import Multivector, NotInvertible, Polynomial, QUATERNIONS, append_root
+from clifflag import _quaternion as hk
+from util import random_h_problem
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
+
+# Small values take the zero, unit and equal-denominator branches.
+BIG = 2**256
+numerators = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+denominators = st.one_of(st.integers(1, 6), st.integers(1, BIG))
+quaternions = st.lists(
+    st.builds(Fraction, numerators, denominators), min_size=4, max_size=4
+).map(lambda coeffs: Multivector(QUATERNIONS, coeffs))
+
+
+def assert_reduced(a):
+    assert a[4] > 0 and gcd(*a) == 1
+
+
+def as_kernel(x):
+    a = hk.from_multivector(x)
+    assert_reduced(a)
+    assert hk.to_multivector(a) == x
+    return a
+
+
+@PROPERTY_SETTINGS
+@given(quaternions, quaternions)
+def test_product_and_sums_match(x, y):
+    a, b = as_kernel(x), as_kernel(y)
+    for got, want in (
+        (hk.mul(a, b), x * y),
+        (hk.add(a, b), x + y),
+        (hk.sub(a, b), x - y),
+        (hk.neg(a), -x),
+    ):
+        assert_reduced(got)
+        assert hk.to_multivector(got) == want
+
+
+@PROPERTY_SETTINGS
+@given(quaternions)
+def test_inverse_matches(x):
+    if not x:
+        with pytest.raises(NotInvertible):
+            hk.inverse(as_kernel(x))
+        return
+    got = hk.inverse(as_kernel(x))
+    assert_reduced(got)
+    assert hk.to_multivector(got) == x.inverse()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(quaternions, max_size=5), quaternions)
+def test_evaluation_matches(coeffs, x):
+    got = hk.evaluate([as_kernel(c) for c in coeffs], as_kernel(x))
+    assert_reduced(got)
+    assert hk.to_multivector(got) == Polynomial(QUATERNIONS, coeffs)(x)
+
+
+def test_frame_polynomials_are_the_append_root_chain():
+    # T_i of the frame is append_root over the earlier nodes, in order
+    rng = random.Random("frame")
+    for _ in range(10):
+        nodes = [x for x, _ in random_h_problem(rng, sizes=(1, 1, 1, 1)).pairs]
+        frame = hk.NewtonFrame()
+        chain = Polynomial.one(QUATERNIONS)
+        for i, node in enumerate(nodes):
+            frame.add_node(hk.from_multivector(node))
+            if i:
+                chain = append_root(chain, nodes[i - 1])
+            _, t, tx, tx_inv = frame.nodes[-1]
+            assert Polynomial(QUATERNIONS, map(hk.to_multivector, t)) == chain
+            assert hk.to_multivector(tx) == chain(node)
+            assert hk.to_multivector(tx_inv) == chain(node).inverse()
