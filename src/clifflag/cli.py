@@ -33,7 +33,7 @@ from .interpolate import (
     group_by_class,
     interpolate,
 )
-from .multivector import R03, Multivector, Signature, same_class
+from .multivector import R03, Multivector, Signature
 from .poly import MAX_DEGREE, Polynomial
 
 # Largest number of points in a problem file. A problem's degree bound is
@@ -101,9 +101,12 @@ def _load_problem(path: str) -> InterpolationProblem:
         raise ParseError(f"problem file is missing the {exc} key") from None
     if not isinstance(sig_doc, dict) or "p" not in sig_doc or "q" not in sig_doc:
         raise ParseError('signature must be an object like {"p": 0, "q": 2}')
+    p, q = sig_doc["p"], sig_doc["q"]
+    if type(p) is not int or type(q) is not int:  # bool is an int subclass
+        raise ParseError(f"signature entries must be integers, got p={p!r}, q={q!r}")
     try:
-        sig = Signature(int(sig_doc["p"]), int(sig_doc["q"]))
-    except (TypeError, ValueError) as exc:
+        sig = Signature(p, q)
+    except ValueError as exc:
         raise ParseError(f"bad signature: {exc}") from None
     if not isinstance(points, list) or not isinstance(values, list):
         raise ParseError("points and values must be arrays of strings")
@@ -164,20 +167,20 @@ def cmd_eval(args) -> int:
 def cmd_diagnose(args) -> int:
     sig = _parse_signature(args.signature)
     points = [Multivector.parse(text, sig) for text in args.points]
-    for idx, x in enumerate(points, start=1):
+    classes = [x._class_id() for x in points]  # None outside the cone
+    for idx, (x, cls_id) in enumerate(zip(points, classes), start=1):
         print(f"point {idx}: {x}")
-        in_cone = x.in_quadratic_cone()
-        print(f"  in quadratic cone: {'yes' if in_cone else 'no'}")
+        print(f"  in quadratic cone: {'no' if cls_id is None else 'yes'}")
         if sig == R03:
             print(f"  psi+ = {x.psi_plus()}  psi- = {x.psi_minus()}")
-        print(f"  class: {x.conjugacy_class() if in_cone else '-'}")
+        print(f"  class: {'-' if cls_id is None else cls_id}")
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
             x, y = points[a], points[b]
-            if x.in_quadratic_cone() and y.in_quadratic_cone():
-                shared = "yes" if same_class(x, y) else "no"
-            else:
+            if classes[a] is None or classes[b] is None:
                 shared = "-"
+            else:
+                shared = "yes" if classes[a] == classes[b] else "no"
             invertible = "yes" if (x - y).is_invertible() else "no"
             print(
                 f"pair ({a + 1},{b + 1}): same class: {shared}; "

@@ -49,6 +49,7 @@ from .errors import (
     DuplicatePoint,
     InternalNonInvertible,
     MultiPointClassInR03,
+    NotInCone,
     NotInvertible,
     PointNotInCone,
     UnsupportedSignature,
@@ -136,9 +137,11 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
         if x in seen:
             raise DuplicatePoint(f"point {x} appears twice")
         seen.add(x)
-        if not x.in_quadratic_cone():
-            raise PointNotInCone(f"point {x} is outside the quadratic cone")
-        ordered.setdefault(x.conjugacy_class(), []).append(idx)
+        try:
+            cls_id = x.conjugacy_class()
+        except NotInCone:
+            raise PointNotInCone(f"point {x} is outside the quadratic cone") from None
+        ordered.setdefault(cls_id, []).append(idx)
     groups = [
         ClassGroup(
             cls_id,

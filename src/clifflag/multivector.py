@@ -192,14 +192,6 @@ class Multivector:
             mask |= 1 << (i - 1)
         return cls.blade(sig, mask)
 
-    @classmethod
-    def from_components(cls, sig: Signature, components: dict) -> Multivector:
-        """Build from a {mask: value} mapping; missing blades are zero."""
-        coeffs = [_ZERO] * sig.dim
-        for mask, value in components.items():
-            coeffs[mask] = Fraction(value)
-        return cls._wrap(sig, tuple(coeffs))
-
     # ---- text form -----------------------------------------------------
 
     @classmethod
@@ -235,6 +227,8 @@ class Multivector:
                 value = Fraction(number) if number is not None else _ONE
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {number!r}") from None
+            except ValueError:  # int() refuses more than 4300 digits
+                raise ParseError(f"coefficient of {len(number)} characters is too long") from None
             coeffs[mask] += sign * value
             sign, number, blade = _ONE, None, None
             seen_any = True
@@ -401,9 +395,6 @@ class Multivector:
 
     # ---- accessors -------------------------------------------------------
 
-    def coeff(self, mask: int) -> Fraction:
-        return self.coeffs[mask]
-
     def grade(self, k: int) -> Multivector:
         """Projection onto the grade-k part."""
         return Multivector._wrap(
@@ -416,11 +407,6 @@ class Multivector:
 
     def is_scalar(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_scalar():
-            raise ValueError(f"{self} is not a scalar")
-        return self.coeffs[0]
 
     def is_paravector(self) -> bool:
         """True when only grade-0 and grade-1 coordinates are present."""
@@ -478,9 +464,9 @@ class Multivector:
     def inverse(self) -> Multivector:
         """Two-sided inverse; raises NotInvertible for zero and zero divisors.
 
-        Uses n(x)^-1 * conjugate(x) where the norm is real (q=2) or central
-        (q=3); any other signature falls back to an exact linear solve of
-        the left-multiplication system.
+        Uses n(x)^-1 * conjugate(x) where the norm is real (q=2); R_{0,3}
+        inverts both halves of its H (+) H split; any other signature falls
+        back to an exact linear solve of the left-multiplication system.
         """
         sig = self.sig
         if sig == QUATERNIONS:
@@ -489,14 +475,10 @@ class Multivector:
                 raise NotInvertible(str(self))
             return self.conjugate() * (_ONE / n)
         if sig == R03:
-            n = self.norm()
-            a, b = n.coeffs[0], n.coeffs[7]
-            d = a * a - b * b
-            if not d:
+            halves = to_quaternion_pair(self)
+            if not all(halves):
                 raise NotInvertible(str(self))
-            # (a + b e123)^-1 = (a - b e123) / (a^2 - b^2), central
-            n_inv = Multivector.from_components(sig, {0: a / d, 7: -b / d})
-            return self.conjugate() * n_inv
+            return from_quaternion_pair(*(h.inverse() for h in halves))
         # general signature: solve x * y = 1 exactly
         rhs = [_ONE] + [_ZERO] * (sig.dim - 1)
         kind, solution = solve_exact(self.left_multiplication_matrix(), rhs)
@@ -513,18 +495,24 @@ class Multivector:
 
     # ---- quadratic cone and conjugacy classes -------------------------------
 
+    def _class_id(self) -> ConjugacyClassId | None:
+        # The one place that forms trace and norm for the cone test; None
+        # outside the cone. A real x has 4n = t^2 and the id of real(x).
+        conj = self.conjugate()
+        t = self + conj
+        if not t.is_scalar():
+            return None
+        n = self * conj
+        if not n.is_scalar():
+            return None
+        t, n = t.coeffs[0], n.coeffs[0]
+        if 4 * n > t * t or self.is_scalar():
+            return ConjugacyClassId(t, n)
+        return None
+
     def in_quadratic_cone(self) -> bool:
         """True for reals and for x with real trace and norm and 4 n(x) > t(x)^2."""
-        if self.is_scalar():
-            return True
-        t = self.trace()
-        if not t.is_scalar():
-            return False
-        n = self.norm()
-        if not n.is_scalar():
-            return False
-        tf = t.scalar_part()
-        return 4 * n.scalar_part() > tf * tf
+        return self._class_id() is not None
 
     def conjugacy_class(self) -> ConjugacyClassId:
         """Class id (trace, norm) of a cone element; raises NotInCone otherwise.
@@ -533,13 +521,10 @@ class Multivector:
         other signatures the id is still well defined on the cone and
         distinct ids certify distinct classes.
         """
-        if not self.in_quadratic_cone():
+        cls_id = self._class_id()
+        if cls_id is None:
             raise NotInCone(str(self))
-        if self.is_scalar():
-            return ConjugacyClassId.real(self.scalar_part())
-        return ConjugacyClassId.sphere(
-            self.trace().scalar_part(), self.norm().scalar_part()
-        )
+        return cls_id
 
 
 def same_class(x: Multivector, y: Multivector) -> bool:
@@ -585,7 +570,7 @@ class ConjugacyClassId:
 
     def contains(self, x: Multivector) -> bool:
         """Exact membership test for a cone element."""
-        return x.in_quadratic_cone() and x.conjugacy_class() == self
+        return x._class_id() == self
 
     def __str__(self) -> str:
         if self.is_real:

@@ -412,7 +412,7 @@ def _solve_affine_in_quaternion_class(a, b, cls_id):
     # returns ("empty", None) | ("point", x) | ("whole", None)
     if a:
         x = -b * a.inverse()
-        if x.in_quadratic_cone() and x.conjugacy_class() == cls_id:
+        if cls_id.contains(x):
             return "point", x
         return "empty", None
     if b:

@@ -1,0 +1,146 @@
+"""The cone test and the class id: one computation behind every caller.
+
+A derandomized property ties `in_quadratic_cone`, `conjugacy_class`,
+`ConjugacyClassId.contains` and `same_class` to the definition (trace and
+norm real, 4n > t^2 or x real); count tests pin how many geometric
+products grouping and membership make.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from clifflag import (
+    ConjugacyClassId,
+    Multivector,
+    NotInCone,
+    QUATERNIONS,
+    R03,
+    Signature,
+    group_by_class,
+    same_class,
+)
+from clifflag.classpoints import r03_cone_point
+from util import UNITS, random_r03_problem
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
+R11 = Signature(1, 1)
+
+# Zero and unit magnitudes are over-weighted: they reach the reals and, in
+# R(1,1), non-real elements with 4n = t^2 such as e1 + e2.
+fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+
+
+def multivectors(sig):
+    return st.one_of(
+        st.lists(fractions, min_size=sig.dim, max_size=sig.dim).map(
+            lambda coeffs: Multivector(sig, coeffs)
+        ),
+        fractions.map(lambda value: Multivector.scalar(sig, value)),
+    )
+
+
+# R(0,3) cone points built from the H + H split: both halves share the
+# scalar part alpha and the vector length beta. Few values, so classes repeat.
+r03_cone_points = st.builds(
+    r03_cone_point,
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]),
+    st.sampled_from([Fraction(1), Fraction(3, 2)]),
+    st.sampled_from(UNITS),
+    st.sampled_from(UNITS),
+)
+
+elements = st.one_of(
+    multivectors(QUATERNIONS),
+    multivectors(R03),
+    r03_cone_points,
+    multivectors(R11),
+)
+
+
+def class_or_none(x):
+    try:
+        return x.conjugacy_class()
+    except NotInCone:
+        return None
+
+
+def conjugate_by(a, x):
+    # a x a^-1 stays in the class of x in H and R(0,3)
+    return a * x * a.inverse() if a.is_invertible() else x
+
+
+pairs = elements.flatmap(
+    lambda x: st.tuples(
+        st.just(x),
+        st.one_of(
+            multivectors(x.sig),
+            multivectors(x.sig).map(lambda a: conjugate_by(a, x)),
+            r03_cone_points if x.sig == R03 else st.just(x),
+        ),
+    )
+)
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+@example((Multivector.parse("e1 + e2", R11), Multivector.parse("e1", R11)))
+@example((Multivector.parse("e123", R03), Multivector.parse("e1", R03)))
+def test_class_id_matches_trace_and_norm(pair):
+    x, y = pair
+    t, n = x.trace(), x.norm()
+    real_pair = t.is_scalar() and n.is_scalar()
+    t, n = t.scalar_part(), n.scalar_part()
+    in_cone = real_pair and (4 * n > t * t or x.is_scalar())
+    assert x.in_quadratic_cone() == in_cone
+
+    cls_id = class_or_none(x)
+    assert (cls_id is not None) == in_cone
+    probes = [ConjugacyClassId.real(0), ConjugacyClassId.sphere(0, 1)]
+    if cls_id is None:
+        assert not any(probe.contains(x) for probe in probes)
+        return
+    assert (cls_id.t, cls_id.n) == (t, n)
+    assert cls_id.is_real == x.is_scalar()
+    assert cls_id.contains(x)
+    assert [probe.contains(x) for probe in probes] == [probe == cls_id for probe in probes]
+
+    y_id = class_or_none(y)
+    if y_id is not None:
+        assert same_class(x, y) == (y_id == cls_id) == cls_id.contains(y)
+    else:
+        assert not cls_id.contains(y)
+
+
+def count_products(monkeypatch):
+    """Record every geometric product (a multivector times a multivector)."""
+    real_mul, calls = Multivector.__mul__, []
+
+    def counted(a, b):
+        if isinstance(b, Multivector):
+            calls.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    return calls
+
+
+def test_grouping_forms_each_norm_once(monkeypatch):
+    problem = random_r03_problem(random.Random("class id count"), n_points=7)
+    calls = count_products(monkeypatch)
+    grouping = group_by_class(problem)
+    assert len(calls) == len(problem.pairs)
+    assert sum(g.size for g in grouping.groups) == len(problem.pairs)
+
+
+def test_class_membership_forms_the_norm_once(monkeypatch):
+    x = r03_cone_point(Fraction(1, 3), Fraction(2), UNITS[0], UNITS[5])
+    cls_id = x.conjugacy_class()
+    calls = count_products(monkeypatch)
+    assert cls_id.contains(x)
+    assert len(calls) == 1

@@ -316,13 +316,18 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CLI = ("-m", "clifflag.cli")
 
 
-def run_capped(cap, *args):
-    """Run a fresh interpreter on `args` with CLIFFLAG_MAX_DIM set to `cap`."""
+def run_fresh(*args, **env_vars):
+    """Run a fresh interpreter on `args` with `env_vars` added to the environment."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, CLIFFLAG_MAX_DIM=cap, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env_vars)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def run_capped(cap, *args):
+    """Run a fresh interpreter on `args` with CLIFFLAG_MAX_DIM set to `cap`."""
+    return run_fresh(*args, CLIFFLAG_MAX_DIM=cap)
 
 
 @pytest.mark.parametrize("cap", ["1", "2", "abc"])
@@ -354,4 +359,15 @@ def test_invalid_cap_exits_2_with_message(tmp_path, command):
     done = run_capped("abc", *CLI, command, *argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert "CLIFFLAG_MAX_DIM must be an integer, got 'abc'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "signature", [{"p": 0.9, "q": 2.7}, {"p": False, "q": 2}, {"p": 0, "q": "2"}]
+)
+def test_signature_entries_must_be_json_integers(tmp_path, signature):
+    doc = dict(FIVE_POINT_DOC, signature=signature)
+    done = run_fresh(*CLI, "interpolate", write(tmp_path, doc))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "signature entries must be integers" in done.stderr
     assert "Traceback" not in done.stderr

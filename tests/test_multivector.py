@@ -11,6 +11,7 @@ from clifflag import (
     NotInCone,
     NotInvertible,
     ParseError,
+    Polynomial,
     QUATERNIONS,
     R03,
     Signature,
@@ -161,6 +162,15 @@ def test_not_invertible_cases():
     s20 = Signature(2, 0)
     with pytest.raises(NotInvertible):
         (Multivector.basis(s20, 1) - Multivector.basis(s20, 1, 2)).inverse()
+
+
+def test_r03_inverse_error_names_the_element():
+    # a zero divisor has one zero half; the error names x, not that half
+    for text in ("e1 - e23", "e1 + e23", "1 - e123", "e2 + e13 + 3 + 3 e123"):
+        x = Multivector.parse(text, R03)
+        with pytest.raises(NotInvertible) as info:
+            x.inverse()
+        assert str(info.value) == str(x)
 
 
 @pytest.mark.parametrize(
@@ -366,6 +376,17 @@ def test_parse_rejects_bad_blades():
         Multivector.parse("", R03)
     with pytest.raises(ParseError):
         Multivector.parse("1 + ?", R03)
+
+
+def test_parse_rejects_overlong_coefficient():
+    # int() refuses more than 4300 digits, in a numerator or a denominator
+    digits = "1" * 4301
+    for text in (digits, "1/" + digits, "2 + " + digits + " e12"):
+        with pytest.raises(ParseError, match="too long"):
+            Multivector.parse(text, H)
+        with pytest.raises(ParseError, match="too long"):
+            Polynomial.parse(f"X^1*({text})", H)
+    assert Multivector.parse("1/" + digits[1:], H) == Fraction(1, int(digits[1:]))
 
 
 def test_dimension_cap(monkeypatch):
