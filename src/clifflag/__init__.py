@@ -45,7 +45,6 @@ from .multivector import (
     Multivector,
     Signature,
     from_quaternion_pair,
-    max_dimension,
     same_class,
     to_quaternion_pair,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "interpolate_quaternion",
     "interpolate_r03",
     "lagrange_basis",
-    "max_dimension",
     "paravector_root_census",
     "real_root_multiplicity",
     "roots_in_class",

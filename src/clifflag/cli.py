@@ -108,15 +108,16 @@ def _load_problem(path: str) -> InterpolationProblem:
         sig = Signature(p, q)
     except ValueError as exc:
         raise ParseError(f"bad signature: {exc}") from None
-    if not isinstance(points, list) or not isinstance(values, list):
+    if not (isinstance(points, list) and isinstance(values, list)) or not all(
+        isinstance(text, str) for text in points + values
+    ):
         raise ParseError("points and values must be arrays of strings")
     if len(points) != len(values) or not points:
         raise ParseError("points and values must have equal length >= 1")
     if len(points) > MAX_POINTS:
         raise ParseError(f"problem has {len(points)} points; at most {MAX_POINTS} allowed")
     pairs = [
-        (Multivector.parse(str(p), sig), Multivector.parse(str(w), sig))
-        for p, w in zip(points, values)
+        (Multivector.parse(x, sig), Multivector.parse(w, sig)) for x, w in zip(points, values)
     ]
     return InterpolationProblem.from_pairs(sig, pairs)
 

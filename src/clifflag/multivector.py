@@ -21,7 +21,6 @@ for the coefficients.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,25 +35,11 @@ from .errors import (
 )
 from .linsolve import solve_exact
 
+# Cap on p+q: an algebra of dimension 2^6 = 64 is the largest accepted.
 HARD_DIM_LIMIT = 6
-_DIM_ENV_VAR = "CLIFFLAG_MAX_DIM"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def max_dimension() -> int:
-    """Effective cap on p+q. CLIFFLAG_MAX_DIM may lower it; 6 is the hard limit."""
-    raw = os.environ.get(_DIM_ENV_VAR)
-    if raw is None:
-        return HARD_DIM_LIMIT
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{_DIM_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{_DIM_ENV_VAR} must be at least 1, got {cap}")
-    return min(cap, HARD_DIM_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -67,9 +52,9 @@ class Signature:
     def __post_init__(self):
         if self.p < 0 or self.q < 0:
             raise ValueError(f"signature parts must be non-negative, got {self}")
-        if self.p + self.q > max_dimension():
+        if self.p + self.q > HARD_DIM_LIMIT:
             raise ValueError(
-                f"p+q = {self.p + self.q} exceeds the dimension cap {max_dimension()}"
+                f"p+q = {self.p + self.q} exceeds the dimension cap {HARD_DIM_LIMIT}"
             )
 
     @property
@@ -83,18 +68,9 @@ class Signature:
     def __str__(self) -> str:
         return f"R({self.p},{self.q})"
 
-    @classmethod
-    def _builtin(cls, p: int, q: int) -> Signature:
-        # The cap bounds the algebras a caller asks for; the module's own
-        # constants bypass it, so that importing the package never fails.
-        sig = object.__new__(cls)
-        object.__setattr__(sig, "p", p)
-        object.__setattr__(sig, "q", q)
-        return sig
 
-
-QUATERNIONS = Signature._builtin(0, 2)
-R03 = Signature._builtin(0, 3)
+QUATERNIONS = Signature(0, 2)
+R03 = Signature(0, 3)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +108,8 @@ def _blade_name(mask: int) -> str:
 _CONJ_SIGN = (1, -1, -1, 1)
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/\d+)?)|(?P<blade>e\d+)|(?P<star>\*))"
+    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/\d+)?)|(?P<blade>e\d+)|(?P<star>\*)|(?P<end>\Z))",
+    re.ASCII,
 )
 
 
@@ -204,6 +181,7 @@ class Multivector:
         number = None
         blade = None
         seen_any = False
+        dangling = False  # the last sign, number or blade was a sign
 
         def flush():
             nonlocal sign, number, blade, seen_any
@@ -240,6 +218,8 @@ class Multivector:
             pos = match.end()
             kind = match.lastgroup
             tok = match.group(kind)
+            if kind in ("sign", "number", "blade"):
+                dangling = kind == "sign"
             if kind == "sign":
                 had_term = number is not None or blade is not None
                 flush()
@@ -255,9 +235,12 @@ class Multivector:
                 if blade is not None:
                     raise ParseError(f"unexpected blade {tok!r} in {text!r}")
                 blade = tok
-            # '*' between coefficient and blade is tolerated and ignored
+            # '*' between coefficient and blade is tolerated and ignored, and
+            # trailing whitespace ends the text
         if number is None and blade is None and not seen_any:
             raise ParseError(f"empty multivector text {text!r}")
+        if dangling:
+            raise ParseError(f"dangling sign in {text!r}")
         flush()
         return cls(sig, coeffs)
 
@@ -446,18 +429,17 @@ class Multivector:
     def phi(self) -> Fraction:
         """Pseudoscalar pairing 2(x0*x123 - x1*x23 + x2*x13 - x3*x12) in R_{0,3}."""
         self._require_sig(R03, "phi")
-        c = self.coeffs
-        return 2 * (c[0] * c[7] - c[1] * c[6] + c[2] * c[5] - c[4] * c[3])
+        return (self.psi_plus() - self.psi_minus()) / 2
 
     def psi_plus(self) -> Fraction:
+        """|x+|^2 of the first quaternionic component; equals |x|^2 + phi(x)."""
         self._require_sig(R03, "psi_plus")
-        c = self.coeffs
-        return (c[0] + c[7]) ** 2 + (c[1] - c[6]) ** 2 + (c[2] + c[5]) ** 2 + (c[4] - c[3]) ** 2
+        return to_quaternion_pair(self)[0].abs_squared()
 
     def psi_minus(self) -> Fraction:
+        """|x-|^2 of the second quaternionic component; equals |x|^2 - phi(x)."""
         self._require_sig(R03, "psi_minus")
-        c = self.coeffs
-        return (c[0] - c[7]) ** 2 + (c[1] + c[6]) ** 2 + (c[2] - c[5]) ** 2 + (c[4] + c[3]) ** 2
+        return to_quaternion_pair(self)[1].abs_squared()
 
     # ---- inversion ----------------------------------------------------------
 

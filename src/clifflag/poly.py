@@ -246,7 +246,7 @@ def _split_terms(text: str) -> list[tuple[bool, str]]:
     terms = []
     depth = 0
     current: list[str] = []
-    pending = False
+    pending = None  # sign read since the last term: True for minus
     for ch in text:
         if ch == "(":
             depth += 1
@@ -257,19 +257,19 @@ def _split_terms(text: str) -> list[tuple[bool, str]]:
         if ch in "+-" and depth == 0:
             chunk = "".join(current).strip()
             if chunk:
-                terms.append((pending, chunk))
+                terms.append((bool(pending), chunk))
                 pending = ch == "-"
                 current = []
             else:
-                pending = pending != (ch == "-")
+                pending = bool(pending) != (ch == "-")
             continue
         current.append(ch)
     if depth != 0:
         raise ParseError(f"unbalanced parentheses in {text!r}")
     chunk = "".join(current).strip()
     if chunk:
-        terms.append((pending, chunk))
-    elif pending:
+        terms.append((bool(pending), chunk))
+    elif pending is not None:
         raise ParseError(f"dangling sign in {text!r}")
     return terms
 
@@ -407,17 +407,12 @@ class RootSet:
         return self.kind == "empty"
 
 
-def _solve_affine_in_quaternion_class(a, b, cls_id):
-    # solutions of x a + b = 0 with x in the given quaternionic class;
-    # returns ("empty", None) | ("point", x) | ("whole", None)
-    if a:
-        x = -b * a.inverse()
-        if cls_id.contains(x):
-            return "point", x
-        return "empty", None
-    if b:
-        return "empty", None
-    return "whole", None
+def _solve_affine_in_quaternion_class(a, b, cls_id) -> RootSet:
+    # solutions of x a + b = 0 with x in the given quaternionic class
+    if not a:
+        return RootSet("empty" if b else "whole_class", cls_id)
+    x = -b * a.inverse()
+    return RootSet("points", cls_id, (x,)) if cls_id.contains(x) else RootSet("empty", cls_id)
 
 
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
@@ -440,31 +435,26 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     a, b = restriction.a, restriction.b
 
     if p.sig == QUATERNIONS:
-        kind, x = _solve_affine_in_quaternion_class(a, b, cls_id)
-        if kind == "point":
-            return RootSet("points", cls_id, (x,))
-        if kind == "whole":
-            return RootSet("whole_class", cls_id)
-        return RootSet("empty", cls_id)
+        return _solve_affine_in_quaternion_class(a, b, cls_id)
 
-    # R_{0,3}: component classes share (t, n)
-    component_cls = ConjugacyClassId.sphere(cls_id.t, cls_id.n)
-    ap, am = to_quaternion_pair(a)
-    bp, bm = to_quaternion_pair(b)
-    kind_p, xp = _solve_affine_in_quaternion_class(ap, bp, component_cls)
-    kind_m, xm = _solve_affine_in_quaternion_class(am, bm, component_cls)
-
-    if kind_p == "empty" or kind_m == "empty":
+    # R_{0,3}: both components lie in classes with the same (t, n)
+    plus, minus = (
+        _solve_affine_in_quaternion_class(a_half, b_half, cls_id)
+        for a_half, b_half in zip(to_quaternion_pair(a), to_quaternion_pair(b))
+    )
+    if plus.is_empty or minus.is_empty:
         return RootSet("empty", cls_id)
-    if kind_p == "point" and kind_m == "point":
-        return RootSet("points", cls_id, (from_quaternion_pair(xp, xm),))
-    if kind_p == "whole" and kind_m == "whole":
+    if plus.kind == minus.kind == "points":
+        x = from_quaternion_pair(plus.points[0], minus.points[0])
+        return RootSet("points", cls_id, (x,))
+    if plus.kind == minus.kind:
         return RootSet("whole_class", cls_id)
 
     # one component pinned, the other free over its whole sphere: sample
     # representatives of the infinite family, always including the unique
     # paravector candidate (free component = pinned one with k negated).
-    pinned, pinned_side = (xp, "plus") if kind_p == "point" else (xm, "minus")
+    pinned_plus = plus.kind == "points"
+    (pinned,) = plus.points or minus.points
     v0 = vector_part(pinned)
     frees = quaternion_class_points(cls_id.t, cls_id.n, v0, count=12)
     c = pinned.coeffs
@@ -472,11 +462,7 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     candidates = [paravector_mate] + frees
     reps = []
     for free in candidates:
-        x = (
-            from_quaternion_pair(pinned, free)
-            if pinned_side == "plus"
-            else from_quaternion_pair(free, pinned)
-        )
+        x = from_quaternion_pair(*((pinned, free) if pinned_plus else (free, pinned)))
         if x not in reps:
             if p(x):
                 raise AssertionError(f"sampled representative {x} is not a root")

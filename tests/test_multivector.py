@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from clifflag import (
+    HARD_DIM_LIMIT,
     ConjugacyClassId,
     Multivector,
     NotInCone,
@@ -137,6 +138,21 @@ def test_psi_product_identity():
         assert x.psi_plus() * x.psi_minus() == x.abs_squared() ** 2 - x.phi() ** 2
         assert x.psi_plus() == x.abs_squared() + x.phi()
         assert x.psi_minus() == x.abs_squared() - x.phi()
+
+
+def test_psi_and_phi_closed_forms():
+    # the coordinate formulas, written out once more as a reference
+    rng = random.Random(6)
+    for _ in range(50):
+        c = rand_multivector(rng, R03).coeffs
+        x = Multivector(R03, c)
+        assert x.phi() == 2 * (c[0] * c[7] - c[1] * c[6] + c[2] * c[5] - c[3] * c[4])
+        assert x.psi_plus() == (
+            (c[0] + c[7]) ** 2 + (c[1] - c[6]) ** 2 + (c[2] + c[5]) ** 2 + (c[3] - c[4]) ** 2
+        )
+        assert x.psi_minus() == (
+            (c[0] - c[7]) ** 2 + (c[1] + c[6]) ** 2 + (c[2] - c[5]) ** 2 + (c[3] + c[4]) ** 2
+        )
 
 
 def test_inverse_quaternion():
@@ -376,6 +392,14 @@ def test_parse_rejects_bad_blades():
         Multivector.parse("", R03)
     with pytest.raises(ParseError):
         Multivector.parse("1 + ?", R03)
+    # a trailing sign is refused, also before whitespace or '*'
+    for text in ("1 -", "1 +", "1 + ", "e1 -*", "1 - 2 +"):
+        with pytest.raises(ParseError, match="dangling sign"):
+            Multivector.parse(text, R03)
+    # only ASCII digits are numbers or blade indices
+    for text in ("\u0663", "e\u0661", "1/\u0663", "2 e1\u0662"):
+        with pytest.raises(ParseError, match="cannot parse"):
+            Multivector.parse(text, R03)
 
 
 def test_parse_rejects_overlong_coefficient():
@@ -389,18 +413,12 @@ def test_parse_rejects_overlong_coefficient():
     assert Multivector.parse("1/" + digits[1:], H) == Fraction(1, int(digits[1:]))
 
 
-def test_dimension_cap(monkeypatch):
-    monkeypatch.setenv("CLIFFLAG_MAX_DIM", "3")
-    with pytest.raises(ValueError):
-        Signature(0, 4)
-    Signature(0, 3)
-    monkeypatch.setenv("CLIFFLAG_MAX_DIM", "9")  # clamps to the hard limit
-    Signature(0, 6)
-    with pytest.raises(ValueError):
-        Signature(0, 7)
-    monkeypatch.setenv("CLIFFLAG_MAX_DIM", "zero")
-    with pytest.raises(ValueError):
-        Signature(0, 2)
+def test_dimension_cap():
+    assert HARD_DIM_LIMIT == 6
+    assert Signature(0, 6).dim == 64
+    for p, q in ((0, 7), (4, 3)):
+        with pytest.raises(ValueError, match="^p\\+q = 7 exceeds the dimension cap 6$"):
+            Signature(p, q)
 
 
 def test_values_are_reusable_after_operations():

@@ -260,6 +260,24 @@ def test_roots_in_class_r03_zero_divisor_family():
         assert x.conjugacy_class() == S
 
 
+def test_roots_in_class_r03_outcomes():
+    # each quaternionic half is a point, the whole sphere or empty
+    e1 = Multivector.basis(R03, 1)
+    e23 = Multivector.basis(R03, 2, 3)
+    e123 = Multivector.basis(R03, 1, 2, 3)
+    one = Multivector.one(R03)
+    assert roots_in_class(characteristic_poly(S, R03), S).kind == "whole_class"
+    assert roots_in_class(Polynomial.constant(one), S).is_empty
+    # 1 + e123 is zero in one half only: whole sphere there, empty in the other
+    assert roots_in_class(Polynomial.constant(one + e123), S).is_empty
+    # mirror of the zero-divisor family above: the other half is pinned
+    p = Polynomial(R03, (one + e123, e1 - e23))
+    rs = roots_in_class(p, S)
+    assert rs.kind == "points" and not rs.exhaustive
+    assert e1 in rs.points and -e23 in rs.points
+    assert all(p(x) == 0 and x.conjugacy_class() == S for x in rs.points)
+
+
 def test_roots_in_class_r03_unique_point():
     rng = random.Random(29)
     x0 = rand_cone_point_r03(rng)
@@ -397,6 +415,14 @@ def test_polynomial_parse_errors():
         Polynomial.parse("(1", H)
     with pytest.raises(ParseError):
         Polynomial.parse("", H)
+    # a trailing sign is refused, inside a coefficient as well
+    for text in ("X^2*(1) +", "X^2*(1) -", "X^2*(1) + ", "+", "X^1*(1 -)", "(e1 +) + (1)"):
+        with pytest.raises(ParseError, match="dangling sign"):
+            Polynomial.parse(text, H)
+    # only ASCII digits are numbers in a coefficient
+    for text in ("(\u0663)", "X^1*(e\u0661)"):
+        with pytest.raises(ParseError, match="cannot parse"):
+            Polynomial.parse(text, H)
 
 
 def test_polynomial_parse_degree_cap():

@@ -38,6 +38,7 @@ def test_multivector_text_round_trip(x):
     text = str(x)
     assert x.format(str) == text
     assert Multivector.parse(text, x.sig) == x
+    assert Multivector.parse(f" {text} ", x.sig) == x
 
 
 @PROPERTY_SETTINGS
@@ -46,3 +47,4 @@ def test_polynomial_text_round_trip(p):
     text = str(p)
     assert p.format(str) == text
     assert Polynomial.parse(text, p.sig) == p
+    assert Polynomial.parse(f" {text} ", p.sig) == p
