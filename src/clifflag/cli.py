@@ -33,12 +33,15 @@ from .interpolate import (
     group_by_class,
     interpolate,
 )
-from .multivector import R03, Multivector, Signature
+from .multivector import R03, Multivector, Signature, _tokens
 from .poly import MAX_DEGREE, Polynomial
 
 # Largest number of points in a problem file. A problem's degree bound is
 # below its point count, so it stays within the cap on polynomial degrees.
 MAX_POINTS = MAX_DEGREE + 1
+# Largest --decimal: every approximated coefficient is written with this
+# many significant digits.
+MAX_DECIMAL_DIGITS = 1000
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,12 +49,21 @@ EXIT_COLLINEARITY = 3
 EXIT_MULTIPOINT = 4
 
 
+def _whole_number(text: str) -> int:
+    # the rule for every number flag: one number token of the literal lexer
+    # (ASCII digits, ASCII whitespace around them), without a sign or '/'
+    tokens = _tokens(text)
+    if len(tokens) != 1 or tokens[0][0] != "number" or "/" in tokens[0][1]:
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(tokens[0][1])  # ValueError beyond 4300 digits
+
+
 def _parse_signature(text: str) -> Signature:
-    parts = text.replace(" ", "").split(",")
+    parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"signature must look like 'p,q', got {text!r}")
     try:
-        p, q = int(parts[0]), int(parts[1])
+        p, q = _whole_number(parts[0]), _whole_number(parts[1])
     except ValueError:
         raise ParseError(f"signature must be two integers, got {text!r}") from None
     try:
@@ -65,22 +77,24 @@ def _decimal_str(value, digits: int) -> str:
     return str(ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)))
 
 
-def _non_negative(text: str) -> int:
-    # argparse type: a bad value exits 2 before any work is done
+def _count(text: str, cap: int) -> int:
+    # argparse type body: a bad value exits 2 before any work is done
     try:
-        value = int(text)
+        value = _whole_number(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        message = f"expected an integer from 0 to {cap}, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    if value > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
     return value
 
 
 def _degree(text: str) -> int:
-    value = _non_negative(text)
-    if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
-    return value
+    return _count(text, MAX_DEGREE)
+
+
+def _digits(text: str) -> int:
+    return _count(text, MAX_DECIMAL_DIGITS)
 
 
 def _load_problem(path: str) -> InterpolationProblem:
@@ -91,6 +105,8 @@ def _load_problem(path: str) -> InterpolationProblem:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")
     try:
@@ -208,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle degree bound (default: the construction bound)",
     )
     p_int.add_argument(
-        "--decimal", type=_non_negative, default=0, metavar="N",
+        "--decimal", type=_digits, default=0, metavar="N",
         help="also print N-digit decimal approximations",
     )
     p_int.set_defaults(func=cmd_interpolate)
@@ -217,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-s", "--signature", required=True, metavar="P,Q")
     p_eval.add_argument("polynomial", help="polynomial text, e.g. 'X^2*(1) + (e1)'")
     p_eval.add_argument("point", help="multivector text, e.g. '1 + e1'")
-    p_eval.add_argument("--decimal", type=_non_negative, default=0, metavar="N")
+    p_eval.add_argument("--decimal", type=_digits, default=0, metavar="N")
     p_eval.set_defaults(func=cmd_eval)
 
     p_diag = sub.add_parser(

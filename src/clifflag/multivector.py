@@ -107,10 +107,86 @@ def _blade_name(mask: int) -> str:
 # Clifford conjugation sign by grade mod 4: + - - +
 _CONJ_SIGN = (1, -1, -1, 1)
 
+# The one lexer of the package: both literal grammars and the CLI's number
+# flags read its tokens. Whitespace is ASCII only; "bad" is any character
+# no grammar accepts.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/\d+)?)|(?P<blade>e\d+)|(?P<star>\*)|(?P<end>\Z))",
+    r"(?P<sign>[+-])|(?P<number>\d+(?:/\d+)?)|(?P<blade>e\d+)|(?P<x>X)|(?P<power>\^)"
+    r"|(?P<star>\*)|(?P<open>\()|(?P<close>\))|(?P<bad>\S)",
     re.ASCII,
 )
+
+
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, token, offset) triples of ``text``.
+
+    Every character but ASCII whitespace starts a token, so the search skips
+    whitespace one character at a time and lexing stays linear.
+    """
+    return [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+
+
+def _unexpected(token: tuple[str, str, int], text: str) -> ParseError:
+    return ParseError(f"cannot parse {text!r} at {text[token[2]:]!r}")
+
+
+def _signed_sum(tokens: list, read_term, text: str) -> list[tuple[bool, object]]:
+    """Read ``[signs] term (signs term)*``; returns (negated, term) pairs.
+
+    Consecutive signs compose. ``read_term(i)`` reads the term starting at
+    ``tokens[i]`` and returns it with the index after it.
+    """
+    terms = []
+    i = 0
+    while True:
+        negate = False
+        while i < len(tokens) and tokens[i][0] == "sign":
+            negate ^= tokens[i][1] == "-"
+            i += 1
+        if i == len(tokens):
+            raise ParseError(f"{'dangling sign' if tokens else 'missing term'} in {text!r}")
+        term, i = read_term(i)
+        terms.append((negate, term))
+        if i == len(tokens):
+            return terms
+        if tokens[i][0] != "sign":
+            raise _unexpected(tokens[i], text)
+
+
+def _read_multivector(tokens: list, sig: Signature, text: str) -> Multivector:
+    """The multivector grammar over lexed tokens: a signed sum of ``[number] [blade]``."""
+    tokens = [tok for tok in tokens if tok[0] != "star"]  # '*' before a blade is optional
+
+    def read_term(i):
+        number = blade = None
+        if tokens[i][0] == "number":
+            number = tokens[i][1]
+            i += 1
+        if i < len(tokens) and tokens[i][0] == "blade":
+            blade = tokens[i][1]
+            i += 1
+        if number is None and blade is None:
+            raise _unexpected(tokens[i], text)
+        mask = prev = 0
+        for ch in blade[1:] if blade else "":
+            index = int(ch)
+            if index == 0 or index > sig.m:
+                raise ParseError(f"blade {blade!r} is out of range for {sig}")
+            if index <= prev:
+                raise ParseError(f"blade {blade!r} must have strictly ascending indices")
+            prev = index
+            mask |= 1 << (index - 1)
+        try:
+            return (mask, Fraction(number) if number is not None else _ONE), i
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {number!r}") from None
+        except ValueError:  # int() refuses more than 4300 digits
+            raise ParseError(f"coefficient of {len(number)} characters is too long") from None
+
+    coeffs = [_ZERO] * sig.dim
+    for negate, (mask, value) in _signed_sum(tokens, read_term, text):
+        coeffs[mask] += -value if negate else value
+    return Multivector._wrap(sig, tuple(coeffs))
 
 
 class Multivector:
@@ -174,75 +250,7 @@ class Multivector:
     @classmethod
     def parse(cls, text: str, sig: Signature) -> Multivector:
         """Parse ``3/2 + e1 - 2 e23 + 1/5 e123`` style text."""
-        coeffs = [_ZERO] * sig.dim
-        pos = 0
-        n = len(text)
-        sign = _ONE
-        number = None
-        blade = None
-        seen_any = False
-        dangling = False  # the last sign, number or blade was a sign
-
-        def flush():
-            nonlocal sign, number, blade, seen_any
-            if number is None and blade is None:
-                return
-            mask = 0
-            if blade is not None:
-                digits = blade[1:]
-                prev = 0
-                for ch in digits:
-                    i = int(ch)
-                    if i == 0 or i > sig.m:
-                        raise ParseError(f"blade {blade!r} is out of range for {sig}")
-                    if i <= prev:
-                        raise ParseError(
-                            f"blade {blade!r} must have strictly ascending indices"
-                        )
-                    prev = i
-                    mask |= 1 << (i - 1)
-            try:
-                value = Fraction(number) if number is not None else _ONE
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {number!r}") from None
-            except ValueError:  # int() refuses more than 4300 digits
-                raise ParseError(f"coefficient of {len(number)} characters is too long") from None
-            coeffs[mask] += sign * value
-            sign, number, blade = _ONE, None, None
-            seen_any = True
-
-        while pos < n:
-            match = _TOKEN_RE.match(text, pos)
-            if match is None or match.end() == pos:
-                raise ParseError(f"cannot parse multivector text at {text[pos:]!r}")
-            pos = match.end()
-            kind = match.lastgroup
-            tok = match.group(kind)
-            if kind in ("sign", "number", "blade"):
-                dangling = kind == "sign"
-            if kind == "sign":
-                had_term = number is not None or blade is not None
-                flush()
-                if had_term:
-                    sign = _ONE if tok == "+" else -_ONE
-                elif tok == "-":
-                    sign = -sign  # consecutive signs compose
-            elif kind == "number":
-                if number is not None or blade is not None:
-                    raise ParseError(f"unexpected number {tok!r} in {text!r}")
-                number = tok
-            elif kind == "blade":
-                if blade is not None:
-                    raise ParseError(f"unexpected blade {tok!r} in {text!r}")
-                blade = tok
-            # '*' between coefficient and blade is tolerated and ignored, and
-            # trailing whitespace ends the text
-        if number is None and blade is None and not seen_any:
-            raise ParseError(f"empty multivector text {text!r}")
-        if dangling:
-            raise ParseError(f"dangling sign in {text!r}")
-        flush()
-        return cls(sig, coeffs)
+        return _read_multivector(_tokens(text), sig, text)
 
     def __str__(self) -> str:
         return self.format(str)
@@ -348,19 +356,6 @@ class Multivector:
                 raise ZeroDivisionError("division of multivector by zero scalar")
             return self * (_ONE / Fraction(other))
         return NotImplemented
-
-    def __pow__(self, exponent: int) -> Multivector:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        result = Multivector.one(self.sig)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def left_multiplication_matrix(self) -> list[list[Fraction]]:
         """Matrix of the real-linear map y -> self * y in blade coordinates.

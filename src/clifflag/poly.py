@@ -34,6 +34,9 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
+    _read_multivector,
+    _signed_sum,
+    _tokens,
     from_quaternion_pair,
     to_quaternion_pair,
 )
@@ -223,91 +226,54 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, sig: Signature) -> Polynomial:
-        """Parse ``X^3*(e12) + X^2*(1) + (1)`` style text."""
-        terms = _split_terms(text)
-        if not terms:
-            raise ParseError(f"empty polynomial text {text!r}")
+        """Parse ``X^3*(e12) + X^2*(1) + (1)`` style text.
+
+        A signed sum of terms ``X^h*(c)``, ``X^h*c``, ``X^h``, ``X``, ``(c)``
+        and ``c``, where ``c`` is multivector text and a bare ``c`` ends at
+        the next sign.
+        """
+        tokens = _tokens(text)
+        kinds = [tok[0] for tok in tokens] + ["end"]
+
+        def read_term(i):
+            h = 0
+            if kinds[i] == "x":
+                h, i = 1, i + 1
+                if kinds[i] == "power":
+                    h = _exponent(tokens[i + 1][1] if kinds[i + 1] == "number" else "", text)
+                    i += 2
+                if kinds[i] != "star":
+                    return (h, Multivector.one(sig)), i
+                i += 1
+            if kinds[i] == "open":
+                try:
+                    close = kinds.index("close", i)
+                except ValueError:
+                    raise ParseError(f"unbalanced parentheses in {text!r}") from None
+                return (h, _read_multivector(tokens[i + 1 : close], sig, text)), close + 1
+            start = i
+            while kinds[i] not in ("sign", "end"):
+                i += 1
+            return (h, _read_multivector(tokens[start:i], sig, text)), i
+
         coeffs: dict[int, Multivector] = {}
-        for negate, term in terms:
-            h, mv_text = _parse_term(term)
-            try:
-                value = Multivector.parse(mv_text, sig)
-            except ParseError as exc:
-                raise ParseError(f"bad coefficient in term {term!r}: {exc}") from None
-            if negate:
-                value = -value
-            coeffs[h] = coeffs.get(h, Multivector.zero(sig)) + value
+        for negate, (h, value) in _signed_sum(tokens, read_term, text):
+            coeffs[h] = coeffs.get(h, Multivector.zero(sig)) + (-value if negate else value)
         top = max(coeffs)
         return cls(sig, tuple(coeffs.get(h, Multivector.zero(sig)) for h in range(top + 1)))
 
 
-def _split_terms(text: str) -> list[tuple[bool, str]]:
-    # split on top-level +/-, keeping parenthesised contents intact
-    terms = []
-    depth = 0
-    current: list[str] = []
-    pending = None  # sign read since the last term: True for minus
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if ch in "+-" and depth == 0:
-            chunk = "".join(current).strip()
-            if chunk:
-                terms.append((bool(pending), chunk))
-                pending = ch == "-"
-                current = []
-            else:
-                pending = bool(pending) != (ch == "-")
-            continue
-        current.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    chunk = "".join(current).strip()
-    if chunk:
-        terms.append((bool(pending), chunk))
-    elif pending is not None:
-        raise ParseError(f"dangling sign in {text!r}")
-    return terms
-
-
-def _parse_term(term: str) -> tuple[int, str]:
-    term = term.strip()
-    if term.startswith("X"):
-        rest = term[1:].lstrip()
-        if rest.startswith("^"):
-            rest = rest[1:].lstrip()
-            pos = 0
-            while pos < len(rest) and rest[pos] in "0123456789":
-                pos += 1
-            if pos == 0:
-                raise ParseError(f"missing exponent in term {term!r}")
-            # int() refuses strings beyond 4300 digits, so count them first
-            digits = rest[:pos].lstrip("0")
-            if len(digits) > len(str(MAX_DEGREE)):
-                raise ParseError(f"exponent of {len(digits)} digits exceeds {MAX_DEGREE}")
-            h = int(digits or "0")
-            if h > MAX_DEGREE:
-                raise ParseError(f"exponent {h} in term {term!r} exceeds {MAX_DEGREE}")
-            rest = rest[pos:].lstrip()
-        else:
-            h = 1
-        if not rest:
-            return h, "1"
-        if not rest.startswith("*"):
-            raise ParseError(f"expected '*' after power in term {term!r}")
-        rest = rest[1:].strip()
-    else:
-        h = 0
-        rest = term
-    if rest.startswith("(") and rest.endswith(")"):
-        rest = rest[1:-1]
-    if not rest:
-        raise ParseError(f"missing coefficient in term {term!r}")
-    return h, rest
+def _exponent(number: str, text: str) -> int:
+    # int() refuses strings beyond 4300 digits, so count them first
+    if not number or "/" in number:
+        raise ParseError(f"missing exponent: '^' takes a whole number in {text!r}")
+    digits = number.lstrip("0")
+    if len(digits) > len(str(MAX_DEGREE)):
+        raise ParseError(f"exponent of {len(digits)} digits exceeds {MAX_DEGREE}")
+    h = int(digits or "0")
+    if h > MAX_DEGREE:
+        raise ParseError(f"exponent {h} in {text!r} exceeds {MAX_DEGREE}")
+    return h
 
 
 # ---- the product-evaluation identity -------------------------------------------

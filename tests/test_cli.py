@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from clifflag import MAX_DEGREE, Multivector, Polynomial, QUATERNIONS, R03
-from clifflag.cli import MAX_POINTS, main
+from clifflag.cli import MAX_DECIMAL_DIGITS, MAX_POINTS, main
 
 FIVE_POINT_DOC = {
     "signature": {"p": 0, "q": 2},
@@ -359,3 +359,57 @@ def test_signature_entries_must_be_json_integers(tmp_path, signature):
     assert (done.returncode, done.stdout) == (2, "")
     assert "signature entries must be integers" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["-s", "0,\u0662"],
+        ["-s", "0,0_2"],
+        ["-s", "+0,2"],
+        ["-s", "0,2", "--decimal", "\u0663"],
+        ["-s", "0,2", "--decimal", "1_0"],
+        ["-s", "0,2", "--decimal", "+3"],
+    ],
+    ids=["s-arabic-digit", "s-underscore", "s-sign", "decimal-arabic-digit",
+         "decimal-underscore", "decimal-sign"],
+)
+def test_number_flags_take_ascii_digits_only(flags):
+    # int() reads non-ASCII digits, underscores and a sign; the flags do not
+    done = run_fresh(*CLI, "eval", *flags, "X^1*(1/3)", "1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+
+
+def test_number_flags_allow_ascii_whitespace(capsys):
+    assert main(["eval", "-s", " 0 ,\t2 ", "X^1*(1/3)", "1", "--decimal", " 3\n"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1/3", "approx[3 digits] ~ 0.333"]
+
+
+@pytest.mark.parametrize("where", ["document", "points"])
+def test_deeply_nested_problem_file_exits_2(tmp_path, capsys, where):
+    # json.load raises RecursionError on deep nesting
+    deep = "[" * 200_000 + "]" * 200_000
+    text = deep if where == "document" else (
+        '{"signature": {"p": 0, "q": 2}, "points": ' + deep + ', "values": ["1"]}'
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["interpolate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too deeply" in captured.err
+
+
+def test_decimal_digits_cap(tmp_path, capsys):
+    eval_third = ["eval", "-s", "0,2", "X^1*(1/3)", "1"]
+    for command in (eval_third, ["interpolate", write(tmp_path, FIVE_POINT_DOC)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--decimal", str(MAX_DECIMAL_DIGITS + 1)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be at most {MAX_DECIMAL_DIGITS}" in captured.err
+    assert main([*eval_third, "--decimal", str(MAX_DECIMAL_DIGITS)]) == 0
+    approx = capsys.readouterr().out.splitlines()[1]
+    assert approx == f"approx[{MAX_DECIMAL_DIGITS} digits] ~ 0." + "3" * MAX_DECIMAL_DIGITS

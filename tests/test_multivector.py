@@ -402,6 +402,13 @@ def test_parse_rejects_bad_blades():
             Multivector.parse(text, R03)
 
 
+def test_parse_is_linear_in_whitespace():
+    # a long run of ASCII whitespace, also at the end, is skipped in one pass
+    run = " \t\n" * 100_000
+    assert Multivector.parse("1" + run, H) == Multivector.one(H)
+    assert Multivector.parse(run + "1" + run + "+ e1" + run, H) == Multivector.parse("1 + e1", H)
+
+
 def test_parse_rejects_overlong_coefficient():
     # int() refuses more than 4300 digits, in a numerator or a denominator
     digits = "1" * 4301

@@ -425,6 +425,13 @@ def test_polynomial_parse_errors():
             Polynomial.parse(text, H)
 
 
+def test_polynomial_parse_is_linear_in_input():
+    # trailing whitespace and many parenthesised terms are each read in one pass
+    assert Polynomial.parse("(1)" + " " * 300_000, H) == Polynomial.constant(ONE_H)
+    many = Polynomial.parse("+".join(["(1)"] * 20_000), H)
+    assert many == Polynomial.constant(Multivector.scalar(H, 20_000))
+
+
 def test_polynomial_parse_degree_cap():
     top = Polynomial.parse(f"X^{MAX_DEGREE}*(e1) + (1)", H)
     assert top.degree == MAX_DEGREE and top.leading == I

@@ -5,10 +5,11 @@ Derandomized with few examples, so the suite stays deterministic and fast.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflag import Multivector, Polynomial, QUATERNIONS, R03
+from clifflag import Multivector, ParseError, Polynomial, QUATERNIONS, R03
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -48,3 +49,39 @@ def test_polynomial_text_round_trip(p):
     assert p.format(str) == text
     assert Polynomial.parse(text, p.sig) == p
     assert Polynomial.parse(f" {text} ", p.sig) == p
+
+
+# One lexical rule for both grammars: ASCII whitespace between tokens is
+# ignored, any other whitespace is a parse error.
+ASCII_SPACE = st.text(st.sampled_from(" \t\n"), min_size=1, max_size=3)
+FOREIGN_SPACE = st.sampled_from(["\u00a0", "\u2003", "\u3000"])
+
+
+def with_space(text, data, space):
+    """``text`` with ``space`` at its start, its end, or beside one of its signs."""
+    signs = [k for k, ch in enumerate(text) if ch in "+-"]
+    places = {0, len(text), *signs, *(k + 1 for k in signs)}
+    at = data.draw(st.sampled_from(sorted(places)))
+    return text[:at] + space + text[at:]
+
+
+@PROPERTY_SETTINGS
+@given(signatures.flatmap(multivectors), st.data())
+def test_multivector_text_whitespace_rule(x, data):
+    spaced = with_space(str(x), data, data.draw(ASCII_SPACE))
+    assert Multivector.parse(spaced, x.sig) == x
+    assert Polynomial.parse(spaced, x.sig) == Polynomial.constant(x)
+    foreign = with_space(str(x), data, data.draw(FOREIGN_SPACE))
+    for parse in (Multivector.parse, Polynomial.parse):
+        with pytest.raises(ParseError):
+            parse(foreign, x.sig)
+
+
+@PROPERTY_SETTINGS
+@given(signatures.flatmap(polynomials), st.data())
+def test_polynomial_text_whitespace_rule(p, data):
+    assert Polynomial.parse(with_space(str(p), data, data.draw(ASCII_SPACE)), p.sig) == p
+    foreign = with_space(str(p), data, data.draw(FOREIGN_SPACE))
+    for parse in (Multivector.parse, Polynomial.parse):
+        with pytest.raises(ParseError):
+            parse(foreign, p.sig)
