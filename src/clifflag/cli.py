@@ -36,8 +36,9 @@ from .interpolate import (
 from .multivector import R03, Multivector, Signature, _tokens
 from .poly import MAX_DEGREE, Polynomial
 
-# Largest number of points in a problem file. A problem's degree bound is
-# below its point count, so it stays within the cap on polynomial degrees.
+# Largest number of points in a problem file or a diagnose call. A problem's
+# degree bound is below its point count, so it stays within the cap on
+# polynomial degrees.
 MAX_POINTS = MAX_DEGREE + 1
 # Largest --decimal: every approximated coefficient is written with this
 # many significant digits.
@@ -97,6 +98,11 @@ def _digits(text: str) -> int:
     return _count(text, MAX_DECIMAL_DIGITS)
 
 
+def _check_point_count(count: int) -> None:
+    if count > MAX_POINTS:
+        raise ParseError(f"problem has {count} points; at most {MAX_POINTS} allowed")
+
+
 def _load_problem(path: str) -> InterpolationProblem:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -130,8 +136,7 @@ def _load_problem(path: str) -> InterpolationProblem:
         raise ParseError("points and values must be arrays of strings")
     if len(points) != len(values) or not points:
         raise ParseError("points and values must have equal length >= 1")
-    if len(points) > MAX_POINTS:
-        raise ParseError(f"problem has {len(points)} points; at most {MAX_POINTS} allowed")
+    _check_point_count(len(points))
     pairs = [
         (Multivector.parse(x, sig), Multivector.parse(w, sig)) for x, w in zip(points, values)
     ]
@@ -183,6 +188,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     sig = _parse_signature(args.signature)
+    _check_point_count(len(args.points))  # the pair loop inverts n(n-1)/2 differences
     points = [Multivector.parse(text, sig) for text in args.points]
     classes = [x._class_id() for x in points]  # None outside the cone
     for idx, (x, cls_id) in enumerate(zip(points, classes), start=1):

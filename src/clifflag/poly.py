@@ -333,23 +333,16 @@ class AffineRestriction:
 
 
 def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestriction:
-    """Restrict P to a conjugacy class, where x^2 = x t - n collapses all powers.
+    """Restrict P to a conjugacy class, where Delta = X^2 - X t + n vanishes.
 
-    Real sequences A_h, B_h with x^h = A_h + x B_h on the class are built by
-    A_0 = 1, B_0 = 0, A_{h+1} = -n B_h, B_{h+1} = A_h + t B_h; then
-    a = sum B_h a_h and b = sum A_h a_h.
+    P agrees on the class with its remainder b + X a modulo Delta (for a
+    real class Delta = (X - alpha)^2), so P(x) = x a + b there.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"affine restriction not available in {p.sig}")
-    t, n = cls_id.t, cls_id.n
-    a = Multivector.zero(p.sig)
-    b = Multivector.zero(p.sig)
-    big_a, big_b = Fraction(1), Fraction(0)
-    for coeff in p.coeffs:
-        a = a + big_b * coeff
-        b = b + big_a * coeff
-        big_a, big_b = -n * big_b, big_a + t * big_b
-    return AffineRestriction(cls_id, a, b)
+    delta = Polynomial.from_scalars(p.sig, (cls_id.n, -cls_id.t, 1))
+    _, remainder = divide_by_real(p, delta)
+    return AffineRestriction(cls_id, remainder.coefficient(1), remainder.coefficient(0))
 
 
 @dataclass(frozen=True)
@@ -445,16 +438,16 @@ def divide_by_real(p: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Poly
         raise ValueError("divisor must be monic with real coefficients")
     p._check_sig(divisor)
     dd = divisor.degree
+    # the leading term always cancels and zero terms change nothing
+    lower = [(k, -dc.scalar_part()) for k, dc in enumerate(divisor.coeffs[:dd]) if dc]
     rem = list(p.coeffs)
-    if p.degree is None or p.degree < dd:
-        return Polynomial.zero(p.sig), p
     quot = [Multivector.zero(p.sig)] * (len(rem) - dd)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c:
             quot[i - dd] = c
-            for k, dc in enumerate(divisor.coeffs):
-                rem[i - dd + k] = rem[i - dd + k] - dc.scalar_part() * c
+            for k, m in lower:
+                rem[i - dd + k] = rem[i - dd + k] + c * m
     return Polynomial(p.sig, quot), Polynomial(p.sig, rem[:dd])
 
 
@@ -477,14 +470,17 @@ def real_root_multiplicity(p: Polynomial, alpha) -> int:
 
 
 def _divide_out(p: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]:
-    """Largest s with factor^s dividing P (0 for P = 0), plus the cofactor."""
+    """Largest s with factor^s dividing P, by repeated division, plus the cofactor.
+
+    Every power of the factor divides P = 0, so it has no finite s.
+    """
+    if not p:
+        raise ValueError("zero polynomial has no finite multiplicity")
     s = 0
-    while p:
+    quotient, remainder = divide_by_real(p, factor)
+    while not remainder:
+        s, p = s + 1, quotient
         quotient, remainder = divide_by_real(p, factor)
-        if remainder:
-            break
-        s += 1
-        p = quotient
     return s, p
 
 
@@ -497,26 +493,19 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
-    r = 0
-    s = 0
-    k = 0
-    seen = set()
-    for cls_id in witnessed_classes:
-        if cls_id in seen:
-            continue
-        seen.add(cls_id)
+    r = s = k = 0
+    for cls_id in dict.fromkeys(witnessed_classes):
+        m, _ = _divide_out(p, characteristic_poly(cls_id, p.sig))
         if cls_id.is_real:
-            r += real_root_multiplicity(p, cls_id.alpha)
-            continue
-        s_c, _ = factor_out_characteristic(p, cls_id)
-        if s_c:
-            s += s_c
-            continue
-        roots = roots_in_class(p, cls_id)
-        if roots.kind == "points":
-            k += sum(1 for x in roots.points if x.is_paravector())
-        elif roots.kind == "whole_class":
-            raise AssertionError(
-                "class fully contained in the root set must divide by Delta"
-            )
+            r += m
+        elif m:
+            s += m
+        else:
+            roots = roots_in_class(p, cls_id)
+            if roots.kind == "points":
+                k += sum(1 for x in roots.points if x.is_paravector())
+            elif roots.kind == "whole_class":
+                raise AssertionError(
+                    "class fully contained in the root set must divide by Delta"
+                )
     return r, s, k

@@ -228,6 +228,20 @@ def test_point_count_above_cap_rejected_before_parsing(tmp_path, capsys):
     assert f"problem has {n} points; at most {MAX_POINTS} allowed" in captured.err
 
 
+def test_diagnose_point_count_above_cap_rejected_before_parsing(capsys):
+    # unparseable texts: the count is checked before any point is read
+    n = MAX_POINTS + 1
+    assert main(["diagnose", "-s", "0,2", *["?"] * n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"problem has {n} points; at most {MAX_POINTS} allowed" in captured.err
+    # at the cap the points are read, and the first one fails to parse
+    assert main(["diagnose", "-s", "0,2", *["?"] * MAX_POINTS]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse" in captured.err
+
+
 def test_exit_code_collinearity(tmp_path, capsys):
     doc = dict(FIVE_POINT_DOC, values=["1", "-1", "1", "e12", "e2"])
     assert main(["interpolate", write(tmp_path, doc)]) == 3

@@ -52,10 +52,14 @@ def test_unit_blade_is_identity():
 
 def test_product_is_associative_and_bilinear():
     rng = random.Random(1)
-    for _ in range(20):
-        a, b, c = (rand_multivector(rng, R03, 3) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    for sig in (R03, H, Signature(1, 3)):
+        one = Multivector.one(sig)
+        for _ in range(20):
+            a, b, c = (rand_multivector(rng, sig, 3) for _ in range(3))
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert (a + b) * c == a * c + b * c
+            assert one * a == a * one == a
 
 
 def test_signature_mismatch_raises():
@@ -345,6 +349,8 @@ def test_split_merge_round_trip_and_homomorphism():
         pp, pm = to_quaternion_pair(x * y)
         assert pp == xp * yp
         assert pm == xm * ym
+        assert to_quaternion_pair(x + y) == (xp + yp, xm + ym)
+    assert to_quaternion_pair(Multivector.one(R03)) == (Multivector.one(H),) * 2
 
 
 def test_invertible_iff_both_components_nonzero():

@@ -225,6 +225,33 @@ def test_affine_restriction_matches_eval_on_class_points():
             assert p(x) == ar(x)
 
 
+def affine_restriction_by_powers(p, cls_id):
+    # reference: real A_h, B_h with x^h = A_h + x B_h on the class, from
+    # A_0 = 1, B_0 = 0, A_{h+1} = -n B_h, B_{h+1} = A_h + t B_h; then
+    # a = sum B_h a_h and b = sum A_h a_h
+    a = b = Multivector.zero(p.sig)
+    big_a, big_b = Fraction(1), Fraction(0)
+    for coeff in p.coeffs:
+        a, b = a + big_b * coeff, b + big_a * coeff
+        big_a, big_b = -cls_id.n * big_b, big_a + cls_id.t * big_b
+    return a, b
+
+
+def test_affine_restriction_equals_power_recursion():
+    rng = random.Random(33)
+    for sig in (H, R03):
+        for _ in range(40):
+            p = Polynomial(sig, [rand_multivector(rng, sig) for _ in range(rng.randint(0, 7))])
+            alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            beta = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+            sphere = ConjugacyClassId.sphere(2 * alpha, alpha * alpha + beta * beta)
+            for cls in (sphere, ConjugacyClassId.real(alpha)):
+                ar = affine_restriction(p, cls)
+                assert (ar.a.coeffs, ar.b.coeffs) == tuple(
+                    x.coeffs for x in affine_restriction_by_powers(p, cls)
+                )
+
+
 def test_roots_in_class_quaternion_cases():
     rs = roots_in_class(Polynomial.from_scalars(H, (1, 0, 1)), S)
     assert rs.kind == "whole_class"
@@ -334,6 +361,23 @@ def test_real_root_multiplicity():
     assert real_root_multiplicity(p, 1) == 2
     assert real_root_multiplicity(p, -1) == 1
     assert real_root_multiplicity(p, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda zero: paravector_root_census(zero, [S]),
+        lambda zero: factor_out_characteristic(zero, S),
+        lambda zero: real_root_multiplicity(zero, 1),
+    ],
+    ids=["census", "factor_out_characteristic", "real_root_multiplicity"],
+)
+def test_zero_polynomial_has_no_finite_multiplicity(call):
+    # every power of Delta and of X - alpha divides 0
+    with pytest.raises(ValueError, match="no finite multiplicity"):
+        call(Polynomial.zero(R03))
+    assert roots_in_class(Polynomial.zero(R03), S).kind == "whole_class"
+    assert roots_in_class(Polynomial.zero(R03), ConjugacyClassId.real(1)).kind == "points"
 
 
 def test_census_constructed_equality_case():

@@ -1,4 +1,4 @@
-"""Property tests for the text grammars of multivectors and polynomials.
+"""Property tests for the text grammars and for division by real polynomials.
 
 Derandomized with few examples, so the suite stays deterministic and fast.
 """
@@ -6,10 +6,10 @@ Derandomized with few examples, so the suite stays deterministic and fast.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clifflag import Multivector, ParseError, Polynomial, QUATERNIONS, R03
+from clifflag import Multivector, ParseError, Polynomial, QUATERNIONS, R03, divide_by_real
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -28,9 +28,9 @@ def multivectors(sig):
     )
 
 
-def polynomials(sig):
+def polynomials(sig, max_size=4):
     coefficient = st.one_of(st.just(Multivector.zero(sig)), multivectors(sig))
-    return st.lists(coefficient, max_size=4).map(lambda coeffs: Polynomial(sig, coeffs))
+    return st.lists(coefficient, max_size=max_size).map(lambda coeffs: Polynomial(sig, coeffs))
 
 
 @PROPERTY_SETTINGS
@@ -85,3 +85,28 @@ def test_polynomial_text_whitespace_rule(p, data):
     for parse in (Multivector.parse, Polynomial.parse):
         with pytest.raises(ParseError):
             parse(foreign, p.sig)
+
+
+def dividends_and_divisors(sig):
+    # real monic divisors of degree 1 to 3; zero is over-weighted among
+    # their lower coefficients
+    divisors = st.lists(fractions, min_size=1, max_size=3).map(
+        lambda lower: Polynomial.from_scalars(sig, [*lower, 1])
+    )
+    return st.tuples(polynomials(sig, max_size=8), divisors)
+
+
+def ones(sig, length):
+    return Polynomial(sig, [Multivector.one(sig)] * length)
+
+
+@PROPERTY_SETTINGS
+@given(signatures.flatmap(dividends_and_divisors))
+@example((ones(R03, 6), Polynomial.from_scalars(R03, (1, 0, 1))))
+@example((ones(QUATERNIONS, 7), Polynomial.from_scalars(QUATERNIONS, (-2, 0, 0, 1))))
+def test_divide_by_real_reassembles(case):
+    p, divisor = case
+    quotient, remainder = divide_by_real(p, divisor)
+    assert divisor * quotient + remainder == p
+    assert quotient * divisor + remainder == p  # a real divisor commutes
+    assert remainder.degree is None or remainder.degree < divisor.degree
