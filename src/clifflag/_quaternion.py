@@ -8,9 +8,13 @@ denominator. Each operation works on the integer numerators and reduces
 its result by one gcd, instead of one gcd per ``Fraction`` operation.
 
 A polynomial is a list of such tuples, a_0 first, valued as sum_h x^h a_h
-like :class:`clifflag.poly.Polynomial`. :class:`NewtonFrame` is the Newton
-frame of :mod:`clifflag.interpolate` on this representation; conversion to
-and from ``Multivector`` happens only at its boundary.
+like :class:`clifflag.poly.Polynomial`. An R_{0,3} element or polynomial
+becomes two of them, one per half of its H (+) H split (:func:`split`,
+:func:`join`). The kernel serves the Lagrange construction, through
+:class:`NewtonFrame`, the Newton frame of :mod:`clifflag.interpolate`,
+and the root search and root census of :mod:`clifflag.poly`, through
+:func:`remainder_mod_quadratic` and :func:`in_class`. Conversion to and
+from ``Multivector`` happens only at their boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotInvertible
-from .multivector import QUATERNIONS, Multivector
+from .multivector import (
+    QUATERNIONS,
+    R03,
+    Multivector,
+    from_quaternion_pair,
+    to_quaternion_pair,
+)
 
 ZERO = (0, 0, 0, 0, 1)
 ONE = (1, 0, 0, 0, 1)
@@ -46,6 +56,18 @@ def from_multivector(x: Multivector) -> tuple:
 def to_multivector(a: tuple) -> Multivector:
     d = a[4]
     return Multivector._wrap(QUATERNIONS, tuple(Fraction(n, d) for n in a[:4]))
+
+
+def split(x: Multivector) -> tuple:
+    """The halves of x as tuples: its H (+) H split in R_{0,3}, else x alone."""
+    return tuple(map(from_multivector, to_quaternion_pair(x) if x.sig == R03 else (x,)))
+
+
+def join(halves) -> Multivector:
+    """Inverse of :func:`split`."""
+    if len(halves) == 1:
+        return to_multivector(halves[0])
+    return from_quaternion_pair(*map(to_multivector, halves))
 
 
 def add(a: tuple, b: tuple) -> tuple:
@@ -79,6 +101,12 @@ def mul(a: tuple, b: tuple) -> tuple:
     )
 
 
+def scale(a: tuple, q) -> tuple:
+    """a times the rational number q."""
+    m, d = q.numerator, q.denominator
+    return _reduce(a[0] * m, a[1] * m, a[2] * m, a[3] * m, a[4] * d)
+
+
 def inverse(a: tuple) -> tuple:
     """d conj(n) / |n|^2; raises NotInvertible for zero."""
     a0, a1, a2, a3, ad = a
@@ -96,6 +124,31 @@ def evaluate(poly: list, x: tuple) -> tuple:
     for a in reversed(poly[:-1]):
         acc = add(mul(x, acc), a)
     return acc
+
+
+def in_class(a: tuple, t, n) -> bool:
+    """Whether a has trace t and norm n: 2 n_0 / d = t and sum n_h^2 / d^2 = n."""
+    a0, a1, a2, a3, ad = a
+    return (
+        2 * a0 * t.denominator == t.numerator * ad
+        and (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) * n.denominator == n.numerator * ad * ad
+    )
+
+
+def remainder_mod_quadratic(poly: list, t, n) -> tuple[tuple, tuple]:
+    """(b, a) with poly = Q (X^2 - t X + n) + b + X a, for rational t and n.
+
+    The divisor is real, so it is central and Q is the same on either side.
+    """
+    rem = list(poly) + [ZERO] * (2 - len(poly))
+    for i in range(len(rem) - 1, 1, -1):
+        c = rem[i]
+        if c != ZERO:
+            if t:
+                rem[i - 1] = add(rem[i - 1], scale(c, t))
+            if n:
+                rem[i - 2] = sub(rem[i - 2], scale(c, n))
+    return rem[0], rem[1]
 
 
 class NewtonFrame:

@@ -54,7 +54,7 @@ from .errors import (
     PointNotInCone,
     UnsupportedSignature,
 )
-from ._quaternion import ZERO, NewtonFrame, from_multivector, to_multivector
+from ._quaternion import ZERO, NewtonFrame, join, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -62,8 +62,6 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
-    from_quaternion_pair,
-    to_quaternion_pair,
 )
 from .poly import Polynomial
 
@@ -192,18 +190,13 @@ def _nodes(problem: InterpolationProblem):
     return nodes, values
 
 
-def _halves(x: Multivector):
-    """The quaternionic components of x: its H + H split in R_{0,3}, else x."""
-    return to_quaternion_pair(x) if x.sig == R03 else (x,)
-
-
 def _newton_frames(sig: Signature, nodes):
     """One quaternion Newton frame per component, over the same nodes."""
     frames = [NewtonFrame() for _ in range(2 if sig == R03 else 1)]
     for node in nodes:
         try:
-            for frame, half in zip(frames, _halves(node)):
-                frame.add_node(from_multivector(half))
+            for frame, half in zip(frames, split(node)):
+                frame.add_node(half)
         except NotInvertible as exc:
             raise InternalNonInvertible(
                 f"construction hit a non-invertible value for node {node}: {exc}"
@@ -214,18 +207,9 @@ def _newton_frames(sig: Signature, nodes):
 def _newton(frames, values) -> Polynomial:
     """The polynomial within the degree bound taking ``values`` at the frames'
     nodes, solved per component and recombined coefficient by coefficient."""
-    sig = values[0].sig
-    columns = zip(*([from_multivector(half) for half in _halves(w)] for w in values))
+    columns = zip(*map(split, values))
     components = [frame.solve(column) for frame, column in zip(frames, columns)]
-    if sig != R03:
-        return Polynomial(sig, (to_multivector(a) for a in components[0]))
-    return Polynomial(
-        sig,
-        (
-            from_quaternion_pair(to_multivector(a), to_multivector(b))
-            for a, b in zip_longest(*components, fillvalue=ZERO)
-        ),
-    )
+    return Polynomial(values[0].sig, map(join, zip_longest(*components, fillvalue=ZERO)))
 
 
 def lagrange_basis(problem: InterpolationProblem):

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classpoints import quaternion_class_points, vector_part
+from . import _quaternion as qk
+from .classpoints import quaternion_class_points
 from .errors import (
     ParseError,
     SignatureMismatch,
@@ -37,8 +38,6 @@ from .multivector import (
     _read_multivector,
     _signed_sum,
     _tokens,
-    from_quaternion_pair,
-    to_quaternion_pair,
 )
 
 # Largest degree accepted from text: a polynomial literal's exponent and the
@@ -336,13 +335,14 @@ def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestric
     """Restrict P to a conjugacy class, where Delta = X^2 - X t + n vanishes.
 
     P agrees on the class with its remainder b + X a modulo Delta (for a
-    real class Delta = (X - alpha)^2), so P(x) = x a + b there.
+    real class Delta = (X - alpha)^2), so P(x) = x a + b there. The
+    remainder is taken on the quaternion kernel, half by half.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"affine restriction not available in {p.sig}")
-    delta = Polynomial.from_scalars(p.sig, (cls_id.n, -cls_id.t, 1))
-    _, remainder = divide_by_real(p, delta)
-    return AffineRestriction(cls_id, remainder.coefficient(1), remainder.coefficient(0))
+    remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in _split(p)]
+    b, a = (qk.join(column) for column in zip(*remainders))
+    return AffineRestriction(cls_id, a, b)
 
 
 @dataclass(frozen=True)
@@ -366,12 +366,16 @@ class RootSet:
         return self.kind == "empty"
 
 
-def _solve_affine_in_quaternion_class(a, b, cls_id) -> RootSet:
-    # solutions of x a + b = 0 with x in the given quaternionic class
-    if not a:
-        return RootSet("empty" if b else "whole_class", cls_id)
-    x = -b * a.inverse()
-    return RootSet("points", cls_id, (x,)) if cls_id.contains(x) else RootSet("empty", cls_id)
+def _split(p: Polynomial) -> list[list[tuple]]:
+    """P as kernel coefficient lists: one for H, the plus and minus halves for R_{0,3}.
+
+    The split is a ring isomorphism, so P(x) splits into P+(x+) and P-(x-).
+    """
+    halves = [[] for _ in range(2 if p.sig == R03 else 1)]
+    for c in p.coeffs:
+        for half, h in zip(halves, qk.split(c)):
+            half.append(h)
+    return halves
 
 
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
@@ -379,53 +383,62 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
 
     The affine restriction reduces the problem to x a + b = 0 on the class;
     in R_{0,3} that splits into two independent quaternionic problems whose
-    solutions are recombined.
+    solutions are recombined. Both run on the quaternion kernel.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
-
+    halves = _split(p)
     if cls_id.is_real:
-        alpha = Multivector.scalar(p.sig, cls_id.alpha)
-        if not p(alpha):
-            return RootSet("points", cls_id, (alpha,))
+        alpha = Fraction(cls_id.alpha)
+        real = (alpha.numerator, 0, 0, 0, alpha.denominator)
+        if all(qk.evaluate(half, real) == qk.ZERO for half in halves):
+            return RootSet("points", cls_id, (Multivector.scalar(p.sig, alpha),))
         return RootSet("empty", cls_id)
+    remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in halves]
+    return _sphere_roots(halves, remainders, cls_id)
 
-    restriction = affine_restriction(p, cls_id)
-    a, b = restriction.a, restriction.b
 
-    if p.sig == QUATERNIONS:
-        return _solve_affine_in_quaternion_class(a, b, cls_id)
+def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
+    """Roots on a sphere class from each half's remainder (b, a) modulo Delta.
 
-    # R_{0,3}: both components lie in classes with the same (t, n)
-    plus, minus = (
-        _solve_affine_in_quaternion_class(a_half, b_half, cls_id)
-        for a_half, b_half in zip(to_quaternion_pair(a), to_quaternion_pair(b))
-    )
-    if plus.is_empty or minus.is_empty:
-        return RootSet("empty", cls_id)
-    if plus.kind == minus.kind == "points":
-        x = from_quaternion_pair(plus.points[0], minus.points[0])
-        return RootSet("points", cls_id, (x,))
-    if plus.kind == minus.kind:
+    Each half solves x a + b = 0: one point, no point, or (a = b = 0) its
+    whole sphere, since both halves lie in classes with the same (t, n).
+    """
+    t, n = cls_id.t, cls_id.n
+    solved = []  # per half: a kernel point, None for the whole sphere
+    for b, a in remainders:
+        if a == qk.ZERO:
+            if b != qk.ZERO:
+                return RootSet("empty", cls_id)
+            solved.append(None)
+            continue
+        x = qk.mul(qk.neg(b), qk.inverse(a))
+        if not qk.in_class(x, t, n):
+            return RootSet("empty", cls_id)
+        solved.append(x)
+    if None not in solved:
+        return RootSet("points", cls_id, (qk.join(solved),))
+    if all(x is None for x in solved):
         return RootSet("whole_class", cls_id)
 
-    # one component pinned, the other free over its whole sphere: sample
+    # R_{0,3}, one half pinned, the other free over its whole sphere: sample
     # representatives of the infinite family, always including the unique
-    # paravector candidate (free component = pinned one with k negated).
-    pinned_plus = plus.kind == "points"
-    (pinned,) = plus.points or minus.points
-    v0 = vector_part(pinned)
-    frees = quaternion_class_points(cls_id.t, cls_id.n, v0, count=12)
-    c = pinned.coeffs
-    paravector_mate = Multivector(QUATERNIONS, (c[0], c[1], c[2], -c[3]))
-    candidates = [paravector_mate] + frees
+    # paravector candidate (free half = pinned one with k negated).
+    pinned_plus = solved[1] is None
+    pinned = solved[0] if pinned_plus else solved[1]
+    c0, c1, c2, c3, d = pinned
+    v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
+    frees = [qk.from_multivector(f) for f in quaternion_class_points(t, n, v0, count=12)]
+    seen = set()
     reps = []
-    for free in candidates:
-        x = from_quaternion_pair(*((pinned, free) if pinned_plus else (free, pinned)))
-        if x not in reps:
-            if p(x):
-                raise AssertionError(f"sampled representative {x} is not a root")
-            reps.append(x)
+    for free in [(c0, c1, c2, -c3, d)] + frees:
+        if free in seen:
+            continue
+        seen.add(free)
+        pair = (pinned, free) if pinned_plus else (free, pinned)
+        if any(qk.evaluate(half, x) != qk.ZERO for half, x in zip(halves, pair)):
+            raise AssertionError(f"sampled representative {qk.join(pair)} is not a root")
+        reps.append(qk.join(pair))
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
 
 
@@ -489,23 +502,27 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     characteristic powers of spherical classes, and remaining non-real
     non-spherical paravector roots found class by class.
 
-    Only meaningful in R_{0,3}, where r + 2s + k <= deg P.
+    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. P is split once;
+    each sphere costs one reduction per half, and a Multivector division
+    runs only where the remainders show that Delta divides P.
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
+    halves = _split(p)
     r = s = k = 0
     for cls_id in dict.fromkeys(witnessed_classes):
-        m, _ = _divide_out(p, characteristic_poly(cls_id, p.sig))
         if cls_id.is_real:
-            r += m
-        elif m:
-            s += m
-        else:
-            roots = roots_in_class(p, cls_id)
-            if roots.kind == "points":
-                k += sum(1 for x in roots.points if x.is_paravector())
-            elif roots.kind == "whole_class":
-                raise AssertionError(
-                    "class fully contained in the root set must divide by Delta"
-                )
+            r += _divide_out(p, characteristic_poly(cls_id, p.sig))[0]
+            continue
+        remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in halves]
+        if all(rem == (qk.ZERO, qk.ZERO) for rem in remainders):
+            s += _divide_out(p, characteristic_poly(cls_id, p.sig))[0]
+            continue
+        roots = _sphere_roots(halves, remainders, cls_id)
+        if roots.kind == "points":
+            k += sum(1 for x in roots.points if x.is_paravector())
+        elif roots.kind == "whole_class":
+            raise AssertionError(
+                "class fully contained in the root set must divide by Delta"
+            )
     return r, s, k

@@ -1,6 +1,7 @@
 """Tests for right-coefficient polynomials: products, division, roots."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,19 @@ from clifflag import (
     real_root_multiplicity,
     roots_in_class,
 )
-from clifflag.classpoints import quaternion_from_parts, rational_unit_vectors
+from clifflag.classpoints import (
+    quaternion_class_points,
+    quaternion_from_parts,
+    r03_cone_point,
+    rational_unit_vectors,
+    vector_part,
+)
+from clifflag.multivector import from_quaternion_pair, to_quaternion_pair
+from clifflag.poly import RootSet, _divide_out
 from util import (
     rand_class_params,
     rand_cone_point_r03,
+    rand_fraction,
     rand_multivector,
     rand_zero_divisor,
 )
@@ -250,6 +260,159 @@ def test_affine_restriction_equals_power_recursion():
                 assert (ar.a.coeffs, ar.b.coeffs) == tuple(
                     x.coeffs for x in affine_restriction_by_powers(p, cls)
                 )
+
+
+def _solve_affine_reference(a, b, cls_id):
+    # x a + b = 0 on one quaternionic class, in Fraction coordinates
+    if not a:
+        return RootSet("empty" if b else "whole_class", cls_id)
+    x = -b * a.inverse()
+    return RootSet("points", cls_id, (x,)) if cls_id.contains(x) else RootSet("empty", cls_id)
+
+
+def roots_in_class_reference(p, cls_id):
+    # reference: the root search on Multivector coefficients, through the
+    # remainder modulo Delta and the split of a and b, not of P
+    if cls_id.is_real:
+        alpha = Multivector.scalar(p.sig, cls_id.alpha)
+        return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
+    _, rem = divide_by_real(p, Polynomial.from_scalars(p.sig, (cls_id.n, -cls_id.t, 1)))
+    a, b = rem.coefficient(1), rem.coefficient(0)
+    if p.sig == H:
+        return _solve_affine_reference(a, b, cls_id)
+    plus, minus = (
+        _solve_affine_reference(a_half, b_half, cls_id)
+        for a_half, b_half in zip(to_quaternion_pair(a), to_quaternion_pair(b))
+    )
+    if plus.is_empty or minus.is_empty:
+        return RootSet("empty", cls_id)
+    if plus.kind == minus.kind == "points":
+        return RootSet("points", cls_id, (from_quaternion_pair(plus.points[0], minus.points[0]),))
+    if plus.kind == minus.kind:
+        return RootSet("whole_class", cls_id)
+    pinned_plus = plus.kind == "points"
+    (pinned,) = plus.points or minus.points
+    frees = quaternion_class_points(cls_id.t, cls_id.n, vector_part(pinned), count=12)
+    c = pinned.coeffs
+    reps = []
+    for free in [Multivector(H, (c[0], c[1], c[2], -c[3]))] + frees:
+        x = from_quaternion_pair(*((pinned, free) if pinned_plus else (free, pinned)))
+        if x not in reps:
+            assert not p(x)
+            reps.append(x)
+    return RootSet("points", cls_id, tuple(reps), exhaustive=False)
+
+
+def census_reference(p, witnessed_classes):
+    # reference: multiplicities by _divide_out for every class, then the
+    # reference root search on the spheres Delta does not divide
+    r = s = k = 0
+    for cls_id in dict.fromkeys(witnessed_classes):
+        m, _ = _divide_out(p, characteristic_poly(cls_id, p.sig))
+        if cls_id.is_real:
+            r += m
+        elif m:
+            s += m
+        else:
+            roots = roots_in_class_reference(p, cls_id)
+            assert roots.kind != "whole_class"
+            k += sum(1 for x in roots.points if x.is_paravector())
+    return r, s, k
+
+
+# unit vectors with nonzero third coordinate too, so that a pinned half's
+# paravector mate differs from the half itself
+_UNITS = rational_unit_vectors(40)
+
+
+def _sphere(alpha, beta):
+    return ConjugacyClassId.sphere(2 * alpha, alpha * alpha + beta * beta)
+
+
+def _root_search_cases(sig, seed):
+    # (polynomial, probe classes): products of root factors, the same times
+    # a central idempotent (R(0,3): a sampled family on each half) and times
+    # a class characteristic polynomial; then zero and constants. Probes are
+    # the polynomial's own classes, random spheres and real classes.
+    rng = random.Random(seed)
+    one = Multivector.one(sig)
+    idempotents = []
+    if sig == R03:
+        e123 = Multivector.basis(R03, 1, 2, 3)
+        idempotents = [(one + e123) / 2, (one - e123) / 2]
+    cases = []
+    for degree in (1, 2, 3):
+        params = rand_class_params(rng, degree + 1)
+        extra = _sphere(*params.pop())
+        if sig == R03:
+            points = [r03_cone_point(a, b, *rng.sample(_UNITS, 2)) for a, b in params]
+        else:
+            points = [quaternion_from_parts(a, [b * c for c in rng.choice(_UNITS)]) for a, b in params]
+        own = [_sphere(a, b) for a, b in params]
+        alpha = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        product = Polynomial.one(sig)
+        for y in points:
+            product = append_root(product, y)
+        polys = [product, append_root(product, Multivector.scalar(sig, alpha))]
+        polys += [product * e for e in idempotents]
+        polys += [q * characteristic_poly(extra, sig) for q in list(polys)]
+        probes = own + [extra, ConjugacyClassId.real(alpha), ConjugacyClassId.real(alpha + 1)]
+        probes += [_sphere(rand_fraction(rng, 3), Fraction(rng.randint(1, 3), 2)) for _ in range(3)]
+        cases += [(q, probes) for q in polys]
+    probes = [S, ConjugacyClassId.real(0), ConjugacyClassId.real(1), _sphere(1, 2)]
+    constants = [Multivector.zero(sig), one, rand_multivector(rng, sig)] + idempotents
+    cases += [(Polynomial.constant(c), probes) for c in constants]
+    return cases
+
+
+@pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_roots_in_class_equals_multivector_reference(sig, seed):
+    kinds = set()
+    for p, probes in _root_search_cases(sig, seed):
+        for cls_id in probes:
+            found = roots_in_class(p, cls_id)
+            # kind, class, exhaustive and the points in order
+            assert found == roots_in_class_reference(p, cls_id)
+            kinds.add((found.kind, found.exhaustive))
+    # every outcome occurs: sampled families only where zero divisors exist
+    expected = {("empty", True), ("points", True), ("whole_class", True)}
+    if sig == R03:
+        expected.add(("points", False))
+    assert kinds == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_census_equals_reference(seed):
+    for p, probes in _root_search_cases(R03, seed):
+        if not p:
+            with pytest.raises(ValueError, match="no finite multiplicity"):
+                paravector_root_census(p, probes)
+            continue
+        assert paravector_root_census(p, probes) == census_reference(p, probes)
+
+
+def test_census_divides_only_where_delta_divides(monkeypatch):
+    # a sphere that Delta does not divide costs no Multivector division; one
+    # that it divides costs s + 1 divisions to find the multiplicity s
+    module = sys.modules["clifflag.poly"]
+    divisions = []
+
+    def counting(p, divisor):
+        divisions.append(divisor)
+        return original(p, divisor)
+
+    original = module.divide_by_real
+    monkeypatch.setattr(module, "divide_by_real", counting)
+    rng = random.Random(34)
+    (a0, b0), (a1, b1) = rand_class_params(rng, 2)
+    y = Multivector.scalar(R03, a0) + Multivector.basis(R03, 1) * b0  # a paravector
+    p = Polynomial.x_minus(y)
+    assert paravector_root_census(p, [_sphere(a0, b0), _sphere(a1, b1)]) == (0, 0, 1)
+    assert divisions == []
+    delta = characteristic_poly(_sphere(a1, b1), R03)
+    assert paravector_root_census(p * delta, [_sphere(a1, b1)]) == (0, 1, 0)
+    assert divisions == [delta, delta]
 
 
 def test_roots_in_class_quaternion_cases():

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflag import Multivector, NotInvertible, Polynomial, QUATERNIONS, append_root
+from clifflag import (
+    Multivector,
+    NotInvertible,
+    Polynomial,
+    QUATERNIONS,
+    R03,
+    append_root,
+    divide_by_real,
+)
 from clifflag import _quaternion as hk
 from util import random_h_problem
 
@@ -24,9 +32,11 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
 BIG = 2**256
 numerators = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
 denominators = st.one_of(st.integers(1, 6), st.integers(1, BIG))
-quaternions = st.lists(
-    st.builds(Fraction, numerators, denominators), min_size=4, max_size=4
-).map(lambda coeffs: Multivector(QUATERNIONS, coeffs))
+fractions = st.builds(Fraction, numerators, denominators)
+quaternions = st.lists(fractions, min_size=4, max_size=4).map(
+    lambda coeffs: Multivector(QUATERNIONS, coeffs)
+)
+r03_elements = st.lists(fractions, min_size=8, max_size=8).map(lambda coeffs: Multivector(R03, coeffs))
 
 
 def assert_reduced(a):
@@ -64,6 +74,46 @@ def test_inverse_matches(x):
     got = hk.inverse(as_kernel(x))
     assert_reduced(got)
     assert hk.to_multivector(got) == x.inverse()
+
+
+@PROPERTY_SETTINGS
+@given(quaternions, fractions)
+def test_scale_matches(x, q):
+    got = hk.scale(as_kernel(x), q)
+    assert_reduced(got)
+    assert hk.to_multivector(got) == x * q
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(quaternions, r03_elements))
+def test_split_and_join_invert_each_other(x):
+    halves = hk.split(x)
+    assert len(halves) == (2 if x.sig == R03 else 1)
+    for half in halves:
+        assert_reduced(half)
+    assert hk.join(halves) == x
+
+
+@PROPERTY_SETTINGS
+@given(quaternions, st.integers(-4, 4), st.integers(1, 3), st.integers(-4, 4), st.integers(1, 3))
+def test_class_test_matches_trace_and_norm(x, t_num, t_den, n_num, n_den):
+    # the element's own (trace, norm) and nearby pairs
+    own_t, own_n = 2 * x.scalar_part(), x.norm().scalar_part()
+    a = as_kernel(x)
+    assert hk.in_class(a, own_t, own_n)
+    for t, n in ((Fraction(t_num, t_den), own_n), (own_t, Fraction(n_num, n_den))):
+        assert hk.in_class(a, t, n) == (t == own_t and n == own_n)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(quaternions, max_size=6), fractions, fractions)
+def test_remainder_matches_division(coeffs, t, n):
+    p = Polynomial(QUATERNIONS, coeffs)
+    _, rem = divide_by_real(p, Polynomial.from_scalars(QUATERNIONS, (n, -t, 1)))
+    b, a = hk.remainder_mod_quadratic([as_kernel(c) for c in p.coeffs], t, n)
+    for got, want in ((b, rem.coefficient(0)), (a, rem.coefficient(1))):
+        assert_reduced(got)
+        assert hk.to_multivector(got) == want
 
 
 @PROPERTY_SETTINGS
