@@ -1,4 +1,4 @@
-"""Private exact quaternion kernel for the Lagrange construction.
+"""Private exact quaternion kernel for H and for the halves of R_{0,3}.
 
 A quaternion a0 + a1 i + a2 j + a3 k is the tuple (n0, n1, n2, n3, d) of
 integers with d > 0 and gcd(n0, n1, n2, n3, d) = 1, standing for n_h / d.
@@ -12,9 +12,11 @@ like :class:`clifflag.poly.Polynomial`. An R_{0,3} element or polynomial
 becomes two of them, one per half of its H (+) H split (:func:`split`,
 :func:`join`). The kernel serves the Lagrange construction, through
 :class:`NewtonFrame`, the Newton frame of :mod:`clifflag.interpolate`,
-and the root search and root census of :mod:`clifflag.poly`, through
-:func:`remainder_mod_quadratic` and :func:`in_class`. Conversion to and
-from ``Multivector`` happens only at their boundary.
+the root search and root census of :mod:`clifflag.poly`, through
+:func:`remainder_mod_quadratic` and :func:`in_class`, and the
+linear-system oracle of :mod:`clifflag.interpolate`, through the integer
+rows of :func:`left_rows`. Conversion to and from ``Multivector`` happens
+only at their boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .multivector import (
     R03,
     Multivector,
     from_quaternion_pair,
-    to_quaternion_pair,
 )
 
 ZERO = (0, 0, 0, 0, 1)
@@ -42,15 +43,20 @@ def _reduce(n0: int, n1: int, n2: int, n3: int, d: int) -> tuple:
     return n0 // g, n1 // g, n2 // g, n3 // g, d // g
 
 
-def from_multivector(x: Multivector) -> tuple:
-    """The reduced tuple of a quaternionic multivector.
+def from_fractions(coeffs) -> tuple:
+    """The numerators of ``coeffs`` over the lcm d of their denominators, then d.
 
-    Over the least common denominator the numerators are already coprime
-    to it, because each coordinate is a ``Fraction`` in lowest terms.
+    The numerators are already coprime to d, because each coordinate is a
+    ``Fraction`` (or int) in lowest terms; so four coordinates give the
+    reduced tuple of that quaternion.
     """
-    coeffs = x.coeffs
     d = lcm(*(c.denominator for c in coeffs))
     return tuple(c.numerator * (d // c.denominator) for c in coeffs) + (d,)
+
+
+def from_multivector(x: Multivector) -> tuple:
+    """The reduced tuple of a quaternionic multivector."""
+    return from_fractions(x.coeffs)
 
 
 def to_multivector(a: tuple) -> Multivector:
@@ -59,8 +65,19 @@ def to_multivector(a: tuple) -> Multivector:
 
 
 def split(x: Multivector) -> tuple:
-    """The halves of x as tuples: its H (+) H split in R_{0,3}, else x alone."""
-    return tuple(map(from_multivector, to_quaternion_pair(x) if x.sig == R03 else (x,)))
+    """The halves of x as tuples: its H (+) H split in R_{0,3}, else x alone.
+
+    The halves are those of :func:`clifflag.multivector.to_quaternion_pair`,
+    formed on x's numerators over one lcm and reduced by one gcd each.
+    """
+    a = from_fractions(x.coeffs)
+    if x.sig != R03:
+        return (a,)
+    n0, n1, n2, n3, n4, n5, n6, n7, d = a
+    return (
+        _reduce(n0 + n7, n1 - n6, n2 + n5, n3 - n4, d),
+        _reduce(n0 - n7, n1 + n6, n2 - n5, n3 + n4, d),
+    )
 
 
 def join(halves) -> Multivector:
@@ -99,6 +116,17 @@ def mul(a: tuple, b: tuple) -> tuple:
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         ad * bd,
     )
+
+
+def left_rows(a: tuple, factor: int) -> tuple:
+    """The matrix of b -> a b times ``factor`` * d, as integer rows.
+
+    Row k holds the coordinate k of a times each unit (1, i, j, k), read
+    off :func:`mul`; d is a's denominator, so the entries are the
+    numerators of a times ``factor``.
+    """
+    a0, a1, a2, a3 = (v * factor for v in a[:4])
+    return (a0, -a1, -a2, -a3), (a1, a0, -a3, a2), (a2, a3, a0, -a1), (a3, -a2, a1, a0)
 
 
 def scale(a: tuple, q) -> tuple:

@@ -30,9 +30,13 @@ problem:
 * R_{0,3}: zero divisors force one point per class, so every point is a
   node; the degree bound is m - 1 for m points.
 
-A brute-force oracle solves the same problem as an exact rational linear
-system in the coefficient coordinates, classifying existence and
-uniqueness independently of the construction above.
+A brute-force oracle solves the same problem as exact rational linear
+systems in the coefficient coordinates, classifying existence and
+uniqueness independently of the construction above. In H and R_{0,3} it
+solves one system per half of the split, with integer rows built on the
+same quaternion kernel; every other signature, and an R_{0,3} problem
+with a family of solutions, takes one system in the blade coordinates,
+which the tests keep as the referee of the split.
 
 The package attribute ``clifflag.interpolate`` is the function
 :func:`interpolate`, which shadows this submodule; reach the module with
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import lcm
 
 from .errors import (
     CollinearityViolated,
@@ -54,7 +59,7 @@ from .errors import (
     PointNotInCone,
     UnsupportedSignature,
 )
-from ._quaternion import ZERO, NewtonFrame, join, split
+from ._quaternion import ONE, ZERO, NewtonFrame, from_fractions, join, left_rows, mul, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -261,11 +266,16 @@ class OracleResult:
 def brute_force_interpolate(
     problem: InterpolationProblem, max_degree: int | None = None
 ) -> OracleResult:
-    """Solve the interpolation conditions as one exact linear system.
+    """Solve the interpolation conditions as exact linear systems.
 
-    Evaluation is real-linear in the 2^m (max_degree + 1) coefficient
-    coordinates, so stacking one row per output coordinate per data pair
-    and running exact elimination classifies the problem completely.
+    Evaluation is real-linear in the coefficient coordinates, so stacking
+    one row per output coordinate per data pair and running exact
+    elimination classifies the problem completely. In H and R_{0,3} the
+    coordinates are those of the H (+) H split: one system of
+    4 (max_degree + 1) unknowns per half (see :func:`_split_oracle`).
+    Every other signature, and an R_{0,3} problem with a whole family of
+    solutions, solves one system in the 2^m (max_degree + 1) blade
+    coordinates (:func:`_coordinate_oracle`).
     """
     sig = problem.sig
     if not problem.pairs:
@@ -274,8 +284,66 @@ def brute_force_interpolate(
         max_degree = group_by_class(problem).degree_bound
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    dim = sig.dim
+    if sig in (QUATERNIONS, R03):
+        result = _split_oracle(problem, max_degree)
+        if result is not None:
+            return result
+    return _coordinate_oracle(problem, max_degree)
 
+
+def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResult | None:
+    """The oracle on the halves of the split; None for an R_{0,3} family.
+
+    The split is a ring isomorphism, so the R_{0,3} system decouples into
+    one system per half: it has no solution if either half has none, and
+    one if both have one. When a half has many, the particular solution
+    would depend on the basis, so the caller takes the coordinate route
+    and the R_{0,3} family keeps that route's particular solution. H has
+    one half in the blade coordinates themselves: its rows are positive
+    multiples of the coordinate route's, with the same reduced row echelon
+    form, so all three kinds agree with that route.
+    """
+    points = [split(x) for x in problem.points]
+    values = [split(w) for w in problem.values]
+    kinds, solutions = set(), []
+    for half_points, half_values in zip(zip(*points), zip(*values)):
+        kind, solution = _solve_half(half_points, half_values, max_degree)
+        if kind == "none":
+            return OracleResult("none", None)
+        kinds.add(kind)
+        solutions.append(solution)
+    unique = kinds == {"unique"}
+    if not unique and problem.sig == R03:
+        return None
+    coeffs = (
+        join([from_fractions(solution[4 * h : 4 * h + 4]) for solution in solutions])
+        for h in range(max_degree + 1)
+    )
+    return OracleResult("unique" if unique else "affine_family", Polynomial(problem.sig, coeffs))
+
+
+def _solve_half(points, values, max_degree: int):
+    """``solve_exact`` on one half: block h of a pair's rows is the matrix of
+    a_h -> x^h a_h, and each pair's four rows share one lcm that makes them
+    integer."""
+    rows = []
+    rhs = []
+    for x, w in zip(points, values):
+        powers = [ONE]
+        for _ in range(max_degree):
+            powers.append(mul(powers[-1], x))
+        scale = lcm(w[4], *(power[4] for power in powers))
+        blocks = [left_rows(power, scale // power[4]) for power in powers]
+        for out in range(4):
+            rows.append([v for block in blocks for v in block[out]])
+        rhs.extend(v * (scale // w[4]) for v in w[:4])
+    return solve_exact(rows, rhs)
+
+
+def _coordinate_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResult:
+    """The oracle as one system in the blade coordinates of any signature."""
+    sig = problem.sig
+    dim = sig.dim
     rows = []
     rhs = []
     for x, w in problem.pairs:

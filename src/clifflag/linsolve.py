@@ -15,8 +15,11 @@ from math import gcd, lcm
 
 
 def _integer_row(values) -> list[int]:
-    """The row times the lcm of its denominators, divided by its content."""
-    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    """The row times the lcm of its denominators, divided by its content.
+
+    Entries are ``Fraction``s or ints; both carry ``numerator`` and
+    ``denominator``, so an integer row is only divided by its content.
+    """
     scale = lcm(*(v.denominator for v in values))
     row = [v.numerator * (scale // v.denominator) for v in values]
     return _primitive(row)

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     NotInCone,
@@ -475,6 +476,19 @@ class Multivector:
     def _class_id(self) -> ConjugacyClassId | None:
         # The one place that forms trace and norm for the cone test; None
         # outside the cone. A real x has 4n = t^2 and the id of real(x).
+        sig = self.sig
+        if sig in (QUATERNIONS, R03):
+            # Closed form: t = 2 c0 + 2 c7 e123 and n = sum c_i^2
+            # + 2 (c0 c7 - c1 c6 + c2 c5 - c3 c4) e123, with no e123 part in
+            # H. Both are real iff c7 = 0 and c2 c5 = c1 c6 + c3 c4; then
+            # 4n > t^2 unless x is real. Tested on the numerators over the
+            # lcm d of the denominators, so n is one Fraction.
+            c = self.coeffs
+            d = lcm(*(v.denominator for v in c))
+            a = [v.numerator * (d // v.denominator) for v in c]
+            if sig == R03 and (a[7] or a[2] * a[5] != a[1] * a[6] + a[3] * a[4]):
+                return None
+            return ConjugacyClassId(2 * c[0], Fraction(sum(v * v for v in a), d * d))
         conj = self.conjugate()
         t = self + conj
         if not t.is_scalar():

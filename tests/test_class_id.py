@@ -2,8 +2,12 @@
 
 A derandomized property ties `in_quadratic_cone`, `conjugacy_class`,
 `ConjugacyClassId.contains` and `same_class` to the definition (trace and
-norm real, 4n > t^2 or x real); count tests pin how many geometric
-products grouping and membership make.
+norm real, 4n > t^2 or x real), formed by the products of `trace()` and
+`norm()`. H and R(0,3) read the id off the coordinates in closed form, so
+this property is the check of that form; R(0,3) elements drawn from their
+halves reach both sides of the cone's boundary. Count tests pin that
+grouping and membership make no geometric product in H and R(0,3), and
+one per test in other signatures.
 """
 
 import random
@@ -19,14 +23,16 @@ from clifflag import (
     QUATERNIONS,
     R03,
     Signature,
+    from_quaternion_pair,
     group_by_class,
     same_class,
 )
 from clifflag.classpoints import r03_cone_point
-from util import UNITS, random_r03_problem
+from util import UNITS, count_products, random_h_problem, random_r03_problem
 
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 R11 = Signature(1, 1)
+R13 = Signature(1, 3)
 
 # Zero and unit magnitudes are over-weighted: they reach the reals and, in
 # R(1,1), non-real elements with 4n = t^2 such as e1 + e2.
@@ -55,10 +61,26 @@ r03_cone_points = st.builds(
     st.sampled_from(UNITS),
 )
 
+@st.composite
+def r03_from_halves(draw):
+    """R(0,3) elements from their two halves. The minus half is often the
+    plus half with its vector part permuted and signed, so the halves share
+    the norm (a real n) and, unless the scalar changes, the trace."""
+    plus = draw(multivectors(QUATERNIONS))
+    if draw(st.booleans()):
+        return from_quaternion_pair(plus, draw(multivectors(QUATERNIONS)))
+    vector = draw(st.permutations(plus.coeffs[1:]))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+    scalar = draw(st.one_of(st.just(plus.coeffs[0]), fractions))
+    minus = Multivector(QUATERNIONS, [scalar] + [s * v for s, v in zip(signs, vector)])
+    return from_quaternion_pair(plus, minus)
+
+
 elements = st.one_of(
     multivectors(QUATERNIONS),
     multivectors(R03),
     r03_cone_points,
+    r03_from_halves(),
     multivectors(R11),
 )
 
@@ -91,6 +113,8 @@ pairs = elements.flatmap(
 @given(pairs)
 @example((Multivector.parse("e1 + e2", R11), Multivector.parse("e1", R11)))
 @example((Multivector.parse("e123", R03), Multivector.parse("e1", R03)))
+@example((Multivector.parse("e1 + e2 + e13 + e23", R03), Multivector.parse("e1", R03)))
+@example((Multivector.parse("e1 + e2 - e13 + e23", R03), Multivector.parse("e1", R03)))
 def test_class_id_matches_trace_and_norm(pair):
     x, y = pair
     t, n = x.trace(), x.norm()
@@ -117,29 +141,31 @@ def test_class_id_matches_trace_and_norm(pair):
         assert not cls_id.contains(y)
 
 
-def count_products(monkeypatch):
-    """Record every geometric product (a multivector times a multivector)."""
-    real_mul, calls = Multivector.__mul__, []
-
-    def counted(a, b):
-        if isinstance(b, Multivector):
-            calls.append((a, b))
-        return real_mul(a, b)
-
-    monkeypatch.setattr(Multivector, "__mul__", counted)
-    return calls
-
-
 def test_grouping_forms_each_norm_once(monkeypatch):
-    problem = random_r03_problem(random.Random("class id count"), n_points=7)
+    # in H and R(0,3) the norm comes from the coordinates, with no product
+    rng = random.Random("class id count")
+    problems = [random_r03_problem(rng, n_points=7), random_h_problem(rng, sizes=(3, 1, 2))]
     calls = count_products(monkeypatch)
-    grouping = group_by_class(problem)
-    assert len(calls) == len(problem.pairs)
-    assert sum(g.size for g in grouping.groups) == len(problem.pairs)
+    for problem in problems:
+        grouping = group_by_class(problem)
+        assert sum(g.size for g in grouping.groups) == len(problem.pairs)
+    assert calls == []
 
 
 def test_class_membership_forms_the_norm_once(monkeypatch):
-    x = r03_cone_point(Fraction(1, 3), Fraction(2), UNITS[0], UNITS[5])
+    points = [
+        r03_cone_point(Fraction(1, 3), Fraction(2), UNITS[0], UNITS[5]),
+        Multivector.parse("1/3 + 2 e1 - e12", QUATERNIONS),
+    ]
+    ids = [x.conjugacy_class() for x in points]
+    calls = count_products(monkeypatch)
+    assert all(cls_id.contains(x) for cls_id, x in zip(ids, points))
+    assert calls == []
+
+
+def test_other_signatures_form_the_norm_once(monkeypatch):
+    # R(1,3) keeps the product form: x conj(x) once per membership test
+    x = Multivector.parse("1/3 + 2 e2 - e4", R13)
     cls_id = x.conjugacy_class()
     calls = count_products(monkeypatch)
     assert cls_id.contains(x)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflag.linsolve import solve_exact
+from clifflag.linsolve import _integer_row, solve_exact
 
 _ZERO = Fraction(0)
 
@@ -138,3 +138,35 @@ def systems(draw):
 @given(systems())
 def test_solver_matches_gauss_jordan(system):
     assert_matches_reference(*system)
+
+
+int_entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def integer_systems(draw):
+    """Systems with int entries, as the oracle's split rows are, including
+    repeated and combined rows."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    rows = [draw(st.lists(int_entries, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = draw(st.lists(int_entries, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+        rhs.append(a * rhs[i] + b * rhs[j] + draw(st.sampled_from([0, 0, 0, 1])))
+    return rows, rhs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(integer_systems())
+def test_solver_on_int_rows_matches_gauss_jordan(system):
+    assert_matches_reference(*system)
+
+
+def test_int_rows_are_only_divided_by_their_content():
+    row = _integer_row([6, -4, 0, 10])
+    assert row == [3, -2, 0, 5] and all(type(v) is int for v in row)
+    assert _integer_row([F(1, 2), 3, F(-1, 3)]) == [3, 18, -2]

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clifflag import (
@@ -22,6 +22,7 @@ from clifflag import (
     R03,
     append_root,
     divide_by_real,
+    to_quaternion_pair,
 )
 from clifflag import _quaternion as hk
 from util import random_h_problem
@@ -92,6 +93,27 @@ def test_split_and_join_invert_each_other(x):
     for half in halves:
         assert_reduced(half)
     assert hk.join(halves) == x
+
+
+@PROPERTY_SETTINGS
+@given(r03_elements)
+@example(Multivector.parse("1/2 + 1/2 e123", R03))  # the minus half is zero
+@example(Multivector.parse("1/4 e1 + 1/3 e2 + 1/4 e23", R03))  # gcds 4 and 2
+def test_split_is_the_quaternion_pair_in_lowest_terms(x):
+    halves = hk.split(x)
+    assert halves == tuple(map(hk.from_multivector, to_quaternion_pair(x)))
+    for half in halves:
+        assert_reduced(half)
+
+
+@PROPERTY_SETTINGS
+@given(quaternions, quaternions, st.integers(1, 5))
+def test_left_rows_are_the_product_matrix(x, y, factor):
+    a = as_kernel(x)
+    rows = hk.left_rows(a, factor)
+    product = [sum(v * c for v, c in zip(row, y.coeffs)) for row in rows]
+    assert product == [c * factor * a[4] for c in (x * y).coeffs]
+    assert all(type(v) is int for row in rows for v in row)
 
 
 @PROPERTY_SETTINGS

@@ -121,3 +121,16 @@ def random_r03_problem(rng: random.Random, n_points=None) -> InterpolationProble
         pairs.append((r03_cone_point(alpha, beta, up, um), rand_multivector(rng, R03, 3)))
     rng.shuffle(pairs)
     return InterpolationProblem.from_pairs(R03, pairs)
+
+
+def count_products(monkeypatch):
+    """Record every geometric product (a multivector times a multivector)."""
+    real_mul, calls = Multivector.__mul__, []
+
+    def counted(a, b):
+        if isinstance(b, Multivector):
+            calls.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    return calls
