@@ -1,77 +1,57 @@
-"""Private exact quaternion kernel for H and for the halves of R_{0,3}.
+"""Private exact integer arithmetic: the layout of ``Multivector`` and the
+quaternion kernel for H and for the halves of R_{0,3}.
 
-A quaternion a0 + a1 i + a2 j + a3 k is the tuple (n0, n1, n2, n3, d) of
-integers with d > 0 and gcd(n0, n1, n2, n3, d) = 1, standing for n_h / d.
-The units are i = e1, j = e2, k = e12 of R_{0,2}, so the tuple is the
-blade-ordered coordinate vector of a quaternionic ``Multivector`` over one
-denominator. Each operation works on the integer numerators and reduces
-its result by one gcd, instead of one gcd per ``Fraction`` operation.
+An element with coordinates c_0..c_{k-1} is the tuple (n_0, ..., n_{k-1}, d)
+of integers with d > 0 and gcd(n_0, ..., n_{k-1}, d) = 1, standing for
+c_h = n_h / d; zero is (0, ..., 0, 1). This is the storage of
+:class:`clifflag.multivector.Multivector` in every signature, so the
+helpers :func:`add`, :func:`neg`, :func:`sub` and :func:`scale` take tuples
+of any length and serve both. Each works on the integer numerators and
+reduces its result by one gcd, instead of one gcd per ``Fraction``
+operation.
 
-A polynomial is a list of such tuples, a_0 first, valued as sum_h x^h a_h
-like :class:`clifflag.poly.Polynomial`. An R_{0,3} element or polynomial
-becomes two of them, one per half of its H (+) H split (:func:`split`,
-:func:`join`). The kernel serves the Lagrange construction, through
-:class:`NewtonFrame`, the Newton frame of :mod:`clifflag.interpolate`,
-the root search and root census of :mod:`clifflag.poly`, through
-:func:`remainder_mod_quadratic` and :func:`in_class`, and the
-linear-system oracle of :mod:`clifflag.interpolate`, through the integer
-rows of :func:`left_rows`. Conversion to and from ``Multivector`` happens
-only at their boundary.
+A quaternion a0 + a1 i + a2 j + a3 k is such a tuple of length 5. The
+units are i = e1, j = e2, k = e12 of R_{0,2}, so a quaternionic
+``Multivector`` stores exactly its kernel tuple, and nothing is converted.
+An R_{0,3} tuple splits into two quaternions, one per half of its H (+) H
+split (:func:`split`, :func:`join`), the one place that writes out that
+layout.
+
+A polynomial is a list of quaternions, a_0 first, valued as sum_h x^h a_h
+like :class:`clifflag.poly.Polynomial`. The kernel serves the Lagrange
+construction, through :class:`NewtonFrame`, the Newton frame of
+:mod:`clifflag.interpolate`, the root search and root census of
+:mod:`clifflag.poly`, through :func:`remainder_mod_quadratic` and
+:func:`in_class`, and the linear-system oracle of
+:mod:`clifflag.interpolate`, through the integer rows of :func:`left_rows`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from operator import add as _add, neg as _neg
 
 from .errors import NotInvertible
-from .multivector import (
-    QUATERNIONS,
-    R03,
-    Multivector,
-    from_quaternion_pair,
-)
 
 ZERO = (0, 0, 0, 0, 1)
 ONE = (1, 0, 0, 0, 1)
 
 
-def _reduce(n0: int, n1: int, n2: int, n3: int, d: int) -> tuple:
-    g = gcd(n0, n1, n2, n3, d)
+def _reduce(*a: int) -> tuple:
+    """(n_0, ..., d) divided by the gcd of its entries."""
+    g = gcd(*a)
     if g == 1:
-        return n0, n1, n2, n3, d
-    return n0 // g, n1 // g, n2 // g, n3 // g, d // g
+        return a
+    return tuple(map(g.__rfloordiv__, a))
 
 
-def from_fractions(coeffs) -> tuple:
-    """The numerators of ``coeffs`` over the lcm d of their denominators, then d.
+def split(a: tuple) -> tuple:
+    """The halves of a: its H (+) H split for an R_{0,3} tuple, else a alone.
 
-    The numerators are already coprime to d, because each coordinate is a
-    ``Fraction`` (or int) in lowest terms; so four coordinates give the
-    reduced tuple of that quaternion.
+    The halves are the images under the central idempotents (1 +- e123)/2,
+    in the basis i = e1, j = e2, k = e12; each is reduced by one gcd.
     """
-    d = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (d // c.denominator) for c in coeffs) + (d,)
-
-
-def from_multivector(x: Multivector) -> tuple:
-    """The reduced tuple of a quaternionic multivector."""
-    return from_fractions(x.coeffs)
-
-
-def to_multivector(a: tuple) -> Multivector:
-    d = a[4]
-    return Multivector._wrap(QUATERNIONS, tuple(Fraction(n, d) for n in a[:4]))
-
-
-def split(x: Multivector) -> tuple:
-    """The halves of x as tuples: its H (+) H split in R_{0,3}, else x alone.
-
-    The halves are those of :func:`clifflag.multivector.to_quaternion_pair`,
-    formed on x's numerators over one lcm and reduced by one gcd each.
-    """
-    a = from_fractions(x.coeffs)
-    if x.sig != R03:
+    if len(a) == 5:
         return (a,)
     n0, n1, n2, n3, n4, n5, n6, n7, d = a
     return (
@@ -80,25 +60,38 @@ def split(x: Multivector) -> tuple:
     )
 
 
-def join(halves) -> Multivector:
-    """Inverse of :func:`split`."""
+def join(halves) -> tuple:
+    """Inverse of :func:`split`: the R_{0,3} tuple is (h+ + h-)/2 in blade order."""
     if len(halves) == 1:
-        return to_multivector(halves[0])
-    return from_quaternion_pair(*map(to_multivector, halves))
-
-
-def add(a: tuple, b: tuple) -> tuple:
-    a0, a1, a2, a3, ad = a
-    b0, b1, b2, b3, bd = b
-    if ad == bd:
-        return _reduce(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return halves[0]
+    (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = halves
+    d = lcm(pd, md)
+    fp, fm = d // pd, d // md
+    p0, p1, p2, p3 = p0 * fp, p1 * fp, p2 * fp, p3 * fp
+    m0, m1, m2, m3 = m0 * fm, m1 * fm, m2 * fm, m3 * fm
     return _reduce(
-        a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd
+        p0 + m0,  # 1
+        p1 + m1,  # e1
+        p2 + m2,  # e2
+        p3 + m3,  # e12
+        m3 - p3,  # e3
+        p2 - m2,  # e13
+        m1 - p1,  # e23
+        p0 - m0,  # e123
+        2 * d,
     )
 
 
+def add(a: tuple, b: tuple) -> tuple:
+    # map stops at a's numerators, so b's denominator is never summed
+    ad, bd = a[-1], b[-1]
+    if ad == bd:
+        return _reduce(*map(_add, a[:-1], b), ad)
+    return _reduce(*map(_add, map(bd.__mul__, a[:-1]), map(ad.__mul__, b)), ad * bd)
+
+
 def neg(a: tuple) -> tuple:
-    return -a[0], -a[1], -a[2], -a[3], a[4]
+    return (*map(_neg, a[:-1]), a[-1])
 
 
 def sub(a: tuple, b: tuple) -> tuple:
@@ -130,9 +123,8 @@ def left_rows(a: tuple, factor: int) -> tuple:
 
 
 def scale(a: tuple, q) -> tuple:
-    """a times the rational number q."""
-    m, d = q.numerator, q.denominator
-    return _reduce(a[0] * m, a[1] * m, a[2] * m, a[3] * m, a[4] * d)
+    """a times the rational number q (an int or a ``Fraction``)."""
+    return _reduce(*map(q.numerator.__mul__, a[:-1]), a[-1] * q.denominator)
 
 
 def inverse(a: tuple) -> tuple:
@@ -140,7 +132,7 @@ def inverse(a: tuple) -> tuple:
     a0, a1, a2, a3, ad = a
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     if not norm:
-        raise NotInvertible(str(to_multivector(a)))
+        raise NotInvertible("0")
     return _reduce(ad * a0, -ad * a1, -ad * a2, -ad * a3, norm)
 
 

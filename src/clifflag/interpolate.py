@@ -13,11 +13,10 @@ paper's product construction, which the tests keep as their reference.
 R_{0,3} is H (+) H through the central idempotents (1 +- e123)/2. The
 projections are ring homomorphisms and keep a cone point's trace and
 norm, so an R_{0,3} problem runs as two quaternion frames over the split
-nodes and values, recombined coefficient by coefficient. The frame keeps
-each quaternion as four integer numerators over one denominator (see
-``clifflag._quaternion``) and converts back to ``Multivector`` only for
-the result. Nodes are grouped by conjugacy class, on the caller's
-problem:
+nodes and values, recombined coefficient by coefficient. The frame works
+on the kernel tuples that ``Multivector`` stores (see
+``clifflag._quaternion``), so nothing is converted on the way in or out.
+Nodes are grouped by conjugacy class, on the caller's problem:
 
 * quaternions: every class may carry any number of points, but from the
   third one on the data must satisfy the collinearity condition
@@ -59,7 +58,7 @@ from .errors import (
     PointNotInCone,
     UnsupportedSignature,
 )
-from ._quaternion import ONE, ZERO, NewtonFrame, from_fractions, join, left_rows, mul, split
+from ._quaternion import ONE, ZERO, NewtonFrame, left_rows, mul, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -67,8 +66,9 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
+    _from_halves,
 )
-from .poly import Polynomial
+from .poly import MAX_DEGREE, Polynomial
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _newton_frames(sig: Signature, nodes):
     frames = [NewtonFrame() for _ in range(2 if sig == R03 else 1)]
     for node in nodes:
         try:
-            for frame, half in zip(frames, split(node)):
+            for frame, half in zip(frames, split(node._num)):
                 frame.add_node(half)
         except NotInvertible as exc:
             raise InternalNonInvertible(
@@ -212,9 +212,9 @@ def _newton_frames(sig: Signature, nodes):
 def _newton(frames, values) -> Polynomial:
     """The polynomial within the degree bound taking ``values`` at the frames'
     nodes, solved per component and recombined coefficient by coefficient."""
-    columns = zip(*map(split, values))
+    columns = zip(*(split(w._num) for w in values))
     components = [frame.solve(column) for frame, column in zip(frames, columns)]
-    return Polynomial(values[0].sig, map(join, zip_longest(*components, fillvalue=ZERO)))
+    return Polynomial(values[0].sig, map(_from_halves, zip_longest(*components, fillvalue=ZERO)))
 
 
 def lagrange_basis(problem: InterpolationProblem):
@@ -275,7 +275,9 @@ def brute_force_interpolate(
     4 (max_degree + 1) unknowns per half (see :func:`_split_oracle`).
     Every other signature, and an R_{0,3} problem with a whole family of
     solutions, solves one system in the 2^m (max_degree + 1) blade
-    coordinates (:func:`_coordinate_oracle`).
+    coordinates (:func:`_coordinate_oracle`). ``max_degree`` defaults to
+    the construction's degree bound and must lie in 0..MAX_DEGREE, the
+    CLI's ``--max-degree`` cap; each degree costs one power per point.
     """
     sig = problem.sig
     if not problem.pairs:
@@ -284,6 +286,8 @@ def brute_force_interpolate(
         max_degree = group_by_class(problem).degree_bound
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    if max_degree > MAX_DEGREE:
+        raise ValueError(f"max_degree {max_degree} exceeds {MAX_DEGREE}")
     if sig in (QUATERNIONS, R03):
         result = _split_oracle(problem, max_degree)
         if result is not None:
@@ -303,8 +307,8 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     multiples of the coordinate route's, with the same reduced row echelon
     form, so all three kinds agree with that route.
     """
-    points = [split(x) for x in problem.points]
-    values = [split(w) for w in problem.values]
+    points = [split(x._num) for x in problem.points]
+    values = [split(w._num) for w in problem.values]
     kinds, solutions = set(), []
     for half_points, half_values in zip(zip(*points), zip(*values)):
         kind, solution = _solve_half(half_points, half_values, max_degree)
@@ -316,7 +320,7 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     if not unique and problem.sig == R03:
         return None
     coeffs = (
-        join([from_fractions(solution[4 * h : 4 * h + 4]) for solution in solutions])
+        _from_halves([Multivector(QUATERNIONS, s[4 * h : 4 * h + 4])._num for s in solutions])
         for h in range(max_degree + 1)
     )
     return OracleResult("unique" if unique else "affine_family", Polynomial(problem.sig, coeffs))

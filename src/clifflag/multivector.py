@@ -7,9 +7,14 @@ unit, index 0b011 is e12, and so on. Generators anticommute and square to
 +1 for i <= p and -1 for i > p; blade products reduce to the canonical
 ascending order with the usual transposition-count sign.
 
-Scalars are `fractions.Fraction`, so all arithmetic in this module is
-exact. Every value is immutable and every operation is a pure function;
-results may be shared freely.
+A value is stored as the integer tuple (n_0, ..., n_{2^m-1}, d) with
+d > 0 and gcd(n_0, ..., d) = 1, coordinate h being n_h / d: the layout of
+the private kernel ``clifflag._quaternion``, whose helpers do the sums and
+scalings here. The storage is canonical, so equal values have equal
+tuples, and a quaternion's tuple is the kernel's quaternion itself.
+``.coeffs`` is a computed, read-only view of the coordinates as
+``fractions.Fraction``s. All arithmetic is exact. Every value is immutable
+and every operation is a pure function; results may be shared freely.
 
 Text syntax, accepted by :meth:`Multivector.parse` and produced by
 ``str()``: a sum of terms, each an optional rational coefficient followed
@@ -27,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from . import _quaternion as qk
 from .errors import (
     NotInCone,
     NotInvertible,
@@ -39,7 +45,6 @@ from .linsolve import solve_exact
 # Cap on p+q: an algebra of dimension 2^6 = 64 is the largest accepted.
 HARD_DIM_LIMIT = 6
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -74,8 +79,7 @@ QUATERNIONS = Signature(0, 2)
 R03 = Signature(0, 3)
 
 
-@lru_cache(maxsize=None)
-def _blade_product(a: int, b: int, p: int) -> tuple[int, int]:
+def _blade_sign(a: int, b: int, p: int) -> int:
     # e_A * e_B = sign * e_(A xor B); sign counts the transpositions needed
     # to interleave the two ascending blades, times -1 per squared
     # anti-euclidean generator in the overlap.
@@ -87,16 +91,14 @@ def _blade_product(a: int, b: int, p: int) -> tuple[int, int]:
     sign = -1 if swaps & 1 else 1
     if ((a & b) >> p).bit_count() & 1:
         sign = -sign
-    return a ^ b, sign
+    return sign
 
 
 @lru_cache(maxsize=None)
-def _left_signs(sig: Signature) -> tuple[tuple[int, ...], ...]:
-    # signs[k][j]: e_(k^j) * e_j = signs[k][j] * e_k
+def _product_signs(sig: Signature) -> tuple[tuple[int, ...], ...]:
+    # signs[i][j]: e_i * e_j = signs[i][j] * e_(i^j)
     dim, p = sig.dim, sig.p
-    return tuple(
-        tuple(_blade_product(k ^ j, j, p)[1] for j in range(dim)) for k in range(dim)
-    )
+    return tuple(tuple(_blade_sign(i, j, p) for j in range(dim)) for i in range(dim))
 
 
 def _blade_name(mask: int) -> str:
@@ -184,37 +186,50 @@ def _read_multivector(tokens: list, sig: Signature, text: str) -> Multivector:
         except ValueError:  # int() refuses more than 4300 digits
             raise ParseError(f"coefficient of {len(number)} characters is too long") from None
 
-    coeffs = [_ZERO] * sig.dim
+    coeffs = [0] * sig.dim
     for negate, (mask, value) in _signed_sum(tokens, read_term, text):
         coeffs[mask] += -value if negate else value
-    return Multivector._wrap(sig, tuple(coeffs))
+    return Multivector(sig, coeffs)
 
 
 class Multivector:
-    """A dense element of R_{p,q} with exact rational coordinates."""
+    """A dense element of R_{p,q} with exact rational coordinates.
 
-    __slots__ = ("sig", "coeffs")
+    ``_num`` holds the integer numerators of the coordinates over one
+    reduced positive denominator, ``(n_0, ..., n_{2^m-1}, d)``.
+    """
+
+    __slots__ = ("sig", "_num")
 
     def __init__(self, sig: Signature, coeffs):
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != sig.dim:
             raise ValueError(f"expected {sig.dim} coordinates for {sig}, got {len(coeffs)}")
+        # each coordinate is in lowest terms, so the numerators over the
+        # lcm d of the denominators already share no factor with d
+        d = lcm(*(c.denominator for c in coeffs))
         self.sig = sig
-        self.coeffs = coeffs
+        self._num = (*[c.numerator * (d // c.denominator) for c in coeffs], d)
 
     @classmethod
-    def _wrap(cls, sig: Signature, coeffs: tuple) -> Multivector:
-        # internal fast path: coeffs already a tuple of Fractions
+    def _wrap(cls, sig: Signature, num: tuple) -> Multivector:
+        # internal fast path: num already a reduced integer tuple
         mv = object.__new__(cls)
         mv.sig = sig
-        mv.coeffs = coeffs
+        mv._num = num
         return mv
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in blade order, as ``Fraction``s (computed on each read)."""
+        d = self._num[-1]
+        return tuple([Fraction(n, d) for n in self._num[:-1]])
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, sig: Signature) -> Multivector:
-        return cls._wrap(sig, (_ZERO,) * sig.dim)
+        return cls._wrap(sig, (0,) * sig.dim + (1,))
 
     @classmethod
     def one(cls, sig: Signature) -> Multivector:
@@ -228,9 +243,10 @@ class Multivector:
     def blade(cls, sig: Signature, mask: int, value=1) -> Multivector:
         if not 0 <= mask < sig.dim:
             raise ValueError(f"blade mask {mask} out of range for {sig}")
-        coeffs = [_ZERO] * sig.dim
-        coeffs[mask] = Fraction(value)
-        return cls._wrap(sig, tuple(coeffs))
+        value = Fraction(value)
+        num = [0] * sig.dim + [value.denominator]
+        num[mask] = value.numerator
+        return cls._wrap(sig, tuple(num))
 
     @classmethod
     def basis(cls, sig: Signature, *indices: int) -> Multivector:
@@ -292,27 +308,23 @@ class Multivector:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Multivector):
-            return self.sig == other.sig and self.coeffs == other.coeffs
+            return self.sig == other.sig and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == Multivector.scalar(self.sig, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.sig, self.coeffs))
+        return hash((self.sig, self._num))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num[:-1])
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Multivector.scalar(self.sig, other)
         if isinstance(other, Multivector):
             self._check_sig(other)
-            return Multivector._wrap(
-                self.sig, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-            )
-        if isinstance(other, (int, Fraction)):
-            coeffs = list(self.coeffs)
-            coeffs[0] += other
-            return Multivector._wrap(self.sig, tuple(coeffs))
+            return Multivector._wrap(self.sig, qk.add(self._num, other._num))
         return NotImplemented
 
     __radd__ = __add__
@@ -326,24 +338,27 @@ class Multivector:
         return (-self) + other
 
     def __neg__(self) -> Multivector:
-        return Multivector._wrap(self.sig, tuple(-c for c in self.coeffs))
+        return Multivector._wrap(self.sig, qk.neg(self._num))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
-            p = self.sig.p
-            out = [_ZERO] * self.sig.dim
-            for i, ci in enumerate(self.coeffs):
-                if not ci:
+            a, b = self._num, other._num
+            out = [0] * self.sig.dim
+            for i, signs in enumerate(_product_signs(self.sig)):
+                ai = a[i]
+                if not ai:
                     continue
-                for j, cj in enumerate(other.coeffs):
-                    if not cj:
-                        continue
-                    k, s = _blade_product(i, j, p)
-                    out[k] = out[k] + ci * cj if s > 0 else out[k] - ci * cj
-            return Multivector._wrap(self.sig, tuple(out))
+                for j, s in enumerate(signs):
+                    bj = b[j]
+                    if bj:
+                        if s > 0:
+                            out[i ^ j] += ai * bj
+                        else:
+                            out[i ^ j] -= ai * bj
+            return Multivector._wrap(self.sig, qk._reduce(*out, a[-1] * b[-1]))
         if isinstance(other, (int, Fraction)):
-            return Multivector._wrap(self.sig, tuple(c * other for c in self.coeffs))
+            return Multivector._wrap(self.sig, qk.scale(self._num, other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -365,48 +380,49 @@ class Multivector:
         +-self[k ^ j]; so ``(self * y).coeffs[k]`` is the dot product of
         row k with ``y.coeffs``.
         """
-        coeffs = self.coeffs
-        negated = [-c for c in coeffs]
+        d = self._num[-1]
+        return [[Fraction(v, d) for v in row] for row in self._left_rows()]
+
+    def _left_rows(self) -> list[list[int]]:
+        # left_multiplication_matrix() times the denominator d: the same
+        # rows on the integer numerators
+        a, signs = self._num, _product_signs(self.sig)
+        dim = self.sig.dim
         return [
-            [coeffs[k ^ j] if s > 0 else negated[k ^ j] for j, s in enumerate(signs)]
-            for k, signs in enumerate(_left_signs(self.sig))
+            [a[k ^ j] if signs[k ^ j][j] > 0 else -a[k ^ j] for j in range(dim)]
+            for k in range(dim)
         ]
 
     # ---- accessors -------------------------------------------------------
 
     def grade(self, k: int) -> Multivector:
         """Projection onto the grade-k part."""
-        return Multivector._wrap(
-            self.sig,
-            tuple(c if mask.bit_count() == k else _ZERO for mask, c in enumerate(self.coeffs)),
-        )
+        a = self._num
+        kept = [n if mask.bit_count() == k else 0 for mask, n in enumerate(a[:-1])]
+        return Multivector._wrap(self.sig, qk._reduce(*kept, a[-1]))
 
     def scalar_part(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._num[-1])
 
     def is_scalar(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:-1])
 
     def is_paravector(self) -> bool:
         """True when only grade-0 and grade-1 coordinates are present."""
-        return all(
-            not c for mask, c in enumerate(self.coeffs) if mask.bit_count() > 1
-        )
+        return all(not n for mask, n in enumerate(self._num[:-1]) if mask.bit_count() > 1)
 
     def abs_squared(self) -> Fraction:
         """Squared euclidean length of the coordinate vector."""
-        return sum((c * c for c in self.coeffs), _ZERO)
+        a = self._num
+        return Fraction(sum(n * n for n in a[:-1]), a[-1] * a[-1])
 
     # ---- conjugation, trace, norm -----------------------------------------
 
     def conjugate(self) -> Multivector:
         """Clifford conjugation: grade k picks up the sign pattern + - - + ..."""
-        return Multivector._wrap(
-            self.sig,
-            tuple(
-                c * _CONJ_SIGN[mask.bit_count() % 4] for mask, c in enumerate(self.coeffs)
-            ),
-        )
+        a = self._num
+        signed = [n * _CONJ_SIGN[mask.bit_count() % 4] for mask, n in enumerate(a[:-1])]
+        return Multivector._wrap(self.sig, (*signed, a[-1]))
 
     def trace(self) -> Multivector:
         """t(x) = x + conjugate(x); central in R_{0,3}."""
@@ -442,24 +458,19 @@ class Multivector:
     def inverse(self) -> Multivector:
         """Two-sided inverse; raises NotInvertible for zero and zero divisors.
 
-        Uses n(x)^-1 * conjugate(x) where the norm is real (q=2); R_{0,3}
-        inverts both halves of its H (+) H split; any other signature falls
-        back to an exact linear solve of the left-multiplication system.
+        H inverts on the quaternion kernel, d conj(n) / |n|^2, and R_{0,3}
+        inverts both halves of its H (+) H split there; any other signature
+        solves the left-multiplication system N y = d e_0 exactly, on the
+        integer numerators N over their denominator d.
         """
         sig = self.sig
-        if sig == QUATERNIONS:
-            n = self.norm().scalar_part()
-            if not n:
+        if sig in (QUATERNIONS, R03):
+            halves = qk.split(self._num)
+            if qk.ZERO in halves:
                 raise NotInvertible(str(self))
-            return self.conjugate() * (_ONE / n)
-        if sig == R03:
-            halves = to_quaternion_pair(self)
-            if not all(halves):
-                raise NotInvertible(str(self))
-            return from_quaternion_pair(*(h.inverse() for h in halves))
-        # general signature: solve x * y = 1 exactly
-        rhs = [_ONE] + [_ZERO] * (sig.dim - 1)
-        kind, solution = solve_exact(self.left_multiplication_matrix(), rhs)
+            return _from_halves([qk.inverse(h) for h in halves])
+        rhs = [self._num[-1]] + [0] * (sig.dim - 1)
+        kind, solution = solve_exact(self._left_rows(), rhs)
         if kind != "unique":
             raise NotInvertible(str(self))
         return Multivector(sig, solution)
@@ -481,14 +492,12 @@ class Multivector:
             # Closed form: t = 2 c0 + 2 c7 e123 and n = sum c_i^2
             # + 2 (c0 c7 - c1 c6 + c2 c5 - c3 c4) e123, with no e123 part in
             # H. Both are real iff c7 = 0 and c2 c5 = c1 c6 + c3 c4; then
-            # 4n > t^2 unless x is real. Tested on the numerators over the
-            # lcm d of the denominators, so n is one Fraction.
-            c = self.coeffs
-            d = lcm(*(v.denominator for v in c))
-            a = [v.numerator * (d // v.denominator) for v in c]
+            # 4n > t^2 unless x is real. Tested on the numerators a over the
+            # denominator d, so n is one Fraction.
+            a = self._num
             if sig == R03 and (a[7] or a[2] * a[5] != a[1] * a[6] + a[3] * a[4]):
                 return None
-            return ConjugacyClassId(2 * c[0], Fraction(sum(v * v for v in a), d * d))
+            return ConjugacyClassId(Fraction(2 * a[0], a[-1]), self.abs_squared())
         conj = self.conjugate()
         t = self + conj
         if not t.is_scalar():
@@ -496,7 +505,7 @@ class Multivector:
         n = self * conj
         if not n.is_scalar():
             return None
-        t, n = t.coeffs[0], n.coeffs[0]
+        t, n = t.scalar_part(), n.scalar_part()
         if 4 * n > t * t or self.is_scalar():
             return ConjugacyClassId(t, n)
         return None
@@ -572,38 +581,25 @@ class ConjugacyClassId:
 # ---- the R_{0,3} ~ H (+) H splitting -----------------------------------------
 
 # Quaternion units are embedded as i = e1, j = e2, k = e12 (so i*j = k and
-# k^2 = -1); the two components below are the images under the central
-# idempotents (1 +/- e123)/2, rewritten in that basis.
+# k^2 = -1); the two components are the images under the central
+# idempotents (1 +/- e123)/2, rewritten in that basis by the kernel's
+# split and join.
 
 
 def to_quaternion_pair(x: Multivector) -> tuple[Multivector, Multivector]:
     """Split an R_{0,3} element into its two quaternionic components."""
     x._require_sig(R03, "to_quaternion_pair")
-    c = x.coeffs
-    plus = (c[0] + c[7], c[1] - c[6], c[2] + c[5], c[3] - c[4])
-    minus = (c[0] - c[7], c[1] + c[6], c[2] - c[5], c[3] + c[4])
-    return (
-        Multivector._wrap(QUATERNIONS, plus),
-        Multivector._wrap(QUATERNIONS, minus),
-    )
+    plus, minus = qk.split(x._num)
+    return Multivector._wrap(QUATERNIONS, plus), Multivector._wrap(QUATERNIONS, minus)
 
 
 def from_quaternion_pair(h_plus: Multivector, h_minus: Multivector) -> Multivector:
     """Inverse of :func:`to_quaternion_pair`."""
     h_plus._require_sig(QUATERNIONS, "from_quaternion_pair")
     h_minus._require_sig(QUATERNIONS, "from_quaternion_pair")
-    p, m = h_plus.coeffs, h_minus.coeffs
-    half = Fraction(1, 2)
-    return Multivector._wrap(
-        R03,
-        (
-            (p[0] + m[0]) * half,  # 1
-            (p[1] + m[1]) * half,  # e1
-            (p[2] + m[2]) * half,  # e2
-            (p[3] + m[3]) * half,  # e12
-            (m[3] - p[3]) * half,  # e3
-            (p[2] - m[2]) * half,  # e13
-            (m[1] - p[1]) * half,  # e23
-            (p[0] - m[0]) * half,  # e123
-        ),
-    )
+    return _from_halves((h_plus._num, h_minus._num))
+
+
+def _from_halves(halves) -> Multivector:
+    """The element of H (one half) or R_{0,3} (two) whose kernel split is ``halves``."""
+    return Multivector._wrap(R03 if len(halves) == 2 else QUATERNIONS, qk.join(halves))

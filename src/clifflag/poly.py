@@ -35,6 +35,7 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
+    _from_halves,
     _read_multivector,
     _signed_sum,
     _tokens,
@@ -341,7 +342,7 @@ def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestric
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"affine restriction not available in {p.sig}")
     remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in _split(p)]
-    b, a = (qk.join(column) for column in zip(*remainders))
+    b, a = (_from_halves(column) for column in zip(*remainders))
     return AffineRestriction(cls_id, a, b)
 
 
@@ -373,7 +374,7 @@ def _split(p: Polynomial) -> list[list[tuple]]:
     """
     halves = [[] for _ in range(2 if p.sig == R03 else 1)]
     for c in p.coeffs:
-        for half, h in zip(halves, qk.split(c)):
+        for half, h in zip(halves, qk.split(c._num)):
             half.append(h)
     return halves
 
@@ -417,7 +418,7 @@ def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
             return RootSet("empty", cls_id)
         solved.append(x)
     if None not in solved:
-        return RootSet("points", cls_id, (qk.join(solved),))
+        return RootSet("points", cls_id, (_from_halves(solved),))
     if all(x is None for x in solved):
         return RootSet("whole_class", cls_id)
 
@@ -428,7 +429,7 @@ def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
     pinned = solved[0] if pinned_plus else solved[1]
     c0, c1, c2, c3, d = pinned
     v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
-    frees = [qk.from_multivector(f) for f in quaternion_class_points(t, n, v0, count=12)]
+    frees = [f._num for f in quaternion_class_points(t, n, v0, count=12)]
     seen = set()
     reps = []
     for free in [(c0, c1, c2, -c3, d)] + frees:
@@ -437,8 +438,8 @@ def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
         seen.add(free)
         pair = (pinned, free) if pinned_plus else (free, pinned)
         if any(qk.evaluate(half, x) != qk.ZERO for half, x in zip(halves, pair)):
-            raise AssertionError(f"sampled representative {qk.join(pair)} is not a root")
-        reps.append(qk.join(pair))
+            raise AssertionError(f"sampled representative {_from_halves(pair)} is not a root")
+        reps.append(_from_halves(pair))
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
 
 

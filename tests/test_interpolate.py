@@ -10,6 +10,7 @@ from clifflag import (
     ConjugacyClassId,
     DuplicatePoint,
     InterpolationProblem,
+    MAX_DEGREE,
     Multivector,
     MultiPointClassInR03,
     PointNotInCone,
@@ -207,6 +208,18 @@ def test_oracle_affine_family_above_bound():
     oracle = brute_force_interpolate(FIVE_POINTS, max_degree=5)
     assert oracle.kind == "affine_family"
     assert verify_interpolant(oracle.polynomial, FIVE_POINTS)
+
+
+def test_oracle_degree_above_cap_rejected_before_work(monkeypatch):
+    # the library oracle takes the CLI's --max-degree cap; no system is built
+    def build_system(*args):
+        raise AssertionError("the oracle started building a system")
+
+    module = importlib.import_module("clifflag.interpolate")
+    monkeypatch.setattr(module, "_split_oracle", build_system)
+    monkeypatch.setattr(module, "_coordinate_oracle", build_system)
+    with pytest.raises(ValueError, match=f"^max_degree {MAX_DEGREE + 1} exceeds {MAX_DEGREE}$"):
+        brute_force_interpolate(FIVE_POINTS, max_degree=MAX_DEGREE + 1)
 
 
 def test_verify_interpolant():

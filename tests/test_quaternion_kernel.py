@@ -1,9 +1,10 @@
 """The integer quaternion kernel against Multivector and Polynomial.
 
 The kernel stores a quaternion as four integer numerators over one
-denominator; every operation must give the same exact value as the
-generic Fraction arithmetic of R(0,2), in lowest terms. Derandomized, so
-the suite stays deterministic.
+denominator, which is also what a quaternionic Multivector stores; every
+operation must give the same exact value as the generic blade-table
+arithmetic of R(0,2), in lowest terms. Derandomized, so the suite stays
+deterministic.
 """
 
 import random
@@ -45,9 +46,8 @@ def assert_reduced(a):
 
 
 def as_kernel(x):
-    a = hk.from_multivector(x)
+    a = x._num
     assert_reduced(a)
-    assert hk.to_multivector(a) == x
     return a
 
 
@@ -62,7 +62,7 @@ def test_product_and_sums_match(x, y):
         (hk.neg(a), -x),
     ):
         assert_reduced(got)
-        assert hk.to_multivector(got) == want
+        assert got == want._num
 
 
 @PROPERTY_SETTINGS
@@ -74,7 +74,7 @@ def test_inverse_matches(x):
         return
     got = hk.inverse(as_kernel(x))
     assert_reduced(got)
-    assert hk.to_multivector(got) == x.inverse()
+    assert got == x.inverse()._num
 
 
 @PROPERTY_SETTINGS
@@ -82,17 +82,17 @@ def test_inverse_matches(x):
 def test_scale_matches(x, q):
     got = hk.scale(as_kernel(x), q)
     assert_reduced(got)
-    assert hk.to_multivector(got) == x * q
+    assert got == (x * q)._num
 
 
 @PROPERTY_SETTINGS
 @given(st.one_of(quaternions, r03_elements))
 def test_split_and_join_invert_each_other(x):
-    halves = hk.split(x)
+    halves = hk.split(x._num)
     assert len(halves) == (2 if x.sig == R03 else 1)
     for half in halves:
         assert_reduced(half)
-    assert hk.join(halves) == x
+    assert hk.join(halves) == x._num
 
 
 @PROPERTY_SETTINGS
@@ -100,8 +100,8 @@ def test_split_and_join_invert_each_other(x):
 @example(Multivector.parse("1/2 + 1/2 e123", R03))  # the minus half is zero
 @example(Multivector.parse("1/4 e1 + 1/3 e2 + 1/4 e23", R03))  # gcds 4 and 2
 def test_split_is_the_quaternion_pair_in_lowest_terms(x):
-    halves = hk.split(x)
-    assert halves == tuple(map(hk.from_multivector, to_quaternion_pair(x)))
+    halves = hk.split(x._num)
+    assert halves == tuple(h._num for h in to_quaternion_pair(x))
     for half in halves:
         assert_reduced(half)
 
@@ -135,7 +135,7 @@ def test_remainder_matches_division(coeffs, t, n):
     b, a = hk.remainder_mod_quadratic([as_kernel(c) for c in p.coeffs], t, n)
     for got, want in ((b, rem.coefficient(0)), (a, rem.coefficient(1))):
         assert_reduced(got)
-        assert hk.to_multivector(got) == want
+        assert got == want._num
 
 
 @PROPERTY_SETTINGS
@@ -143,7 +143,7 @@ def test_remainder_matches_division(coeffs, t, n):
 def test_evaluation_matches(coeffs, x):
     got = hk.evaluate([as_kernel(c) for c in coeffs], as_kernel(x))
     assert_reduced(got)
-    assert hk.to_multivector(got) == Polynomial(QUATERNIONS, coeffs)(x)
+    assert got == Polynomial(QUATERNIONS, coeffs)(x)._num
 
 
 def test_frame_polynomials_are_the_append_root_chain():
@@ -154,10 +154,10 @@ def test_frame_polynomials_are_the_append_root_chain():
         frame = hk.NewtonFrame()
         chain = Polynomial.one(QUATERNIONS)
         for i, node in enumerate(nodes):
-            frame.add_node(hk.from_multivector(node))
+            frame.add_node(node._num)
             if i:
                 chain = append_root(chain, nodes[i - 1])
             _, t, tx, tx_inv = frame.nodes[-1]
-            assert Polynomial(QUATERNIONS, map(hk.to_multivector, t)) == chain
-            assert hk.to_multivector(tx) == chain(node)
-            assert hk.to_multivector(tx_inv) == chain(node).inverse()
+            assert t == [c._num for c in chain.coeffs]
+            assert tx == chain(node)._num
+            assert tx_inv == chain(node).inverse()._num
