@@ -14,16 +14,20 @@ A quaternion a0 + a1 i + a2 j + a3 k is such a tuple of length 5. The
 units are i = e1, j = e2, k = e12 of R_{0,2}, so a quaternionic
 ``Multivector`` stores exactly its kernel tuple, and nothing is converted.
 An R_{0,3} tuple splits into two quaternions, one per half of its H (+) H
-split (:func:`split`, :func:`join`), the one place that writes out that
-layout.
+split (:func:`split`, :func:`join`); :func:`_halves` is the one place that
+writes out that layout.
 
 A polynomial is a list of quaternions, a_0 first, valued as sum_h x^h a_h
 like :class:`clifflag.poly.Polynomial`. The kernel serves the Lagrange
 construction, through :class:`NewtonFrame`, the Newton frame of
-:mod:`clifflag.interpolate`, the root search and root census of
-:mod:`clifflag.poly`, through :func:`remainder_mod_quadratic` and
-:func:`in_class`, and the linear-system oracle of
+:mod:`clifflag.interpolate`, and the linear-system oracle of
 :mod:`clifflag.interpolate`, through the integer rows of :func:`left_rows`.
+The root search and root census of :mod:`clifflag.poly` lift the layout
+from one coefficient to one polynomial half, as FLINT's ``fmpq_poly``
+stores a polynomial: integer 4-tuples over one denominator for the whole
+polynomial. :func:`remainder_mod_quadratic` runs Horner's rule on those
+rows and reduces only its two results; :func:`in_class` and
+:func:`evaluate` test the roots it gives.
 """
 
 from __future__ import annotations
@@ -45,19 +49,29 @@ def _reduce(*a: int) -> tuple:
     return tuple(map(g.__rfloordiv__, a))
 
 
+def _halves(a: tuple) -> tuple:
+    """The numerators of a's halves over a's denominator, not reduced.
+
+    The halves of an R_{0,3} tuple are the images under the central
+    idempotents (1 +- e123)/2, in the basis i = e1, j = e2, k = e12; a
+    quaternion is its own single half.
+    """
+    if len(a) == 5:
+        return (a[:4],)
+    n0, n1, n2, n3, n4, n5, n6, n7, _ = a
+    return (n0 + n7, n1 - n6, n2 + n5, n3 - n4), (n0 - n7, n1 + n6, n2 - n5, n3 + n4)
+
+
 def split(a: tuple) -> tuple:
     """The halves of a: its H (+) H split for an R_{0,3} tuple, else a alone.
 
-    The halves are the images under the central idempotents (1 +- e123)/2,
-    in the basis i = e1, j = e2, k = e12; each is reduced by one gcd.
+    Each half is reduced by one gcd.
     """
     if len(a) == 5:
         return (a,)
-    n0, n1, n2, n3, n4, n5, n6, n7, d = a
-    return (
-        _reduce(n0 + n7, n1 - n6, n2 + n5, n3 - n4, d),
-        _reduce(n0 - n7, n1 + n6, n2 - n5, n3 + n4, d),
-    )
+    d = a[-1]
+    plus, minus = _halves(a)
+    return _reduce(*plus, d), _reduce(*minus, d)
 
 
 def join(halves) -> tuple:
@@ -137,7 +151,11 @@ def inverse(a: tuple) -> tuple:
 
 
 def evaluate(poly: list, x: tuple) -> tuple:
-    """sum_h x^h a_h by Horner's rule from the top; powers stay left."""
+    """sum_h x^h a_h by Horner's rule from the top; powers stay left.
+
+    The coefficients may be rows over a shared, unreduced denominator: every
+    step reduces, so from degree 1 on the value is in lowest terms.
+    """
     if not poly:
         return ZERO
     acc = poly[-1]
@@ -155,20 +173,43 @@ def in_class(a: tuple, t, n) -> bool:
     )
 
 
-def remainder_mod_quadratic(poly: list, t, n) -> tuple[tuple, tuple]:
-    """(b, a) with poly = Q (X^2 - t X + n) + b + X a, for rational t and n.
+def remainder_mod_quadratic(rows: list, den: int, t, n) -> tuple[tuple, tuple]:
+    """(b, a) with P = Q (X^2 - t X + n) + b + X a, for rational t and n.
 
-    The divisor is real, so it is central and Q is the same on either side.
+    P has coefficient h equal to rows[h] / den: integer 4-tuples over one
+    denominator. Horner's rule from the top keeps b + X a congruent to the
+    part of P read so far, since (b + X a) X + c = X (b + t a) + (c - n a)
+    modulo the divisor. With L the lcm of the denominators of t and n,
+    T = t L and N = n L, the step runs on integers A, B over den L^k:
+
+        A' = L B + T A,    B' = L^(k+1) C - N A    (over den L^(k+1)),
+
+    so no gcd runs until each result is reduced once. The divisor is real,
+    so it is central and Q is the same on either side.
     """
-    rem = list(poly) + [ZERO] * (2 - len(poly))
-    for i in range(len(rem) - 1, 1, -1):
-        c = rem[i]
-        if c != ZERO:
-            if t:
-                rem[i - 1] = add(rem[i - 1], scale(c, t))
-            if n:
-                rem[i - 2] = sub(rem[i - 2], scale(c, n))
-    return rem[0], rem[1]
+    if not rows:
+        return ZERO, ZERO
+    td, nd = t.denominator, n.denominator
+    L = lcm(td, nd)
+    T = t.numerator * (L // td)
+    N = n.numerator * (L // nd)
+    a0 = a1 = a2 = a3 = 0
+    b0, b1, b2, b3 = rows[-1]
+    power = 1  # L^k
+    for c0, c1, c2, c3 in reversed(rows[:-1]):
+        power *= L
+        a0, a1, a2, a3, b0, b1, b2, b3 = (
+            L * b0 + T * a0,
+            L * b1 + T * a1,
+            L * b2 + T * a2,
+            L * b3 + T * a3,
+            power * c0 - N * a0,
+            power * c1 - N * a1,
+            power * c2 - N * a2,
+            power * c3 - N * a3,
+        )
+    d = den * power
+    return _reduce(b0, b1, b2, b3, d), _reduce(a0, a1, a2, a3, d)
 
 
 class NewtonFrame:

@@ -9,16 +9,22 @@ standard tricks give plenty of exact sample points:
   once one rational point of a sphere |v| = r is known, so are many others.
 
 Vectors here are coordinate triples of Fractions; the quaternion basis is
-the package-wide embedding i = e1, j = e2, k = e12.
+the package-wide embedding i = e1, j = e2, k = e12. The reflections run on
+integers, in the layout of the quaternion kernel: v0 is its numerators c
+over one denominator D, and the reflection of v0 in the plane normal to an
+integer direction u is (c |u|^2 - 2 (c . u) u) / (D |u|^2), reduced by one
+gcd. Reduced tuples are equal exactly when the vectors are, so they also
+serve as the keys that remove duplicates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
+from ._quaternion import _reduce
 from .multivector import QUATERNIONS, Multivector, from_quaternion_pair
 
-_ZERO = Fraction(0)
 
 # parameter values for stereographic enumeration, small denominators first
 _PARAMS = (
@@ -60,22 +66,25 @@ def reflect_through(v0, limit: int | None = None) -> list[tuple[Fraction, Fracti
     The list starts with v0 itself and contains its antipode; duplicates
     are removed while preserving order.
     """
-    v0 = tuple(Fraction(c) for c in v0)
-    out = [v0]
-    seen = {v0}
-    dirs = [v0] + [tuple(Fraction(c) for c in d) for d in _REFLECT_DIRS]
-    for d in dirs:
-        dd = sum(c * c for c in d)
-        if not dd:
+    v0 = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in v0]
+    den = lcm(*(c.denominator for c in v0))
+    c0, c1, c2 = (c.numerator * (den // c.denominator) for c in v0)
+    first = (c0, c1, c2, den)  # in lowest terms, like a Multivector's numerators
+    out = [first]
+    seen = {first}
+    # reflecting in v0's own normal plane gives the antipode
+    for u0, u1, u2 in ((c0, c1, c2),) + _REFLECT_DIRS:
+        uu = u0 * u0 + u1 * u1 + u2 * u2
+        if not uu:
             continue
-        t = 2 * sum(a * b for a, b in zip(v0, d)) / dd
-        w = tuple(a - t * b for a, b in zip(v0, d))
+        cu2 = 2 * (c0 * u0 + c1 * u1 + c2 * u2)
+        w = _reduce(c0 * uu - cu2 * u0, c1 * uu - cu2 * u1, c2 * uu - cu2 * u2, den * uu)
         if w not in seen:
             seen.add(w)
             out.append(w)
         if limit is not None and len(out) >= limit:
             break
-    return out
+    return [(Fraction(w0, d), Fraction(w1, d), Fraction(w2, d)) for w0, w1, w2, d in out]
 
 
 def quaternion_from_parts(alpha, vec) -> Multivector:
@@ -97,7 +106,7 @@ def quaternion_class_points(t, n, v0, count: int) -> list[Multivector]:
     imaginary part of a known class member).
     """
     alpha = Fraction(t) / 2
-    return [quaternion_from_parts(alpha, v) for v in reflect_through(v0, limit=count)]
+    return [Multivector(QUATERNIONS, (alpha, *v)) for v in reflect_through(v0, limit=count)]
 
 
 def square_roots_of_minus_one(count: int) -> list[Multivector]:

@@ -543,8 +543,15 @@ class ConjugacyClassId:
     n: Fraction
 
     def __post_init__(self):
-        if 4 * self.n < self.t * self.t:
-            raise ValueError(f"no class has 4n < t^2 (t={self.t}, n={self.n})")
+        # exact like Multivector's coordinates: ints and floats become
+        # Fractions; Fractions, as _class_id passes them, are kept as they are
+        t, n = self.t, self.n
+        if type(t) is not Fraction or type(n) is not Fraction:
+            t, n = Fraction(t), Fraction(n)
+            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "n", n)
+        if 4 * n.numerator * t.denominator**2 < t.numerator**2 * n.denominator:
+            raise ValueError(f"no class has 4n < t^2 (t={t}, n={n})")
 
     @classmethod
     def real(cls, alpha) -> ConjugacyClassId:
@@ -560,7 +567,9 @@ class ConjugacyClassId:
 
     @property
     def is_real(self) -> bool:
-        return 4 * self.n == self.t * self.t
+        # 4n = t^2, on integer cross-products
+        t, n = self.t, self.n
+        return 4 * n.numerator * t.denominator**2 == t.numerator**2 * n.denominator
 
     @property
     def alpha(self) -> Fraction:

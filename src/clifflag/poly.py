@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import _quaternion as qk
 from .classpoints import quaternion_class_points
@@ -341,7 +342,8 @@ def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestric
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"affine restriction not available in {p.sig}")
-    remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in _split(p)]
+    halves, den = _split(p)
+    remainders = [qk.remainder_mod_quadratic(half, den, cls_id.t, cls_id.n) for half in halves]
     b, a = (_from_halves(column) for column in zip(*remainders))
     return AffineRestriction(cls_id, a, b)
 
@@ -367,16 +369,22 @@ class RootSet:
         return self.kind == "empty"
 
 
-def _split(p: Polynomial) -> list[list[tuple]]:
-    """P as kernel coefficient lists: one for H, the plus and minus halves for R_{0,3}.
+def _split(p: Polynomial) -> tuple[list[list[tuple]], int]:
+    """P as integer rows over one denominator: (halves, den).
 
-    The split is a ring isomorphism, so P(x) splits into P+(x+) and P-(x-).
+    There is one half for H, and the plus and minus halves for R_{0,3};
+    coefficient h of a half is half[h] / den, with den the lcm of the
+    denominators of P's coefficients and no gcd taken. The split is a ring
+    isomorphism, so P(x) splits into P+(x+) and P-(x-).
     """
+    nums = [c._num for c in p.coeffs]
+    den = lcm(*(a[-1] for a in nums))
     halves = [[] for _ in range(2 if p.sig == R03 else 1)]
-    for c in p.coeffs:
-        for half, h in zip(halves, qk.split(c._num)):
-            half.append(h)
-    return halves
+    for a in nums:
+        f = den // a[-1]
+        for half, (h0, h1, h2, h3) in zip(halves, qk._halves(a)):
+            half.append((h0 * f, h1 * f, h2 * f, h3 * f))
+    return halves, den
 
 
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
@@ -388,22 +396,23 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
-    halves = _split(p)
+    halves, den = _split(p)
+    remainders = [qk.remainder_mod_quadratic(half, den, cls_id.t, cls_id.n) for half in halves]
     if cls_id.is_real:
-        alpha = Fraction(cls_id.alpha)
-        real = (alpha.numerator, 0, 0, 0, alpha.denominator)
-        if all(qk.evaluate(half, real) == qk.ZERO for half in halves):
+        # Delta = (X - alpha)^2, so P(alpha) = b + alpha a
+        alpha = cls_id.alpha
+        if all(qk.add(b, qk.scale(a, alpha)) == qk.ZERO for b, a in remainders):
             return RootSet("points", cls_id, (Multivector.scalar(p.sig, alpha),))
         return RootSet("empty", cls_id)
-    remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in halves]
-    return _sphere_roots(halves, remainders, cls_id)
+    return _sphere_roots(halves, den, remainders, cls_id)
 
 
-def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
+def _sphere_roots(halves, den: int, remainders, cls_id: ConjugacyClassId) -> RootSet:
     """Roots on a sphere class from each half's remainder (b, a) modulo Delta.
 
     Each half solves x a + b = 0: one point, no point, or (a = b = 0) its
     whole sphere, since both halves lie in classes with the same (t, n).
+    ``halves`` and ``den`` are the rows of :func:`_split`.
     """
     t, n = cls_id.t, cls_id.n
     solved = []  # per half: a kernel point, None for the whole sphere
@@ -424,9 +433,16 @@ def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
 
     # R_{0,3}, one half pinned, the other free over its whole sphere: sample
     # representatives of the infinite family, always including the unique
-    # paravector candidate (free half = pinned one with k negated).
+    # paravector candidate (free half = pinned one with k negated). Every
+    # candidate shares the pinned half, so that half is evaluated once. A
+    # pinned half has a != 0, so both halves have degree 1 or more and each
+    # value comes out of the kernel reduced.
     pinned_plus = solved[1] is None
     pinned = solved[0] if pinned_plus else solved[1]
+    pinned_half, free_half = (
+        [(*row, den) for row in half] for half in (halves if pinned_plus else halves[::-1])
+    )
+    pinned_vanishes = qk.evaluate(pinned_half, pinned) == qk.ZERO
     c0, c1, c2, c3, d = pinned
     v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
     frees = [f._num for f in quaternion_class_points(t, n, v0, count=12)]
@@ -437,7 +453,7 @@ def _sphere_roots(halves, remainders, cls_id: ConjugacyClassId) -> RootSet:
             continue
         seen.add(free)
         pair = (pinned, free) if pinned_plus else (free, pinned)
-        if any(qk.evaluate(half, x) != qk.ZERO for half, x in zip(halves, pair)):
+        if not pinned_vanishes or qk.evaluate(free_half, free) != qk.ZERO:
             raise AssertionError(f"sampled representative {_from_halves(pair)} is not a root")
         reps.append(_from_halves(pair))
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
@@ -509,17 +525,17 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
-    halves = _split(p)
+    halves, den = _split(p)
     r = s = k = 0
     for cls_id in dict.fromkeys(witnessed_classes):
         if cls_id.is_real:
             r += _divide_out(p, characteristic_poly(cls_id, p.sig))[0]
             continue
-        remainders = [qk.remainder_mod_quadratic(half, cls_id.t, cls_id.n) for half in halves]
+        remainders = [qk.remainder_mod_quadratic(half, den, cls_id.t, cls_id.n) for half in halves]
         if all(rem == (qk.ZERO, qk.ZERO) for rem in remainders):
             s += _divide_out(p, characteristic_poly(cls_id, p.sig))[0]
             continue
-        roots = _sphere_roots(halves, remainders, cls_id)
+        roots = _sphere_roots(halves, den, remainders, cls_id)
         if roots.kind == "points":
             k += sum(1 for x in roots.points if x.is_paravector())
         elif roots.kind == "whole_class":

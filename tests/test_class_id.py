@@ -13,6 +13,7 @@ one per test in other signatures.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,14 @@ from clifflag import (
     ConjugacyClassId,
     Multivector,
     NotInCone,
+    Polynomial,
     QUATERNIONS,
     R03,
     Signature,
+    affine_restriction,
     from_quaternion_pair,
     group_by_class,
+    roots_in_class,
     same_class,
 )
 from clifflag.classpoints import r03_cone_point
@@ -170,3 +174,38 @@ def test_other_signatures_form_the_norm_once(monkeypatch):
     calls = count_products(monkeypatch)
     assert cls_id.contains(x)
     assert len(calls) == 1
+
+
+def test_class_id_coordinates_are_fractions():
+    # ints and floats are made exact, as Multivector coordinates are, so
+    # alpha and the text form stay exact; Fractions are kept as they are
+    cls = ConjugacyClassId(1, Fraction(1, 4))
+    assert cls.is_real and str(cls) == "Real(1/2)"
+    assert type(cls.t) is Fraction and type(cls.alpha) is Fraction
+    assert ConjugacyClassId(0.0, 1.0) == ConjugacyClassId.sphere(0, 1)
+    assert str(ConjugacyClassId(0.5, 0.0625)) == "Real(1/4)"
+    t, n = Fraction(2, 3), Fraction(1, 9)
+    cls = ConjugacyClassId(t, n)
+    assert cls.t is t and cls.n is n and cls.is_real
+
+
+def test_float_class_id_reaches_the_exact_root_search():
+    # float t and n are made exact before they reach the kernel
+    p = Polynomial.parse("X^2*(1 + e123) + (1 - e1)", R03)
+    for exact, approximate in (
+        (ConjugacyClassId.sphere(0, 1), ConjugacyClassId(0.0, 1.0)),
+        (ConjugacyClassId.real(Fraction(1, 2)), ConjugacyClassId(1.0, 0.25)),
+    ):
+        assert roots_in_class(p, approximate) == roots_in_class(p, exact)
+        assert affine_restriction(p, approximate) == affine_restriction(p, exact)
+
+
+@PROPERTY_SETTINGS
+@given(fractions, fractions)
+@example(Fraction(-6, 7), Fraction(9, 49))
+def test_is_real_and_the_class_bound_on_cross_products(t, n):
+    if 4 * n < t * t:
+        with pytest.raises(ValueError):
+            ConjugacyClassId(t, n)
+        return
+    assert ConjugacyClassId(t, n).is_real == (4 * n == t * t)

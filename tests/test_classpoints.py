@@ -1,12 +1,21 @@
-"""Tests for rational sampling of class spheres."""
+"""Tests for rational sampling of class spheres.
+
+The reflections run on integer numerators; the Fraction form they replaced
+stays below as the reference, and a derandomized property pins the integer
+routine to it list for list.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clifflag import ConjugacyClassId, Multivector, QUATERNIONS, R03
 from clifflag.classpoints import (
+    _REFLECT_DIRS,
     quaternion_class_points,
+    quaternion_from_parts,
     r03_cone_point,
     r03_square_roots_of_minus_one,
     rational_unit_vectors,
@@ -69,3 +78,56 @@ def test_r03_cone_point_class():
 
 def test_vector_part():
     assert vector_part(Multivector.parse("1 + 2 e1", QUATERNIONS)) == (2, 0, 0)
+
+
+def reflect_through_reference(v0, limit=None):
+    # reference: the same reflections in Fraction arithmetic
+    v0 = tuple(Fraction(c) for c in v0)
+    out = [v0]
+    seen = {v0}
+    dirs = [v0] + [tuple(Fraction(c) for c in d) for d in _REFLECT_DIRS]
+    for d in dirs:
+        dd = sum(c * c for c in d)
+        if not dd:
+            continue
+        t = 2 * sum(a * b for a, b in zip(v0, d)) / dd
+        w = tuple(a - t * b for a, b in zip(v0, d))
+        if w not in seen:
+            seen.add(w)
+            out.append(w)
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+# small values reach zero and repeated denominators, big ones unrelated ones
+fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64)),
+    st.one_of(st.integers(1, 6), st.integers(1, 2**64)),
+)
+vectors = st.one_of(
+    st.tuples(fractions, fractions, fractions),
+    # parallel to a reflection direction, so some reflections fix v0 or
+    # give its antipode again
+    st.builds(lambda q, d: tuple(q * c for c in d), fractions, st.sampled_from(_REFLECT_DIRS)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(vectors, fractions)
+@example((0, 0, 0), Fraction(0))
+@example((Fraction(3, 5), Fraction(4, 5), Fraction(0)), Fraction(1))
+@example((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), Fraction(-1, 3))
+def test_integer_reflections_equal_the_fraction_reference(v0, t):
+    # same vectors in the same order for every limit, and the class points
+    # are the reference's quaternions, in lowest terms
+    for limit in [*range(1, 14), None]:
+        want = reflect_through_reference(v0, limit)
+        got = reflect_through(v0, limit)
+        assert got == want
+        assert all(type(c) is Fraction for w in got for c in w)
+        if limit is not None:
+            n = t * t / 4 + sum(c * c for c in v0)
+            points = quaternion_class_points(t, n, v0, limit)
+            assert points == [quaternion_from_parts(t / 2, w) for w in want]

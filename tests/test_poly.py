@@ -415,6 +415,48 @@ def test_census_divides_only_where_delta_divides(monkeypatch):
     assert divisions == [delta, delta]
 
 
+def _half_family():
+    # (1 - e123) + X (e1 + e23) has a zero plus half, free over the class S,
+    # and a minus half pinned at i: a sampled family
+    e1 = Multivector.basis(R03, 1)
+    e23 = Multivector.basis(R03, 2, 3)
+    e123 = Multivector.basis(R03, 1, 2, 3)
+    return Polynomial(R03, (Multivector.one(R03) - e123, e1 + e23))
+
+
+def test_sampled_family_evaluates_the_pinned_half_once(monkeypatch):
+    # the pinned half is the same for every candidate: one evaluation of it
+    # plus one of the free half per candidate (two per candidate before)
+    kernel = sys.modules["clifflag.poly"].qk
+    original = kernel.evaluate
+    calls = []
+
+    def counting(poly, x):
+        calls.append(x)
+        return original(poly, x)
+
+    monkeypatch.setattr(kernel, "evaluate", counting)
+    found = roots_in_class(_half_family(), S)
+    assert found.kind == "points" and not found.exhaustive
+    assert len(found.points) > 1
+    assert len(calls) == len(found.points) + 1
+
+
+def test_sampled_family_self_check_is_live(monkeypatch):
+    # a pinned half that does not vanish at its point must still be caught
+    kernel = sys.modules["clifflag.poly"].qk
+    original = kernel.evaluate
+
+    def pinned_misses(poly, x):
+        if any(any(c[:4]) for c in poly):  # the free half is the zero polynomial
+            return kernel.ONE
+        return original(poly, x)
+
+    monkeypatch.setattr(kernel, "evaluate", pinned_misses)
+    with pytest.raises(AssertionError, match="is not a root"):
+        roots_in_class(_half_family(), S)
+
+
 def test_roots_in_class_quaternion_cases():
     rs = roots_in_class(Polynomial.from_scalars(H, (1, 0, 1)), S)
     assert rs.kind == "whole_class"

@@ -3,13 +3,15 @@
 The kernel stores a quaternion as four integer numerators over one
 denominator, which is also what a quaternionic Multivector stores; every
 operation must give the same exact value as the generic blade-table
-arithmetic of R(0,2), in lowest terms. Derandomized, so the suite stays
-deterministic.
+arithmetic of R(0,2), in lowest terms. The root search reads a polynomial
+as integer rows over one denominator, one list per half; the remainder
+modulo a class quadratic is checked on such rows against Multivector
+division. Derandomized, so the suite stays deterministic.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from clifflag import (
     to_quaternion_pair,
 )
 from clifflag import _quaternion as hk
+from clifflag.poly import _split
 from util import random_h_problem
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
@@ -127,15 +130,53 @@ def test_class_test_matches_trace_and_norm(x, t_num, t_den, n_num, n_den):
         assert hk.in_class(a, t, n) == (t == own_t and n == own_n)
 
 
+def halves_of(x):
+    return to_quaternion_pair(x) if x.sig == R03 else (x,)
+
+
+def kernel_rows(p):
+    """P's halves as integer rows over one denominator, from Fraction coordinates."""
+    pairs = [halves_of(c) for c in p.coeffs]
+    den = lcm(*(x.denominator for pair in pairs for h in pair for x in h.coeffs))
+    count = 2 if p.sig == R03 else 1
+    return [[tuple(int(x * den) for x in pair[i].coeffs) for pair in pairs] for i in range(count)], den
+
+
+polynomials = st.one_of(
+    st.lists(quaternions, max_size=11).map(lambda cs: Polynomial(QUATERNIONS, cs)),
+    st.lists(r03_elements, max_size=11).map(lambda cs: Polynomial(R03, cs)),
+)
+
+
 @PROPERTY_SETTINGS
-@given(st.lists(quaternions, max_size=6), fractions, fractions)
-def test_remainder_matches_division(coeffs, t, n):
-    p = Polynomial(QUATERNIONS, coeffs)
-    _, rem = divide_by_real(p, Polynomial.from_scalars(QUATERNIONS, (n, -t, 1)))
-    b, a = hk.remainder_mod_quadratic([as_kernel(c) for c in p.coeffs], t, n)
-    for got, want in ((b, rem.coefficient(0)), (a, rem.coefficient(1))):
-        assert_reduced(got)
-        assert got == want._num
+@given(polynomials, fractions, fractions)
+@example(Polynomial.zero(R03), Fraction(1, 2), Fraction(1, 3))
+@example(Polynomial.constant(Multivector.parse("1/2 - 3 e1 + 1/5 e123", R03)), Fraction(1, 2), Fraction(2, 3))
+@example(Polynomial.parse("X^10*(1/3 e1) + X^3*(1/7) + (2)", R03), Fraction(-3, 4), Fraction(5, 6))
+def test_remainder_matches_division(p, t, n):
+    # one half for H, two for R(0,3); the class quadratic's t and n with
+    # denominators of their own, degrees 0 to 10 and the zero polynomial
+    _, rem = divide_by_real(p, Polynomial.from_scalars(p.sig, (n, -t, 1)))
+    halves, den = kernel_rows(p)
+    expected = zip(halves_of(rem.coefficient(0)), halves_of(rem.coefficient(1)))
+    for rows, (want_b, want_a) in zip(halves, expected, strict=True):
+        b, a = hk.remainder_mod_quadratic(rows, den, t, n)
+        for got, want in ((b, want_b), (a, want_a)):
+            assert_reduced(got)
+            assert got == want._num
+
+
+@PROPERTY_SETTINGS
+@given(polynomials)
+@example(Polynomial(R03, [Multivector.parse("1/2 + 1/2 e123", R03)] * 2))  # halves 1 and 0
+def test_polynomial_split_is_rows_over_one_denominator(p):
+    # one lcm over P's denominators, and no gcd per row
+    halves, den = _split(p)
+    assert den == lcm(*(c._num[-1] for c in p.coeffs))
+    assert len(halves) == (2 if p.sig == R03 else 1)
+    for i, half in enumerate(halves):
+        assert all(type(v) is int for row in half for v in row)
+        assert [hk._reduce(*row, den) for row in half] == [halves_of(c)[i]._num for c in p.coeffs]
 
 
 @PROPERTY_SETTINGS
