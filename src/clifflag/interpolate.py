@@ -44,7 +44,6 @@ The package attribute ``clifflag.interpolate`` is the function
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import lcm
 
@@ -66,17 +65,21 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
+    _Value,
     _from_halves,
+    _set,
 )
 from .poly import MAX_DEGREE, Polynomial
 
 
-@dataclass(frozen=True)
-class InterpolationProblem:
+class InterpolationProblem(_Value):
     """Ordered (point, value) pairs over one signature."""
 
-    sig: Signature
-    pairs: tuple[tuple[Multivector, Multivector], ...]
+    __slots__ = ("sig", "pairs")
+
+    def __init__(self, sig: Signature, pairs: tuple[tuple[Multivector, Multivector], ...]):
+        _set(self, "sig", sig)
+        _set(self, "pairs", pairs)
 
     @classmethod
     def from_pairs(cls, sig: Signature, pairs) -> InterpolationProblem:
@@ -94,13 +97,20 @@ class InterpolationProblem:
         return InterpolationProblem(self.sig, tuple(self.pairs[i] for i in order))
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(_Value):
     """The data points sharing one conjugacy class, in input order."""
 
-    cls_id: ConjugacyClassId
-    points: tuple[Multivector, ...]
-    values: tuple[Multivector, ...]
+    __slots__ = ("cls_id", "points", "values")
+
+    def __init__(
+        self,
+        cls_id: ConjugacyClassId,
+        points: tuple[Multivector, ...],
+        values: tuple[Multivector, ...],
+    ):
+        _set(self, "cls_id", cls_id)
+        _set(self, "points", points)
+        _set(self, "values", values)
 
     @property
     def size(self) -> int:
@@ -111,12 +121,14 @@ class ClassGroup:
         return min(self.size, 2)
 
 
-@dataclass(frozen=True)
-class ClassGrouping:
+class ClassGrouping(_Value):
     """Class groups of a problem, singleton classes first."""
 
-    sig: Signature
-    groups: tuple[ClassGroup, ...]
+    __slots__ = ("sig", "groups")
+
+    def __init__(self, sig: Signature, groups: tuple[ClassGroup, ...]):
+        _set(self, "sig", sig)
+        _set(self, "groups", groups)
 
     @property
     def degree_bound(self) -> int:
@@ -250,8 +262,7 @@ def interpolate_r03(problem: InterpolationProblem) -> Polynomial:
     return interpolate(problem)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Value):
     """Outcome of the linear-system oracle.
 
     kind is "unique", "none" or "affine_family"; `polynomial` is the
@@ -259,8 +270,11 @@ class OracleResult:
     "affine_family", None for "none").
     """
 
-    kind: str
-    polynomial: Polynomial | None
+    __slots__ = ("kind", "polynomial")
+
+    def __init__(self, kind: str, polynomial: Polynomial | None):
+        _set(self, "kind", kind)
+        _set(self, "polynomial", polynomial)
 
 
 def brute_force_interpolate(

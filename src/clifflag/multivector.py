@@ -27,10 +27,10 @@ for the coefficients.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 
 from . import _quaternion as qk
 from .errors import (
@@ -47,21 +47,63 @@ HARD_DIM_LIMIT = 6
 
 _ONE = Fraction(1)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Signature:
+
+class _Value:
+    """Base of the small immutable records: fields are the subclass's ``__slots__``.
+
+    A subclass names two or more fields in ``__slots__`` and sets each once
+    in ``__init__`` with ``_set`` (``object.__setattr__``); this base
+    derives the rest from the fields, in order. Instances are equal only to
+    instances of the same class with equal fields, hash like the tuple of
+    their fields, print as ``Name(field=value, ...)``, refuse assignment and
+    deletion, and copy and pickle through their constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other is self:  # cheap for the common case of the shared QUATERNIONS and R03
+            return True
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class Signature(_Value):
     """Signature (p, q) of the algebra R_{p,q}: e_i^2 = +1 for i <= p, else -1."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"signature parts must be non-negative, got {self}")
-        if self.p + self.q > HARD_DIM_LIMIT:
-            raise ValueError(
-                f"p+q = {self.p + self.q} exceeds the dimension cap {HARD_DIM_LIMIT}"
-            )
+    def __init__(self, p: int, q: int):
+        if type(p) is not int or type(q) is not int:  # bool is an int subclass
+            raise ValueError(f"signature parts must be ints, got p={p!r}, q={q!r}")
+        if p < 0 or q < 0:
+            raise ValueError(f"signature parts must be non-negative, got R({p},{q})")
+        if p + q > HARD_DIM_LIMIT:
+            raise ValueError(f"p+q = {p + q} exceeds the dimension cap {HARD_DIM_LIMIT}")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     @property
     def m(self) -> int:
@@ -531,27 +573,24 @@ def same_class(x: Multivector, y: Multivector) -> bool:
     return x.conjugacy_class() == y.conjugacy_class()
 
 
-@dataclass(frozen=True)
-class ConjugacyClassId:
+class ConjugacyClassId(_Value):
     """A conjugacy class, identified by the shared (trace, norm) pair.
 
     Real singletons have 4n = t^2 (alpha = t/2); genuine spheres satisfy
     4n > t^2 strictly.
     """
 
-    t: Fraction
-    n: Fraction
+    __slots__ = ("t", "n")
 
-    def __post_init__(self):
+    def __init__(self, t: Fraction, n: Fraction):
         # exact like Multivector's coordinates: ints and floats become
         # Fractions; Fractions, as _class_id passes them, are kept as they are
-        t, n = self.t, self.n
         if type(t) is not Fraction or type(n) is not Fraction:
             t, n = Fraction(t), Fraction(n)
-            object.__setattr__(self, "t", t)
-            object.__setattr__(self, "n", n)
         if 4 * n.numerator * t.denominator**2 < t.numerator**2 * n.denominator:
             raise ValueError(f"no class has 4n < t^2 (t={t}, n={n})")
+        _set(self, "t", t)
+        _set(self, "n", n)
 
     @classmethod
     def real(cls, alpha) -> ConjugacyClassId:

@@ -18,7 +18,6 @@ coefficients omitted, the constant term written without a power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -36,8 +35,10 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
+    _Value,
     _from_halves,
     _read_multivector,
+    _set,
     _signed_sum,
     _tokens,
 )
@@ -321,13 +322,15 @@ def characteristic_poly(cls_id: ConjugacyClassId, sig: Signature) -> Polynomial:
     return Polynomial.from_scalars(sig, (cls_id.n, -cls_id.t, 1))
 
 
-@dataclass(frozen=True)
-class AffineRestriction:
+class AffineRestriction(_Value):
     """On a fixed class the polynomial collapses to x |-> x a + b."""
 
-    cls_id: ConjugacyClassId
-    a: Multivector
-    b: Multivector
+    __slots__ = ("cls_id", "a", "b")
+
+    def __init__(self, cls_id: ConjugacyClassId, a: Multivector, b: Multivector):
+        _set(self, "cls_id", cls_id)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __call__(self, x: Multivector) -> Multivector:
         return x * self.a + self.b
@@ -348,8 +351,7 @@ def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestric
     return AffineRestriction(cls_id, a, b)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Value):
     """Roots of a polynomial inside one conjugacy class.
 
     kind is "empty", "points" or "whole_class". For "points",
@@ -359,10 +361,19 @@ class RootSet:
     component of the affine restriction degenerates).
     """
 
-    kind: str
-    cls_id: ConjugacyClassId
-    points: tuple[Multivector, ...] = ()
-    exhaustive: bool = True
+    __slots__ = ("kind", "cls_id", "points", "exhaustive")
+
+    def __init__(
+        self,
+        kind: str,
+        cls_id: ConjugacyClassId,
+        points: tuple[Multivector, ...] = (),
+        exhaustive: bool = True,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "cls_id", cls_id)
+        _set(self, "points", points)
+        _set(self, "exhaustive", exhaustive)
 
     @property
     def is_empty(self) -> bool:

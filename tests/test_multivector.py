@@ -426,6 +426,15 @@ def test_parse_rejects_overlong_coefficient():
     assert Multivector.parse("1/" + digits[1:], H) == Fraction(1, int(digits[1:]))
 
 
+def test_signature_parts_must_be_ints():
+    # a float part used to compare and hash equal to the int signature and
+    # fail only at .dim; a bool printed as R(True,1); a str raised TypeError
+    for p, q in ((0, 2.0), (True, 1), (0, False), ("0", 2), (Fraction(0), 2), (None, 3)):
+        with pytest.raises(ValueError, match="^signature parts must be ints"):
+            Signature(p, q)
+    assert Signature(0, 2) == QUATERNIONS
+
+
 def test_dimension_cap():
     assert HARD_DIM_LIMIT == 6
     assert Signature(0, 6).dim == 64
