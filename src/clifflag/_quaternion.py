@@ -20,18 +20,25 @@ writes out that layout.
 A polynomial is a list of quaternions, a_0 first, valued as sum_h x^h a_h
 like :class:`clifflag.poly.Polynomial`. The kernel serves the Lagrange
 construction, through :class:`NewtonFrame`, the Newton frame of
-:mod:`clifflag.interpolate`, and the linear-system oracle of
-:mod:`clifflag.interpolate`, through the integer rows of :func:`left_rows`.
-The root search and root census of :mod:`clifflag.poly` lift the layout
-from one coefficient to one polynomial half, as FLINT's ``fmpq_poly``
-stores a polynomial: integer 4-tuples over one denominator for the whole
-polynomial. :func:`remainder_mod_quadratic` runs Horner's rule on those
-rows and reduces only its two results; :func:`in_class` and
-:func:`evaluate` test the roots it gives.
+:mod:`clifflag.interpolate`. The root search and root census of
+:mod:`clifflag.poly` lift the layout from one coefficient to one
+polynomial half, as FLINT's ``fmpq_poly`` stores a polynomial: integer
+4-tuples over one denominator for the whole polynomial.
+:func:`remainder_mod_quadratic` runs Horner's rule on those rows and
+reduces only its two results; :func:`in_class` and :func:`evaluate` test
+the roots it gives.
+
+The linear-system oracle of :mod:`clifflag.interpolate` solves its
+systems over H with :func:`solve_left`: fraction-free elimination on rows
+of integer quaternions, whose pivots are made real by left multiplication
+with their conjugates. It gives the kind and the particular solution that
+``clifflag.linsolve.solve_exact`` gives on the rows' real expansion into
+4x4 blocks, because that expansion's pivot columns come in whole blocks.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from operator import add as _add, neg as _neg
 
@@ -125,17 +132,6 @@ def mul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def left_rows(a: tuple, factor: int) -> tuple:
-    """The matrix of b -> a b times ``factor`` * d, as integer rows.
-
-    Row k holds the coordinate k of a times each unit (1, i, j, k), read
-    off :func:`mul`; d is a's denominator, so the entries are the
-    numerators of a times ``factor``.
-    """
-    a0, a1, a2, a3 = (v * factor for v in a[:4])
-    return (a0, -a1, -a2, -a3), (a1, a0, -a3, a2), (a2, a3, a0, -a1), (a3, -a2, a1, a0)
-
-
 def scale(a: tuple, q) -> tuple:
     """a times the rational number q (an int or a ``Fraction``)."""
     return _reduce(*map(q.numerator.__mul__, a[:-1]), a[-1] * q.denominator)
@@ -210,6 +206,115 @@ def remainder_mod_quadratic(rows: list, den: int, t, n) -> tuple[tuple, tuple]:
         )
     d = den * power
     return _reduce(b0, b1, b2, b3, d), _reduce(a0, a1, a2, a3, d)
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The Hamilton product of two integer 4-tuples, not reduced; :func:`mul`
+    writes the same sums out on its own, since it runs on every hot path."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+_ZERO4 = (0, 0, 0, 0)
+
+
+def _primitive(row: list) -> list:
+    """A row of integer 4-tuples divided by the gcd of all their entries."""
+    g = gcd(*chain.from_iterable(row))
+    if g > 1:
+        return [(a // g, b // g, c // g, d // g) for a, b, c, d in row]
+    return row
+
+
+def solve_left(rows: list) -> tuple:
+    """Solve the equations sum_h r_h a_h = w exactly for quaternions a_h.
+
+    Each row is ``[r_0, ..., r_(n-1), w]``, integer 4-tuples: one equation,
+    scaled to integers, whose unknowns a_h stand right of their
+    coefficients. Returns ``(kind, solution)`` as
+    :func:`clifflag.linsolve.solve_exact` does: kind is ``"unique"``,
+    ``"none"`` or ``"many"``, and a consistent system gives n reduced
+    quaternions with every free unknown zero (``None`` for ``"none"``).
+
+    Fraction-free elimination over the skew field H, after Bareiss:
+    the pivot row is multiplied on the left by conj(p), so its pivot
+    becomes the real N(p) = p conj(p); a row with f in the pivot column
+    becomes N row - f top, and every row is divided by its content. Both
+    steps multiply equations on the left or add them, which keeps the
+    solutions. A real pivot is central, so back-substitution keeps
+    integer numerators over one shared denominator, as ``solve_exact``
+    does, and reduces each unknown once at the end.
+
+    The result equals ``solve_exact`` on the real expansion (each r_h
+    its 4x4 matrix of b -> r_h b). The span of that matrix's columns for
+    a_0..a_(h-1) is closed under right multiplication by H, so the a_h
+    that its block's columns move out of that span form a right ideal of
+    H: all of H or zero. The real pivot columns therefore come in whole
+    blocks, one per quaternionic pivot, and zero real free variables are
+    zero free quaternion unknowns: same kind, same particular solution.
+    """
+    m = len(rows)
+    n = len(rows[0]) - 1 if m else 0
+    a = [_primitive(row) for row in rows]
+
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if a[i][c] != _ZERO4), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        p0, p1, p2, p3 = a[r][c]
+        conj = (p0, -p1, -p2, -p3)
+        # entries left of c are zero in every row from r on and stay zero
+        top = a[r] = _primitive(a[r][:c] + [_product(conj, v) for v in a[r][c:]])
+        norm = top[c][0]
+        tail = top[c + 1 :]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[c]
+            if f != _ZERO4:
+                new = [_ZERO4] * (c + 1)
+                for (x0, x1, x2, x3), v in zip(row[c + 1 :], tail):
+                    y0, y1, y2, y3 = _product(f, v)
+                    new.append((norm * x0 - y0, norm * x1 - y1, norm * x2 - y2, norm * x3 - y3))
+                a[i] = _primitive(new)
+        pivot_cols.append(c)
+        r += 1
+
+    if any(a[i][n] != _ZERO4 for i in range(r, m)):
+        return "none", None
+
+    # a_c = num[c] / den, the free unknowns zero, reduced at each step
+    num = [_ZERO4] * n
+    den = 1
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        c = pivot_cols[k]
+        norm = row[c][0]
+        later = pivot_cols[k + 1 :]
+        s0, s1, s2, s3 = map(den.__mul__, row[n])
+        for j in later:
+            y0, y1, y2, y3 = _product(row[j], num[j])
+            s0, s1, s2, s3 = s0 - y0, s1 - y1, s2 - y2, s3 - y3
+            num[j] = tuple(map(norm.__mul__, num[j]))
+        num[c] = (s0, s1, s2, s3)
+        den *= norm
+        g = gcd(den, *chain.from_iterable(num[j] for j in pivot_cols[k:]))
+        if g > 1:
+            den //= g
+            for j in pivot_cols[k:]:
+                num[j] = tuple(map(g.__rfloordiv__, num[j]))
+    kind = "unique" if r == n else "many"
+    return kind, [_reduce(*v, den) for v in num]
 
 
 class NewtonFrame:

@@ -32,10 +32,12 @@ Nodes are grouped by conjugacy class, on the caller's problem:
 A brute-force oracle solves the same problem as exact rational linear
 systems in the coefficient coordinates, classifying existence and
 uniqueness independently of the construction above. In H and R_{0,3} it
-solves one system per half of the split, with integer rows built on the
-same quaternion kernel; every other signature, and an R_{0,3} problem
-with a family of solutions, takes one system in the blade coordinates,
-which the tests keep as the referee of the split.
+solves one system per half of the split, over H itself: one equation per
+point in the D + 1 quaternion unknowns, eliminated on the kernel
+(``clifflag._quaternion.solve_left``). Every other signature, and an
+R_{0,3} problem with a family of solutions, takes one real system in the
+blade coordinates (``clifflag.linsolve.solve_exact``), which the tests
+keep as the referee of the split.
 
 The package attribute ``clifflag.interpolate`` is the function
 :func:`interpolate`, which shadows this submodule; reach the module with
@@ -57,7 +59,7 @@ from .errors import (
     PointNotInCone,
     UnsupportedSignature,
 )
-from ._quaternion import ONE, ZERO, NewtonFrame, left_rows, mul, split
+from ._quaternion import ONE, ZERO, NewtonFrame, mul, solve_left, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -285,11 +287,12 @@ def brute_force_interpolate(
     Evaluation is real-linear in the coefficient coordinates, so stacking
     one row per output coordinate per data pair and running exact
     elimination classifies the problem completely. In H and R_{0,3} the
-    coordinates are those of the H (+) H split: one system of
-    4 (max_degree + 1) unknowns per half (see :func:`_split_oracle`).
-    Every other signature, and an R_{0,3} problem with a whole family of
-    solutions, solves one system in the 2^m (max_degree + 1) blade
-    coordinates (:func:`_coordinate_oracle`). ``max_degree`` defaults to
+    unknowns are the quaternion coefficients of each half of the H (+) H
+    split: one system over H of max_degree + 1 unknowns and one equation
+    per pair, for each half (see :func:`_split_oracle`). Every other
+    signature, and an R_{0,3} problem with a whole family of solutions,
+    solves one real system in the 2^m (max_degree + 1) blade coordinates
+    (:func:`_coordinate_oracle`). ``max_degree`` defaults to
     the construction's degree bound and must lie in 0..MAX_DEGREE, the
     CLI's ``--max-degree`` cap; each degree costs one power per point.
     """
@@ -316,10 +319,14 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     one system per half: it has no solution if either half has none, and
     one if both have one. When a half has many, the particular solution
     would depend on the basis, so the caller takes the coordinate route
-    and the R_{0,3} family keeps that route's particular solution. H has
-    one half in the blade coordinates themselves: its rows are positive
-    multiples of the coordinate route's, with the same reduced row echelon
-    form, so all three kinds agree with that route.
+    and the R_{0,3} family keeps that route's particular solution.
+
+    Each half is eliminated over H (:func:`clifflag._quaternion.solve_left`),
+    which gives the kind and the particular solution of the real system
+    of the half's 4x4 blocks: that system's pivot columns come in whole
+    blocks, one per quaternionic pivot, so its free real coordinates are
+    the free quaternion unknowns. For H that real system is the
+    coordinate route's own, so all three kinds agree with that route.
     """
     points = [split(x._num) for x in problem.points]
     values = [split(w._num) for w in problem.values]
@@ -333,29 +340,22 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     unique = kinds == {"unique"}
     if not unique and problem.sig == R03:
         return None
-    coeffs = (
-        _from_halves([Multivector(QUATERNIONS, s[4 * h : 4 * h + 4])._num for s in solutions])
-        for h in range(max_degree + 1)
-    )
+    coeffs = map(_from_halves, zip(*solutions))
     return OracleResult("unique" if unique else "affine_family", Polynomial(problem.sig, coeffs))
 
 
 def _solve_half(points, values, max_degree: int):
-    """``solve_exact`` on one half: block h of a pair's rows is the matrix of
-    a_h -> x^h a_h, and each pair's four rows share one lcm that makes them
-    integer."""
+    """``solve_left`` on one half: a pair's row is [x^0, ..., x^D | w] over
+    one lcm that makes it integer."""
     rows = []
-    rhs = []
     for x, w in zip(points, values):
-        powers = [ONE]
+        row = [ONE]
         for _ in range(max_degree):
-            powers.append(mul(powers[-1], x))
-        scale = lcm(w[4], *(power[4] for power in powers))
-        blocks = [left_rows(power, scale // power[4]) for power in powers]
-        for out in range(4):
-            rows.append([v for block in blocks for v in block[out]])
-        rhs.extend(v * (scale // w[4]) for v in w[:4])
-    return solve_exact(rows, rhs)
+            row.append(mul(row[-1], x))
+        row.append(w)
+        scale = lcm(*(q[4] for q in row))
+        rows.append([tuple(map((scale // q[4]).__mul__, q[:4])) for q in row])
+    return solve_left(rows)
 
 
 def _coordinate_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResult:

@@ -50,15 +50,32 @@ _ONE = Fraction(1)
 _set = object.__setattr__
 
 
-class _Value:
+class _Frozen:
+    """Base of every value class: refuses assignment and deletion.
+
+    A subclass sets each of its ``__slots__`` once, in ``__init__`` or a
+    private constructor, with ``_set`` (``object.__setattr__``), so a value
+    cannot change after it has been hashed or shared.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
     """Base of the small immutable records: fields are the subclass's ``__slots__``.
 
     A subclass names two or more fields in ``__slots__`` and sets each once
-    in ``__init__`` with ``_set`` (``object.__setattr__``); this base
-    derives the rest from the fields, in order. Instances are equal only to
-    instances of the same class with equal fields, hash like the tuple of
-    their fields, print as ``Name(field=value, ...)``, refuse assignment and
-    deletion, and copy and pickle through their constructor.
+    in ``__init__`` with ``_set``; this base derives the rest from the
+    fields, in order. Instances are equal only to instances of the same
+    class with equal fields, hash like the tuple of their fields, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and copy
+    and pickle through their constructor.
     """
 
     __slots__ = ()
@@ -79,12 +96,6 @@ class _Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
         return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), self._values
@@ -234,11 +245,12 @@ def _read_multivector(tokens: list, sig: Signature, text: str) -> Multivector:
     return Multivector(sig, coeffs)
 
 
-class Multivector:
+class Multivector(_Frozen):
     """A dense element of R_{p,q} with exact rational coordinates.
 
     ``_num`` holds the integer numerators of the coordinates over one
-    reduced positive denominator, ``(n_0, ..., n_{2^m-1}, d)``.
+    reduced positive denominator, ``(n_0, ..., n_{2^m-1}, d)``. Copies and
+    pickles go through the constructor.
     """
 
     __slots__ = ("sig", "_num")
@@ -250,15 +262,15 @@ class Multivector:
         # each coordinate is in lowest terms, so the numerators over the
         # lcm d of the denominators already share no factor with d
         d = lcm(*(c.denominator for c in coeffs))
-        self.sig = sig
-        self._num = (*[c.numerator * (d // c.denominator) for c in coeffs], d)
+        _set(self, "sig", sig)
+        _set(self, "_num", (*[c.numerator * (d // c.denominator) for c in coeffs], d))
 
     @classmethod
     def _wrap(cls, sig: Signature, num: tuple) -> Multivector:
         # internal fast path: num already a reduced integer tuple
         mv = object.__new__(cls)
-        mv.sig = sig
-        mv._num = num
+        _set(mv, "sig", sig)
+        _set(mv, "_num", num)
         return mv
 
     @property
@@ -341,6 +353,9 @@ class Multivector:
 
     def __repr__(self) -> str:
         return f"Multivector({self.sig}, '{self}')"
+
+    def __reduce__(self):
+        return Multivector, (self.sig, self.coeffs)
 
     # ---- ring structure --------------------------------------------------
 

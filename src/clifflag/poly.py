@@ -35,6 +35,7 @@ from .multivector import (
     ConjugacyClassId,
     Multivector,
     Signature,
+    _Frozen,
     _Value,
     _from_halves,
     _read_multivector,
@@ -48,8 +49,11 @@ from .multivector import (
 MAX_DEGREE = 1000
 
 
-class Polynomial:
-    """A polynomial over one Clifford algebra, right coefficients, exact."""
+class Polynomial(_Frozen):
+    """A polynomial over one Clifford algebra, right coefficients, exact.
+
+    Copies and pickles go through the constructor.
+    """
 
     __slots__ = ("sig", "coeffs")
 
@@ -62,8 +66,8 @@ class Polynomial:
                 raise SignatureMismatch(f"coefficient in {c.sig}, polynomial in {sig}")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        self.sig = sig
-        self.coeffs = tuple(coeffs)
+        _set(self, "sig", sig)
+        _set(self, "coeffs", tuple(coeffs))
 
     # ---- constructors ----------------------------------------------------
 
@@ -225,6 +229,9 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.sig}, '{self}')"
+
+    def __reduce__(self):
+        return Polynomial, (self.sig, self.coeffs)
 
     @classmethod
     def parse(cls, text: str, sig: Signature) -> Polynomial:

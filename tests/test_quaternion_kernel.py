@@ -28,6 +28,7 @@ from clifflag import (
     to_quaternion_pair,
 )
 from clifflag import _quaternion as hk
+from clifflag.linsolve import solve_exact
 from clifflag.poly import _split
 from util import random_h_problem
 
@@ -109,14 +110,86 @@ def test_split_is_the_quaternion_pair_in_lowest_terms(x):
         assert_reduced(half)
 
 
-@PROPERTY_SETTINGS
-@given(quaternions, quaternions, st.integers(1, 5))
-def test_left_rows_are_the_product_matrix(x, y, factor):
-    a = as_kernel(x)
-    rows = hk.left_rows(a, factor)
-    product = [sum(v * c for v, c in zip(row, y.coeffs)) for row in rows]
-    assert product == [c * factor * a[4] for c in (x * y).coeffs]
-    assert all(type(v) is int for row in rows for v in row)
+def product4(a, b):
+    """The product of two integer quaternions, through Multivector."""
+    return tuple(int(c) for c in (Multivector(QUATERNIONS, a) * Multivector(QUATERNIONS, b)).coeffs)
+
+
+Q0 = (0, 0, 0, 0)
+small_or_big = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+int_quaternions = st.tuples(*[small_or_big] * 4)
+
+
+def left_sum(factors, quaternions):
+    return tuple(map(sum, zip(Q0, *(product4(f, q) for f, q in zip(factors, quaternions)))))
+
+
+@st.composite
+def left_systems(draw):
+    """Rows [r_0, ..., r_(n-1) | w] of integer quaternions: m and n from 1
+    to 5 each, zero entries and zero columns, a column that is a right
+    multiple of an earlier one, a right-hand side made from a solution or
+    drawn, and rows that are left combinations of others, inserted
+    anywhere, one in four made inconsistent."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(st.just(Q0), int_quaternions)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = Q0
+    if n > 1 and draw(st.booleans()):
+        earlier, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        q = draw(int_quaternions)
+        for row in rows:
+            row[j] = product4(row[earlier], q)
+    if draw(st.booleans()):
+        solution = draw(st.lists(int_quaternions, min_size=n, max_size=n))
+        for row in rows:
+            row.append(left_sum(row, solution))
+    else:
+        for row in rows:
+            row.append(draw(int_quaternions))
+    for _ in range(draw(st.integers(0, 3))):
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2))
+        factors = [draw(int_quaternions) for _ in picks]
+        row = [left_sum(factors, [rows[i][h] for i in picks]) for h in range(n + 1)]
+        if draw(st.integers(0, 3)) == 3:
+            row[n] = (row[n][0] + 1, *row[n][1:])
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def real_expansion(rows):
+    """Four real rows per row: block h is the left-multiplication matrix of r_h."""
+    real, rhs = [], []
+    for *coeffs, w in rows:
+        blocks = [Multivector(QUATERNIONS, r).left_multiplication_matrix() for r in coeffs]
+        for k in range(4):
+            real.append([v for block in blocks for v in block[k]])
+        rhs.extend(w)
+    return real, rhs
+
+
+I, J, K = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(left_systems())
+@example([[(1, 0, 0, 0), I, (2, 0, 0, 0)]])  # m < n: many
+@example([[(1, 2, 0, 0), (1, 0, 0, 0)], [(3, 0, 0, 1), K], [(0, 1, 1, 0), (0, 2, 0, 0)]])  # m > n: none
+@example([[(1, 0, 0, 0), (1, 0, 0, 0)], [(2, 0, 0, 0), (3, 0, 0, 0)]])  # none
+@example([[Q0, I, Q0, J], [Q0, J, K, (1, 0, 0, 0)]])  # a zero column and a pivot after a free one
+@example([[(0, 2, 0, 0), (0, 0, 1, -1), (-1, 0, 0, 1)], [I, J, K], [K, I, J]])  # row 0 = row 1 + j row 2
+def test_solve_left_equals_solve_exact_on_the_real_expansion(rows):
+    kind, solution = solve_exact(*real_expansion(rows))
+    got_kind, got = hk.solve_left(rows)
+    assert got_kind == kind
+    if kind == "none":
+        assert got is None
+        return
+    for q in got:
+        assert_reduced(q)
+    assert [Fraction(v, q[4]) for q in got for v in q[:4]] == solution
 
 
 @PROPERTY_SETTINGS

@@ -135,3 +135,52 @@ def test_other_signatures_take_the_coordinate_route(monkeypatch):
     result = brute_force_interpolate(problem, 1)
     assert calls == [problem]
     assert result.kind == "unique" and verify_interpolant(result.polynomial, problem)
+
+
+def count_real_solves(monkeypatch):
+    real, calls = ORACLE.solve_exact, []
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(ORACLE, "solve_exact", counted)
+    return calls
+
+
+def test_split_halves_are_solved_over_h_without_real_solves(monkeypatch):
+    # H problems of every kind, and R(0,3) problems whose kind is unique or
+    # none, are eliminated over H; an R(0,3) family and every other
+    # signature still solve a real system in the blade coordinates
+    rng = random.Random("no real solves")
+    calls = count_real_solves(monkeypatch)
+    kinds = Counter()
+    for _ in range(4):
+        h = random_h_problem(rng)
+        bound = ORACLE.group_by_class(h).degree_bound
+        r03 = random_r03_problem(rng, rng.randint(1, 4))
+        for problem, degree in (
+            (h, None),
+            (h, bound + 1),
+            (random_h_problem_with_violation(rng), None),
+            (r03, None),
+            (with_zero_divisor_pair(rng, r03), len(r03.pairs)),
+        ):
+            kinds[problem.sig, brute_force_interpolate(problem, degree).kind] += 1
+    assert calls == []
+    assert set(kinds) == {
+        (QUATERNIONS, "unique"),
+        (QUATERNIONS, "affine_family"),
+        (QUATERNIONS, "none"),
+        (R03, "unique"),
+        (R03, "none"),
+    }, kinds
+
+    family = random_r03_problem(rng, n_points=3)
+    assert brute_force_interpolate(family, 4).kind == "affine_family"
+    assert calls == [8 * 3]
+    sig = Signature(1, 1)
+    one = Multivector.one(sig)
+    other = InterpolationProblem.from_pairs(sig, [(one, Multivector.basis(sig, 1)), (-one, one)])
+    brute_force_interpolate(other, 1)
+    assert calls == [8 * 3, 4 * 2]

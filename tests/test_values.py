@@ -168,3 +168,35 @@ def test_class_id_coerces_ints_and_floats_and_refuses_4n_below_t_squared():
     for t, n in ((2, 0.5), (Fraction(2), Fraction(1, 2)), (1, 0), (3, 2)):
         with pytest.raises(ValueError, match="no class has 4n < t\\^2"):
             ConjugacyClassId(t, n)
+
+
+@pytest.mark.parametrize(
+    "value, fields",
+    [
+        (Multivector.parse("1 + e1 - 1/2 e123", R03), {"sig": H, "_num": (1, 0, 0, 0, 1)}),
+        (P, {"sig": R03, "coeffs": ()}),
+    ],
+    ids=["Multivector", "Polynomial"],
+)
+def test_multivectors_and_polynomials_refuse_assignment_and_deletion(value, fields):
+    # a value that changed after it was hashed would be lost in a dict,
+    # and `coeffs = ()` would turn a polynomial into zero
+    table = {value: 1}
+    before = repr(value)
+    for name, new in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, new)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == before and value in table
+
+
+@pytest.mark.parametrize("value", [Multivector.parse("1 + e1 - 1/2 e123", R03), P, Polynomial.zero(R03)])
+def test_multivectors_and_polynomials_copy_and_pickle(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, proto)) for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for b in copies:
+        assert type(b) is type(value)
+        assert b == value and hash(b) == hash(value) and repr(b) == repr(value)
