@@ -17,16 +17,19 @@ An R_{0,3} tuple splits into two quaternions, one per half of its H (+) H
 split (:func:`split`, :func:`join`); :func:`_halves` is the one place that
 writes out that layout.
 
-A polynomial is a list of quaternions, a_0 first, valued as sum_h x^h a_h
-like :class:`clifflag.poly.Polynomial`. The kernel serves the Lagrange
-construction, through :class:`NewtonFrame`, the Newton frame of
-:mod:`clifflag.interpolate`. The root search and root census of
-:mod:`clifflag.poly` lift the layout from one coefficient to one
-polynomial half, as FLINT's ``fmpq_poly`` stores a polynomial: integer
-4-tuples over one denominator for the whole polynomial.
-:func:`remainder_mod_quadratic` runs Horner's rule on those rows and
-reduces only its two results; :func:`in_class` and :func:`evaluate` test
-the roots it gives.
+A polynomial, a_0 first and valued as sum_h x^h a_h like
+:class:`clifflag.poly.Polynomial`, lifts the layout from one coefficient
+to the whole polynomial, as FLINT's ``fmpq_poly`` stores one: integer
+4-tuple rows over one positive denominator, a_h = rows[h] / den. Horner's
+rule runs on those integers and reduces only its results, in
+:func:`evaluate` (the one evaluator) and in
+:func:`remainder_mod_quadratic`. The Lagrange construction of
+:mod:`clifflag.interpolate` runs on :class:`NewtonFrame`, whose
+polynomials are such rows, with one content gcd per polynomial step
+instead of one gcd per coefficient. The root search and root census of
+:mod:`clifflag.poly` take the rows of each polynomial half, reduce them
+modulo a class quadratic, and test the roots with :func:`in_class` and
+:func:`evaluate`.
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -146,18 +149,32 @@ def inverse(a: tuple) -> tuple:
     return _reduce(ad * a0, -ad * a1, -ad * a2, -ad * a3, norm)
 
 
-def evaluate(poly: list, x: tuple) -> tuple:
-    """sum_h x^h a_h by Horner's rule from the top; powers stay left.
+def evaluate(rows: list, den: int, x: tuple) -> tuple:
+    """P(x) = sum_h x^h a_h in lowest terms, for a_h = rows[h] / den.
 
-    The coefficients may be rows over a shared, unreduced denominator: every
-    step reduces, so from degree 1 on the value is in lowest terms.
+    The rows are integer 4-tuples over one positive denominator, as in
+    :func:`remainder_mod_quadratic`. Horner's rule from the top keeps the
+    powers of x left: with x = (x_0..x_3) / x_d, the accumulator is an
+    integer quaternion A over den x_d^k, and
+
+        A' = x A + x_d^(k+1) c_k    (over den x_d^(k+1)),
+
+    so no gcd runs until the value is reduced once.
     """
-    if not poly:
+    if not rows:
         return ZERO
-    acc = poly[-1]
-    for a in reversed(poly[:-1]):
-        acc = add(mul(x, acc), a)
-    return acc
+    x0, x1, x2, x3, xd = x
+    a0, a1, a2, a3 = rows[-1]
+    power = 1  # x_d^k
+    for c0, c1, c2, c3 in reversed(rows[:-1]):
+        power *= xd
+        a0, a1, a2, a3 = (
+            x0 * a0 - x1 * a1 - x2 * a2 - x3 * a3 + power * c0,
+            x0 * a1 + x1 * a0 + x2 * a3 - x3 * a2 + power * c1,
+            x0 * a2 - x1 * a3 + x2 * a0 + x3 * a1 + power * c2,
+            x0 * a3 + x1 * a2 - x2 * a1 + x3 * a0 + power * c3,
+        )
+    return _reduce(a0, a1, a2, a3, den * power)
 
 
 def in_class(a: tuple, t, n) -> bool:
@@ -224,12 +241,15 @@ def _product(a: tuple, b: tuple) -> tuple:
 _ZERO4 = (0, 0, 0, 0)
 
 
-def _primitive(row: list) -> list:
-    """A row of integer 4-tuples divided by the gcd of all their entries."""
-    g = gcd(*chain.from_iterable(row))
+def _primitive(rows: list, den: int = 0) -> tuple[list, int]:
+    """Integer 4-tuples and their denominator divided by the gcd of all
+    their entries and den: one content gcd for a whole polynomial. A bare
+    row of equations passes den = 0, which leaves the gcd to its entries.
+    """
+    g = gcd(den, *chain.from_iterable(rows))
     if g > 1:
-        return [(a // g, b // g, c // g, d // g) for a, b, c, d in row]
-    return row
+        return [(a // g, b // g, c // g, d // g) for a, b, c, d in rows], den // g
+    return rows, den
 
 
 def solve_left(rows: list) -> tuple:
@@ -261,7 +281,7 @@ def solve_left(rows: list) -> tuple:
     """
     m = len(rows)
     n = len(rows[0]) - 1 if m else 0
-    a = [_primitive(row) for row in rows]
+    a = [_primitive(row)[0] for row in rows]
 
     pivot_cols = []
     r = 0
@@ -275,7 +295,7 @@ def solve_left(rows: list) -> tuple:
         p0, p1, p2, p3 = a[r][c]
         conj = (p0, -p1, -p2, -p3)
         # entries left of c are zero in every row from r on and stay zero
-        top = a[r] = _primitive(a[r][:c] + [_product(conj, v) for v in a[r][c:]])
+        top = a[r] = _primitive(a[r][:c] + [_product(conj, v) for v in a[r][c:]])[0]
         norm = top[c][0]
         tail = top[c + 1 :]
         for i in range(r + 1, m):
@@ -286,7 +306,7 @@ def solve_left(rows: list) -> tuple:
                 for (x0, x1, x2, x3), v in zip(row[c + 1 :], tail):
                     y0, y1, y2, y3 = _product(f, v)
                     new.append((norm * x0 - y0, norm * x1 - y1, norm * x2 - y2, norm * x3 - y3))
-                a[i] = _primitive(new)
+                a[i] = _primitive(new)[0]
         pivot_cols.append(c)
         r += 1
 
@@ -323,33 +343,54 @@ class NewtonFrame:
     T_0 = 1 and T_{i+1} = T_i (X - T_i(x_i)^-1 x_i T_i(x_i)), which vanishes
     at x_i and wherever T_i does. The append reuses the value and inverse
     that the frame stored for x_i, and runs only once a later node arrives.
+
+    Every polynomial of the frame, each T_i and the P that :meth:`solve`
+    builds, is kept as integer 4-tuple rows over one positive denominator,
+    with the gcd of all entries and the denominator equal to 1: each step
+    takes one content gcd for the whole polynomial, not one per coefficient.
     """
 
     def __init__(self):
-        self.nodes: list[tuple] = []  # (x, T, T(x), T(x)^-1)
+        self.nodes: list[tuple] = []  # (x, T rows, T denominator, T(x), T(x)^-1)
 
     def add_node(self, x: tuple):
         """Append node x; raises NotInvertible when T(x) is zero."""
         if self.nodes:
-            y, t, ty, ty_inv = self.nodes[-1]
-            root = mul(mul(ty_inv, y), ty)
-            tc = [mul(a, root) for a in t]
-            # T (X - c): coefficient h is t_(h-1) - t_h c
-            t = [neg(tc[0])] + [sub(a, b) for a, b in zip(t, tc[1:])] + [t[-1]]
+            y, t, den, ty, ty_inv = self.nodes[-1]
+            *r, rd = mul(mul(ty_inv, y), ty)
+            # T (X - r / rd) over den rd: coefficient h is rd t_(h-1) - t_h r
+            rows = []
+            for (p0, p1, p2, p3), a in zip([_ZERO4] + t, t + [_ZERO4]):
+                y0, y1, y2, y3 = _product(a, r)
+                rows.append((rd * p0 - y0, rd * p1 - y1, rd * p2 - y2, rd * p3 - y3))
+            t, den = _primitive(rows, den * rd)
         else:
-            t = [ONE]
-        tx = evaluate(t, x)
-        self.nodes.append((x, t, tx, inverse(tx)))
+            t, den = [(1, 0, 0, 0)], 1
+        tx = evaluate(t, den, x)
+        self.nodes.append((x, t, den, tx, inverse(tx)))
 
     def solve(self, values) -> list[tuple]:
         """Coefficients of the polynomial within the frame's degree taking
-        ``values`` at its nodes: P += T (T(x)^-1 (w - P(x))) node by node."""
-        poly: list[tuple] = []
-        for (x, t, _, t_inv), w in zip(self.nodes, values):
-            residual = sub(w, evaluate(poly, x))
+        ``values`` at its nodes: P += T (T(x)^-1 (w - P(x))) node by node.
+
+        P's rows are added over the lcm of the two denominators; each
+        coefficient is reduced once, at the end.
+        """
+        rows: list[tuple] = []
+        den = 1
+        for (x, t, tden, _, t_inv), w in zip(self.nodes, values):
+            residual = sub(w, evaluate(rows, den, x))
             if residual == ZERO:
                 continue
-            c = mul(t_inv, residual)
-            step = [mul(a, c) for a in t]
-            poly = [add(a, b) for a, b in zip(poly, step)] + step[len(poly):]
-        return poly
+            *c, cd = mul(t_inv, residual)
+            # T c is t_h c over tden cd; bring P and T c over their lcm
+            common = lcm(den, tden * cd)
+            f, g = common // den, common // (tden * cd)
+            c = [g * v for v in c]
+            step = [_product(a, c) for a in t]
+            summed = [
+                (f * p0 + s0, f * p1 + s1, f * p2 + s2, f * p3 + s3)
+                for (p0, p1, p2, p3), (s0, s1, s2, s3) in zip(rows, step)
+            ]
+            rows, den = _primitive(summed + step[len(rows):], common)
+        return [_reduce(*row, den) for row in rows]

@@ -452,15 +452,11 @@ def _sphere_roots(halves, den: int, remainders, cls_id: ConjugacyClassId) -> Roo
     # R_{0,3}, one half pinned, the other free over its whole sphere: sample
     # representatives of the infinite family, always including the unique
     # paravector candidate (free half = pinned one with k negated). Every
-    # candidate shares the pinned half, so that half is evaluated once. A
-    # pinned half has a != 0, so both halves have degree 1 or more and each
-    # value comes out of the kernel reduced.
+    # candidate shares the pinned half, so that half is evaluated once.
     pinned_plus = solved[1] is None
     pinned = solved[0] if pinned_plus else solved[1]
-    pinned_half, free_half = (
-        [(*row, den) for row in half] for half in (halves if pinned_plus else halves[::-1])
-    )
-    pinned_vanishes = qk.evaluate(pinned_half, pinned) == qk.ZERO
+    pinned_half, free_half = halves if pinned_plus else halves[::-1]
+    pinned_vanishes = qk.evaluate(pinned_half, den, pinned) == qk.ZERO
     c0, c1, c2, c3, d = pinned
     v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
     frees = [f._num for f in quaternion_class_points(t, n, v0, count=12)]
@@ -471,7 +467,7 @@ def _sphere_roots(halves, den: int, remainders, cls_id: ConjugacyClassId) -> Roo
             continue
         seen.add(free)
         pair = (pinned, free) if pinned_plus else (free, pinned)
-        if not pinned_vanishes or qk.evaluate(free_half, free) != qk.ZERO:
+        if not pinned_vanishes or qk.evaluate(free_half, den, free) != qk.ZERO:
             raise AssertionError(f"sampled representative {_from_halves(pair)} is not a root")
         reps.append(_from_halves(pair))
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)

@@ -28,8 +28,9 @@ def run_demo(path, text=True):
     )
 
 
-def test_all_four_demos_are_found():
+def test_every_demo_is_found():
     assert [p.name for p in DEMOS] == [
+        "other_signatures.py",
         "quaternion_interpolation.py",
         "r03_interpolation.py",
         "root_structure.py",

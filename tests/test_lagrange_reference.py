@@ -124,3 +124,14 @@ def test_reference_reproduces_the_five_point_example():
 
     assert reference_interpolant(FIVE_POINTS) == FIVE_POINTS_P
     assert_newton_equals_lagrange_equals_oracle(FIVE_POINTS)
+
+
+@pytest.mark.parametrize("n_points", (15, 20))
+def test_r03_newton_equals_oracle_at_larger_sizes(n_points):
+    # beyond the product reference's range: the frame against the oracle
+    problem = random_r03_problem(random.Random(f"r03-large:{n_points}"), n_points=n_points)
+    p = interpolate(problem)
+    oracle = brute_force_interpolate(problem)
+    assert oracle.kind == "unique"
+    assert oracle.polynomial == p
+    assert verify_interpolant(p, problem)

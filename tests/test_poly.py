@@ -431,9 +431,9 @@ def test_sampled_family_evaluates_the_pinned_half_once(monkeypatch):
     original = kernel.evaluate
     calls = []
 
-    def counting(poly, x):
+    def counting(rows, den, x):
         calls.append(x)
-        return original(poly, x)
+        return original(rows, den, x)
 
     monkeypatch.setattr(kernel, "evaluate", counting)
     found = roots_in_class(_half_family(), S)
@@ -447,10 +447,10 @@ def test_sampled_family_self_check_is_live(monkeypatch):
     kernel = sys.modules["clifflag.poly"].qk
     original = kernel.evaluate
 
-    def pinned_misses(poly, x):
-        if any(any(c[:4]) for c in poly):  # the free half is the zero polynomial
+    def pinned_misses(rows, den, x):
+        if any(any(row) for row in rows):  # the free half is the zero polynomial
             return kernel.ONE
-        return original(poly, x)
+        return original(rows, den, x)
 
     monkeypatch.setattr(kernel, "evaluate", pinned_misses)
     with pytest.raises(AssertionError, match="is not a root"):

@@ -3,10 +3,12 @@
 The kernel stores a quaternion as four integer numerators over one
 denominator, which is also what a quaternionic Multivector stores; every
 operation must give the same exact value as the generic blade-table
-arithmetic of R(0,2), in lowest terms. The root search reads a polynomial
-as integer rows over one denominator, one list per half; the remainder
-modulo a class quadratic is checked on such rows against Multivector
-division. Derandomized, so the suite stays deterministic.
+arithmetic of R(0,2), in lowest terms. The root search and the Newton
+frame read a polynomial as integer rows over one denominator, one list
+per half; evaluation on such rows is checked against Polynomial, the
+remainder modulo a class quadratic against Multivector division, and the
+frame's rows for a zero content after every step. Derandomized, so the
+suite stays deterministic.
 """
 
 import random
@@ -255,7 +257,10 @@ def test_polynomial_split_is_rows_over_one_denominator(p):
 @PROPERTY_SETTINGS
 @given(st.lists(quaternions, max_size=5), quaternions)
 def test_evaluation_matches(coeffs, x):
-    got = hk.evaluate([as_kernel(c) for c in coeffs], as_kernel(x))
+    # the coefficients over their lcm, a zero top coefficient kept
+    den = lcm(*(as_kernel(c)[4] for c in coeffs))
+    rows = [tuple(int(v * den) for v in c.coeffs) for c in coeffs]
+    got = hk.evaluate(rows, den, as_kernel(x))
     assert_reduced(got)
     assert got == Polynomial(QUATERNIONS, coeffs)(x)._num
 
@@ -271,7 +276,86 @@ def test_frame_polynomials_are_the_append_root_chain():
             frame.add_node(node._num)
             if i:
                 chain = append_root(chain, nodes[i - 1])
-            _, t, tx, tx_inv = frame.nodes[-1]
-            assert t == [c._num for c in chain.coeffs]
+            _, t, den, tx, tx_inv = frame.nodes[-1]
+            assert [hk._reduce(*row, den) for row in t] == [c._num for c in chain.coeffs]
             assert tx == chain(node)._num
             assert tx_inv == chain(node).inverse()._num
+
+
+def as_polynomial(rows, den):
+    return Polynomial(QUATERNIONS, [Multivector(QUATERNIONS, [Fraction(v, den) for v in row]) for row in rows])
+
+
+@st.composite
+def rows_over_one_denominator(draw):
+    """(rows, den): up to six integer 4-tuples over one denominator, with
+    zero rows, a zero top row, the empty list, and rows and den that share
+    a factor."""
+    rows = draw(st.lists(st.one_of(st.just(Q0), int_quaternions), max_size=6))
+    den = draw(st.one_of(st.integers(1, 6), st.integers(1, 2**64)))
+    if draw(st.booleans()):
+        factor = draw(st.integers(2, 12))
+        rows = [tuple(factor * v for v in row) for row in rows]
+        den *= factor
+    if rows and draw(st.booleans()):
+        rows[-1] = Q0
+    return rows, den
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(rows_over_one_denominator(), quaternions)
+@example(([], 3), Multivector.parse("1/2 + e1", QUATERNIONS))  # the empty list
+@example(([Q0, Q0], 5), Multivector.parse("e12", QUATERNIONS))  # zero rows
+@example(([(6, 0, 4, 2), Q0], 4), Multivector.parse("1/2 e2", QUATERNIONS))  # a zero top row
+@example(([(2, 4, 6, 8), (6, 0, 0, 2)], 10), Multivector.parse("1/3 + 2/3 e1", QUATERNIONS))  # factor 2
+def test_evaluate_on_rows_over_one_denominator_matches_polynomial(rows_den, x):
+    rows, den = rows_den
+    got = hk.evaluate(rows, den, as_kernel(x))
+    assert_reduced(got)
+    assert got == as_polynomial(rows, den)(x)._num
+
+
+def assert_primitive(rows, den):
+    assert den > 0 and gcd(den, *(v for row in rows for v in row)) == 1
+
+
+def h_pairs(*texts):
+    return [(Multivector.parse(x, QUATERNIONS), Multivector.parse(w, QUATERNIONS)) for x, w in texts]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(st.lists(st.tuples(quaternions, quaternions), min_size=1, max_size=6))
+@example(h_pairs(("1/2", "1"), ("e1", "0"), ("1 + e2", "2/3 e12"), ("3/4 e12", "1")))
+@example(h_pairs(("e1", "1"), ("2", "e2"), ("e1", "0")))  # a repeated node stops the frame
+def test_frame_rows_are_primitive_after_every_step(pairs):
+    # every T that add_node builds and every P that solve reads at a node
+    # is integer rows over a positive denominator with no common factor
+    seen = []
+    original = hk.evaluate
+
+    def recording(rows, den, x):
+        seen.append((list(rows), den))
+        return original(rows, den, x)
+
+    frame = hk.NewtonFrame()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hk, "evaluate", recording)
+        for x, _ in pairs:
+            try:
+                frame.add_node(as_kernel(x))
+            except NotInvertible:  # x is a root of the frame so far
+                seen.pop()  # the zero T(x) that add_node refused
+                break
+        assert len(seen) == len(frame.nodes)
+        values = [as_kernel(w) for _, w in pairs[: len(frame.nodes)]]
+        got = frame.solve(values)
+    assert len(seen) == 2 * len(frame.nodes)
+    for _, t, den, _, _ in frame.nodes:
+        assert_primitive(t, den)
+    for rows, den in seen:
+        assert_primitive(rows, den)
+    for q in got:
+        assert_reduced(q)
+    p = Polynomial(QUATERNIONS, [Multivector(QUATERNIONS, [Fraction(v, q[4]) for v in q[:4]]) for q in got])
+    for (x, _), w in zip(pairs, values):
+        assert p(x)._num == w

@@ -41,6 +41,20 @@ def test_kernel_imports_neither_fractions_nor_multivector():
     assert imported.isdisjoint({"fractions", ".multivector", "clifflag.multivector"}), imported
 
 
+def test_kernel_has_no_true_division_and_no_float_constant():
+    # the kernel works on integers alone: a stray `/` where `//` was meant
+    # would turn a numerator into a float without failing
+    path = SOURCE_DIR / "_quaternion.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+    ]
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # every CLI process imports the package; dataclasses would bring in
     # inspect, ast, dis and tokenize with it
