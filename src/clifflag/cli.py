@@ -32,6 +32,7 @@ from .interpolate import (
     brute_force_interpolate,
     group_by_class,
     interpolate,
+    verify_interpolant,
 )
 from .multivector import R03, Multivector, Signature, _tokens
 from .poly import MAX_DEGREE, Polynomial
@@ -163,7 +164,7 @@ def cmd_interpolate(args) -> int:
         if result.kind == "unique":
             print("oracle: AGREE" if result.polynomial == poly else "oracle: DISAGREE")
         elif result.kind == "affine_family":
-            member = all(result.polynomial(x) == w for x, w in problem.pairs)
+            member = verify_interpolant(result.polynomial, problem)
             status = "solution lies in it" if member else "DISAGREE"
             print(
                 f"oracle: AFFINE-FAMILY at max degree {bound} "

@@ -362,8 +362,7 @@ def _coordinate_oracle(problem: InterpolationProblem, max_degree: int) -> Oracle
     """The oracle as one system in the blade coordinates of any signature."""
     sig = problem.sig
     dim = sig.dim
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for x, w in problem.pairs:
         # block h of the rows is the matrix of a_h -> x^h a_h
         power = Multivector.one(sig)
@@ -378,10 +377,7 @@ def _coordinate_oracle(problem: InterpolationProblem, max_degree: int) -> Oracle
     kind, solution = solve_exact(rows, rhs)
     if kind == "none":
         return OracleResult("none", None)
-    coeffs = [
-        Multivector(sig, solution[h * dim : (h + 1) * dim])
-        for h in range(max_degree + 1)
-    ]
+    coeffs = [Multivector(sig, solution[h * dim : (h + 1) * dim]) for h in range(max_degree + 1)]
     poly = Polynomial(sig, coeffs)
     return OracleResult("unique" if kind == "unique" else "affine_family", poly)
 

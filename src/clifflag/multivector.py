@@ -34,13 +34,13 @@ from operator import attrgetter
 
 from . import _quaternion as qk
 from .errors import (
+    AlgebraError,
     NotInCone,
     NotInvertible,
     ParseError,
     SignatureMismatch,
     WrongSignature,
 )
-from .linsolve import solve_exact
 
 # Cap on p+q: an algebra of dimension 2^6 = 64 is the largest accepted.
 HARD_DIM_LIMIT = 6
@@ -437,16 +437,10 @@ class Multivector(_Frozen):
         +-self[k ^ j]; so ``(self * y).coeffs[k]`` is the dot product of
         row k with ``y.coeffs``.
         """
-        d = self._num[-1]
-        return [[Fraction(v, d) for v in row] for row in self._left_rows()]
-
-    def _left_rows(self) -> list[list[int]]:
-        # left_multiplication_matrix() times the denominator d: the same
-        # rows on the integer numerators
         a, signs = self._num, _product_signs(self.sig)
-        dim = self.sig.dim
+        d, dim = a[-1], self.sig.dim
         return [
-            [a[k ^ j] if signs[k ^ j][j] > 0 else -a[k ^ j] for j in range(dim)]
+            [Fraction(a[k ^ j] if signs[k ^ j][j] > 0 else -a[k ^ j], d) for j in range(dim)]
             for k in range(dim)
         ]
 
@@ -515,10 +509,12 @@ class Multivector(_Frozen):
     def inverse(self) -> Multivector:
         """Two-sided inverse; raises NotInvertible for zero and zero divisors.
 
-        H inverts on the quaternion kernel, d conj(n) / |n|^2, and R_{0,3}
-        inverts both halves of its H (+) H split there; any other signature
-        solves the left-multiplication system N y = d e_0 exactly, on the
-        integer numerators N over their denominator d.
+        H and R_{0,3} invert on the quaternion kernel, each half of the split
+        as d conj(n) / |n|^2. Other signatures run Faddeev-LeVerrier in the
+        algebra (D. S. Shirokov, Comput. Appl. Math. 40, 173 (2021),
+        arXiv:2005.04015): with N = 2^ceil(m/2), A_0 = 1, U_k = x A_{k-1} and
+        A_k = U_k - (N/k) <U_k>_0, x A_{N-1} is real (-Det(x) once N > 1),
+        zero just for zero divisors, and x^-1 = A_{N-1} / (x A_{N-1}).
         """
         sig = self.sig
         if sig in (QUATERNIONS, R03):
@@ -526,11 +522,17 @@ class Multivector(_Frozen):
             if qk.ZERO in halves:
                 raise NotInvertible(str(self))
             return _from_halves([qk.inverse(h) for h in halves])
-        rhs = [self._num[-1]] + [0] * (sig.dim - 1)
-        kind, solution = solve_exact(self._left_rows(), rhs)
-        if kind != "unique":
+        n = 1 << (sig.m + 1) // 2
+        adj = Multivector.one(sig)
+        for k in range(1, n):
+            u = self * adj
+            adj = u - Fraction(n, k) * u.scalar_part()
+        det = self * adj
+        if not det.is_scalar():
+            raise AlgebraError(f"Faddeev-LeVerrier left a non-real determinant {det} for {self}")
+        if not det:
             raise NotInvertible(str(self))
-        return Multivector(sig, solution)
+        return adj / det.scalar_part()
 
     def is_invertible(self) -> bool:
         try:

@@ -185,6 +185,16 @@ def test_diagnose_reals(capsys):
     assert "pair (1,2): same class: no; difference invertible: yes" in out
 
 
+def test_diagnose_r06_pair_with_16_bit_denominators(capsys):
+    # 64 coordinates over unrelated 16-bit denominators: the inverse of the
+    # difference runs in the algebra, not as a 64 x 64 exact solve; CI runs
+    # the same pair under a timeout
+    points = (Path(__file__).parent / "data" / "r06_16bit_pair.txt").read_text().splitlines()
+    assert main(["diagnose", "-s", "0,6", *points]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "pair (1,2): same class: -; difference invertible: yes"
+
+
 def test_diagnose_point_outside_cone(capsys):
     code = main(["diagnose", "-s", "0,3", "e123"])
     assert code == 0

@@ -41,6 +41,13 @@ def test_kernel_imports_neither_fractions_nor_multivector():
     assert imported.isdisjoint({"fractions", ".multivector", "clifflag.multivector"}), imported
 
 
+def test_multivector_does_not_import_linsolve():
+    # the general inverse runs in the algebra; elimination serves the
+    # coordinate oracle and the tests' reference only
+    imported = imported_names(SOURCE_DIR / "multivector.py")
+    assert imported.isdisjoint({".linsolve", "clifflag.linsolve"}), imported
+
+
 def test_kernel_has_no_true_division_and_no_float_constant():
     # the kernel works on integers alone: a stray `/` where `//` was meant
     # would turn a numerator into a float without failing

@@ -106,8 +106,8 @@ def test_same_value_same_storage(case, k):
 
 
 def test_same_value_same_storage_in_r06():
-    # 64 coordinates over many denominators; few cases, since the inverse
-    # is a 64 x 64 exact solve
+    # 64 coordinates over many denominators; few cases, since each inverse
+    # is eight 64-coordinate products (Faddeev-LeVerrier) at growing height
     rng = random.Random("storage r06")
     for k in (2, 3):
         coords, other = ([Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(64)] for _ in range(2))
