@@ -9,18 +9,17 @@ standard tricks give plenty of exact sample points:
   once one rational point of a sphere |v| = r is known, so are many others.
 
 Vectors here are coordinate triples of Fractions; the quaternion basis is
-the package-wide embedding i = e1, j = e2, k = e12. The reflections run on
-integers, in the layout of the quaternion kernel: v0 is its numerators c
-over one denominator D, and the reflection of v0 in the plane normal to an
-integer direction u is (c |u|^2 - 2 (c . u) u) / (D |u|^2), reduced by one
-gcd. Reduced tuples are equal exactly when the vectors are, so they also
-serve as the keys that remove duplicates.
+the package-wide embedding i = e1, j = e2, k = e12. One integer loop runs
+on a kernel quaternion (c0, c, D): the reflection of its vector part in the
+plane normal to an integer direction u is (c0 |u|^2, c |u|^2 - 2 (c . u) u,
+D |u|^2), reduced by one gcd, so reduced tuples also serve as the keys that
+remove duplicates. :func:`reflect_through` reads its vector parts as
+Fractions; :func:`quaternion_class_points` wraps its tuples as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ._quaternion import _reduce
 from .multivector import QUATERNIONS, Multivector, from_quaternion_pair
@@ -60,31 +59,35 @@ def rational_unit_vectors(count: int) -> list[tuple[Fraction, Fraction, Fraction
     return out
 
 
+def _reflections(q: tuple, limit: int | None) -> list[tuple]:
+    """The reduced kernel quaternion q, then its vector part's reflections in
+    its own normal plane (the antipode) and those normal to ``_REFLECT_DIRS``,
+    each with q's real part; no duplicates, at most ``limit`` of them."""
+    c0, c1, c2, c3, den = q
+    out = [q]
+    seen = {q}
+    for u1, u2, u3 in ((c1, c2, c3),) + _REFLECT_DIRS:
+        uu = u1 * u1 + u2 * u2 + u3 * u3
+        if not uu:
+            continue
+        cu2 = 2 * (c1 * u1 + c2 * u2 + c3 * u3)
+        w = _reduce(c0 * uu, c1 * uu - cu2 * u1, c2 * uu - cu2 * u2, c3 * uu - cu2 * u3, den * uu)
+        if w not in seen:
+            seen.add(w)
+            out.append(w)
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
 def reflect_through(v0, limit: int | None = None) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Rational vectors of the same length as v0, via reflections of v0.
 
     The list starts with v0 itself and contains its antipode; duplicates
     are removed while preserving order.
     """
-    v0 = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in v0]
-    den = lcm(*(c.denominator for c in v0))
-    c0, c1, c2 = (c.numerator * (den // c.denominator) for c in v0)
-    first = (c0, c1, c2, den)  # in lowest terms, like a Multivector's numerators
-    out = [first]
-    seen = {first}
-    # reflecting in v0's own normal plane gives the antipode
-    for u0, u1, u2 in ((c0, c1, c2),) + _REFLECT_DIRS:
-        uu = u0 * u0 + u1 * u1 + u2 * u2
-        if not uu:
-            continue
-        cu2 = 2 * (c0 * u0 + c1 * u1 + c2 * u2)
-        w = _reduce(c0 * uu - cu2 * u0, c1 * uu - cu2 * u1, c2 * uu - cu2 * u2, den * uu)
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-        if limit is not None and len(out) >= limit:
-            break
-    return [(Fraction(w0, d), Fraction(w1, d), Fraction(w2, d)) for w0, w1, w2, d in out]
+    points = _reflections(Multivector(QUATERNIONS, (0, *v0))._num, limit)
+    return [(Fraction(w1, d), Fraction(w2, d), Fraction(w3, d)) for _, w1, w2, w3, d in points]
 
 
 def quaternion_from_parts(alpha, vec) -> Multivector:
@@ -105,8 +108,8 @@ def quaternion_class_points(t, n, v0, count: int) -> list[Multivector]:
     `v0` must be a rational vector with |v0|^2 = n - t^2/4 (for instance the
     imaginary part of a known class member).
     """
-    alpha = Fraction(t) / 2
-    return [Multivector(QUATERNIONS, (alpha, *v)) for v in reflect_through(v0, limit=count)]
+    q = Multivector(QUATERNIONS, (Fraction(t) / 2, *v0))._num
+    return [Multivector._wrap(QUATERNIONS, w) for w in _reflections(q, count)]
 
 
 def square_roots_of_minus_one(count: int) -> list[Multivector]:

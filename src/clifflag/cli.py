@@ -20,6 +20,7 @@ import argparse
 import decimal
 import json
 import sys
+from math import isqrt
 
 from .errors import (
     AlgebraError,
@@ -34,13 +35,16 @@ from .interpolate import (
     interpolate,
     verify_interpolant,
 )
-from .multivector import R03, Multivector, Signature, _tokens
+from .multivector import QUATERNIONS, R03, Multivector, Signature, _tokens
 from .poly import MAX_DEGREE, Polynomial
 
 # Largest number of points in a problem file or a diagnose call. A problem's
 # degree bound is below its point count, so it stays within the cap on
 # polynomial degrees.
 MAX_POINTS = MAX_DEGREE + 1
+# Largest work of a diagnose call, in pairs times dim^2 (one difference
+# inverted per pair): that of MAX_POINTS points in H.
+MAX_DIAGNOSE_WORK = MAX_POINTS * (MAX_POINTS - 1) // 2 * QUATERNIONS.dim**2
 # Largest --decimal: every approximated coefficient is written with this
 # many significant digits.
 MAX_DECIMAL_DIGITS = 1000
@@ -189,7 +193,12 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     sig = _parse_signature(args.signature)
-    _check_point_count(len(args.points))  # the pair loop inverts n(n-1)/2 differences
+    n = len(args.points)
+    _check_point_count(n)
+    # the pair loop inverts n(n-1)/2 differences: n(n-1)/2 <= work / dim^2
+    cap = (1 + isqrt(1 + 8 * (MAX_DIAGNOSE_WORK // sig.dim**2))) // 2
+    if n > cap:
+        raise ParseError(f"diagnose takes at most {cap} points in {sig}, got {n}")
     points = [Multivector.parse(text, sig) for text in args.points]
     classes = [x._class_id() for x in points]  # None outside the cone
     for idx, (x, cls_id) in enumerate(zip(points, classes), start=1):

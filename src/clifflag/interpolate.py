@@ -57,6 +57,7 @@ from .errors import (
     NotInCone,
     NotInvertible,
     PointNotInCone,
+    SignatureMismatch,
     UnsupportedSignature,
 )
 from ._quaternion import ONE, ZERO, NewtonFrame, mul, solve_left, split
@@ -138,16 +139,28 @@ class ClassGrouping(_Value):
         return -1 + sum(g.capped_size for g in self.groups)
 
 
+def _check_signatures(problem: InterpolationProblem) -> None:
+    """Raise SignatureMismatch for the first pair not wholly in ``problem.sig``."""
+    for x, w in problem.pairs:
+        if x.sig != problem.sig or w.sig != problem.sig:
+            raise SignatureMismatch(
+                f"pair ({x}, {w}) has its point in {x.sig} and its value in {w.sig}; "
+                f"the problem is in {problem.sig}"
+            )
+
+
 def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
     """Validate a problem and group its pairs by conjugacy class.
 
-    Points must be pairwise distinct cone elements of R_{0,2} or R_{0,3};
+    Every point and value must lie in the problem's signature, and points
+    must be pairwise distinct cone elements of R_{0,2} or R_{0,3};
     in R_{0,3} no class may carry two points. Singleton classes come
     first, then multi-point classes, preserving first appearance within
     each block.
     """
     if problem.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
+    _check_signatures(problem)
     seen = set()
     ordered: dict[ConjugacyClassId, list[int]] = {}
     for idx, (x, _) in enumerate(problem.pairs):
@@ -297,6 +310,7 @@ def brute_force_interpolate(
     CLI's ``--max-degree`` cap; each degree costs one power per point.
     """
     sig = problem.sig
+    _check_signatures(problem)
     if not problem.pairs:
         return OracleResult("affine_family", Polynomial.zero(sig))
     if max_degree is None:

@@ -548,15 +548,15 @@ class Multivector(_Frozen):
         # outside the cone. A real x has 4n = t^2 and the id of real(x).
         sig = self.sig
         if sig in (QUATERNIONS, R03):
-            # Closed form: t = 2 c0 + 2 c7 e123 and n = sum c_i^2
-            # + 2 (c0 c7 - c1 c6 + c2 c5 - c3 c4) e123, with no e123 part in
-            # H. Both are real iff c7 = 0 and c2 c5 = c1 c6 + c3 c4; then
-            # 4n > t^2 unless x is real. Tested on the numerators a over the
-            # denominator d, so n is one Fraction.
+            # Every quaternion is in the cone and the split keeps trace and
+            # norm, so x is in the cone when its halves, over x's denominator,
+            # share their real numerator h0 and squared norm n.
             a = self._num
-            if sig == R03 and (a[7] or a[2] * a[5] != a[1] * a[6] + a[3] * a[4]):
+            ids = {(h0, h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3) for h0, h1, h2, h3 in qk._halves(a)}
+            if len(ids) > 1:
                 return None
-            return ConjugacyClassId(Fraction(2 * a[0], a[-1]), self.abs_squared())
+            ((h0, n),) = ids
+            return ConjugacyClassId(Fraction(2 * h0, a[-1]), Fraction(n, a[-1] ** 2))
         conj = self.conjugate()
         t = self + conj
         if not t.is_scalar():

@@ -459,13 +459,9 @@ def _sphere_roots(halves, den: int, remainders, cls_id: ConjugacyClassId) -> Roo
     pinned_vanishes = qk.evaluate(pinned_half, den, pinned) == qk.ZERO
     c0, c1, c2, c3, d = pinned
     v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
-    frees = [f._num for f in quaternion_class_points(t, n, v0, count=12)]
-    seen = set()
+    frees = [(c0, c1, c2, -c3, d)] + [f._num for f in quaternion_class_points(t, n, v0, 12)]
     reps = []
-    for free in [(c0, c1, c2, -c3, d)] + frees:
-        if free in seen:
-            continue
-        seen.add(free)
+    for free in dict.fromkeys(frees):
         pair = (pinned, free) if pinned_plus else (free, pinned)
         if not pinned_vanishes or qk.evaluate(free_half, den, free) != qk.ZERO:
             raise AssertionError(f"sampled representative {_from_halves(pair)} is not a root")

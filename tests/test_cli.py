@@ -252,6 +252,20 @@ def test_diagnose_point_count_above_cap_rejected_before_parsing(capsys):
     assert "cannot parse" in captured.err
 
 
+def test_diagnose_work_bound_rejected_before_parsing(capsys):
+    # n(n-1)/2 differences of dimension 64 each: R(0,6) takes at most 63
+    # points, the work of MAX_POINTS points in H; unparseable texts show
+    # that the bound is checked before any point is read
+    assert main(["diagnose", "-s", "0,6", *["?"] * 64]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "diagnose takes at most 63 points in R(0,6), got 64" in captured.err
+    assert main(["diagnose", "-s", "0,6", *["?"] * 63]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse" in captured.err
+
+
 def test_exit_code_collinearity(tmp_path, capsys):
     doc = dict(FIVE_POINT_DOC, values=["1", "-1", "1", "e12", "e2"])
     assert main(["interpolate", write(tmp_path, doc)]) == 3

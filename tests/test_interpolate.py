@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from clifflag import (
     Polynomial,
     QUATERNIONS,
     R03,
+    SignatureMismatch,
     UnsupportedSignature,
     affine_restriction,
     brute_force_interpolate,
@@ -189,6 +191,37 @@ def test_interpolate_dispatch_checks_signature():
         interpolate_quaternion(THREE_POINTS)
     with pytest.raises(UnsupportedSignature):
         interpolate_r03(FIVE_POINTS)
+
+
+def test_mixed_signature_pairs_rejected_before_work(monkeypatch):
+    # a point or a value outside the problem's signature is named, not read
+    # as an element of another algebra
+    def build_system(*args):
+        raise AssertionError("the oracle started building a system")
+
+    module = importlib.import_module("clifflag.interpolate")
+    monkeypatch.setattr(module, "_split_oracle", build_system)
+    monkeypatch.setattr(module, "_coordinate_oracle", build_system)
+    one, e3 = Multivector.one(R03), Multivector.basis(R03, 3)
+    cases = [
+        # an R(0,3) problem whose first point is the quaternion i = e1
+        (R03, [(I, one), (Multivector.scalar(R03, 2), Multivector.basis(R03, 2))]),
+        # an H problem whose first value is 1 + e3 in R(0,3)
+        (H, [(I, one + e3), (Multivector.scalar(H, 2), J)]),
+    ]
+    runs = [
+        interpolate,
+        lagrange_basis,
+        group_by_class,
+        brute_force_interpolate,
+        lambda problem: brute_force_interpolate(problem, max_degree=2),
+    ]
+    for sig, pairs in cases:
+        problem = InterpolationProblem.from_pairs(sig, pairs)
+        x, w = pairs[0]
+        for run in runs:
+            with pytest.raises(SignatureMismatch, match=re.escape(f"pair ({x}, {w})")):
+                run(problem)
 
 
 def test_empty_problem():

@@ -457,6 +457,34 @@ def test_sampled_family_self_check_is_live(monkeypatch):
         roots_in_class(_half_family(), S)
 
 
+def test_sampled_families_build_one_multivector_each(monkeypatch):
+    # (X - x1)(X - x2)(X - x3) (1 + e123)/2 has a zero minus half, free over
+    # every class, and a plus half pinned at one point of each x_i's class:
+    # one sampled family per probe. Candidates stay kernel tuples, so the
+    # constructor runs at most once per family, not once per candidate.
+    rng = random.Random(41)
+    roots = [rand_cone_point_r03(rng) for _ in range(3)]
+    p = Polynomial.one(R03)
+    for x in roots:
+        p = p * Polynomial.x_minus(x)
+    p = p * ((Multivector.one(R03) + Multivector.basis(R03, 1, 2, 3)) / 2)
+    classes = [x.conjugacy_class() for x in roots]
+    calls = []
+    original = Multivector.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Multivector, "__init__", counting)
+    found = [roots_in_class(p, cls_id) for cls_id in classes]
+    monkeypatch.undo()
+    assert all(rs.kind == "points" and not rs.exhaustive and len(rs.points) > 1 for rs in found)
+    assert len(calls) <= len(classes)
+    for rs in found:
+        assert all(p(x) == 0 and x.conjugacy_class() == rs.cls_id for x in rs.points)
+
+
 def test_roots_in_class_quaternion_cases():
     rs = roots_in_class(Polynomial.from_scalars(H, (1, 0, 1)), S)
     assert rs.kind == "whole_class"
