@@ -26,10 +26,11 @@ rule runs on those integers and reduces only its results, in
 :func:`remainder_mod_quadratic`. The Lagrange construction of
 :mod:`clifflag.interpolate` runs on :class:`NewtonFrame`, whose
 polynomials are such rows, with one content gcd per polynomial step
-instead of one gcd per coefficient. The root search and root census of
-:mod:`clifflag.poly` take the rows of each polynomial half, reduce them
-modulo a class quadratic, and test the roots with :func:`in_class` and
-:func:`evaluate`.
+instead of one gcd per coefficient. The rows of each polynomial half
+are formed once per :class:`clifflag.poly.Polynomial` in H or R_{0,3}, and
+kept in it: its evaluation runs :func:`evaluate` on them, and its root
+search and root census reduce them modulo a class quadratic and test the
+roots with :func:`in_class` and :func:`evaluate`.
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows

@@ -55,7 +55,10 @@ class _Frozen:
 
     A subclass sets each of its ``__slots__`` once, in ``__init__`` or a
     private constructor, with ``_set`` (``object.__setattr__``), so a value
-    cannot change after it has been hashed or shared.
+    cannot change after it has been hashed or shared. One slot is a derived
+    value filled on first use: ``Polynomial._rows``, its kernel rows, is
+    ``None`` until the first root search, census or evaluation forms them
+    from the coefficients, and is set only that once.
     """
 
     __slots__ = ()

@@ -52,10 +52,13 @@ MAX_DEGREE = 1000
 class Polynomial(_Frozen):
     """A polynomial over one Clifford algebra, right coefficients, exact.
 
-    Copies and pickles go through the constructor.
+    Copies and pickles go through the constructor. In H and R_{0,3} the
+    polynomial keeps its kernel rows (:func:`_split`) once they are formed;
+    they are derived from ``coeffs`` and take no part in equality, hashing,
+    the repr or pickling.
     """
 
-    __slots__ = ("sig", "coeffs")
+    __slots__ = ("sig", "coeffs", "_rows")
 
     def __init__(self, sig: Signature, coeffs):
         coeffs = list(coeffs)
@@ -68,6 +71,7 @@ class Polynomial(_Frozen):
             coeffs.pop()
         _set(self, "sig", sig)
         _set(self, "coeffs", tuple(coeffs))
+        _set(self, "_rows", None)
 
     # ---- constructors ----------------------------------------------------
 
@@ -136,9 +140,17 @@ class Polynomial(_Frozen):
     # ---- evaluation ----------------------------------------------------------
 
     def __call__(self, x: Multivector) -> Multivector:
-        """Evaluate sum_h x^h a_h (Horner from the top; powers stay left)."""
+        """Evaluate sum_h x^h a_h (Horner from the top; powers stay left).
+
+        In H and R_{0,3} each half of the kernel rows is evaluated at the
+        matching half of x on integers, and the halves are joined.
+        """
         if x.sig != self.sig:
             raise SignatureMismatch(f"point in {x.sig}, polynomial in {self.sig}")
+        if self.sig in (QUATERNIONS, R03):
+            halves, den = _split(self)
+            values = [qk.evaluate(half, den, y) for half, y in zip(halves, qk.split(x._num))]
+            return _from_halves(values)
         acc = Multivector.zero(self.sig)
         for a in reversed(self.coeffs):
             acc = x * acc + a
@@ -387,14 +399,23 @@ class RootSet(_Value):
         return self.kind == "empty"
 
 
-def _split(p: Polynomial) -> tuple[list[list[tuple]], int]:
+def _split(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
     """P as integer rows over one denominator: (halves, den).
 
     There is one half for H, and the plus and minus halves for R_{0,3};
     coefficient h of a half is half[h] / den, with den the lcm of the
     denominators of P's coefficients and no gcd taken. The split is a ring
-    isomorphism, so P(x) splits into P+(x+) and P-(x-).
+    isomorphism, so P(x) splits into P+(x+) and P-(x-). The rows are formed
+    once per polynomial, by :func:`_kernel_rows`, and kept in P; they are
+    tuples, so no caller can change them.
     """
+    if p._rows is None:
+        _set(p, "_rows", _kernel_rows(p))
+    return p._rows
+
+
+def _kernel_rows(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
+    """Form the rows that :func:`_split` keeps."""
     nums = [c._num for c in p.coeffs]
     den = lcm(*(a[-1] for a in nums))
     halves = [[] for _ in range(2 if p.sig == R03 else 1)]
@@ -402,7 +423,7 @@ def _split(p: Polynomial) -> tuple[list[list[tuple]], int]:
         f = den // a[-1]
         for half, (h0, h1, h2, h3) in zip(halves, qk._halves(a)):
             half.append((h0 * f, h1 * f, h2 * f, h3 * f))
-    return halves, den
+    return tuple(map(tuple, halves)), den
 
 
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
@@ -529,9 +550,11 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     characteristic powers of spherical classes, and remaining non-real
     non-spherical paravector roots found class by class.
 
-    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. P is split once;
-    each sphere costs one reduction per half, and a Multivector division
-    runs only where the remainders show that Delta divides P.
+    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. P is split once,
+    on its first root search, census or evaluation, and every later call
+    reuses the rows; each sphere costs one reduction per half, and a
+    Multivector division runs only where the remainders show that Delta
+    divides P.
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")

@@ -36,6 +36,7 @@ from clifflag.classpoints import (
 from clifflag.multivector import from_quaternion_pair, to_quaternion_pair
 from clifflag.poly import RootSet, _divide_out
 from util import (
+    horner,
     rand_class_params,
     rand_cone_point_r03,
     rand_fraction,
@@ -272,10 +273,11 @@ def _solve_affine_reference(a, b, cls_id):
 
 def roots_in_class_reference(p, cls_id):
     # reference: the root search on Multivector coefficients, through the
-    # remainder modulo Delta and the split of a and b, not of P
+    # remainder modulo Delta and the split of a and b, not of P, with
+    # values from the Multivector Horner loop
     if cls_id.is_real:
         alpha = Multivector.scalar(p.sig, cls_id.alpha)
-        return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
+        return RootSet("empty", cls_id) if horner(p, alpha) else RootSet("points", cls_id, (alpha,))
     _, rem = divide_by_real(p, Polynomial.from_scalars(p.sig, (cls_id.n, -cls_id.t, 1)))
     a, b = rem.coefficient(1), rem.coefficient(0)
     if p.sig == H:
@@ -298,7 +300,7 @@ def roots_in_class_reference(p, cls_id):
     for free in [Multivector(H, (c[0], c[1], c[2], -c[3]))] + frees:
         x = from_quaternion_pair(*((pinned, free) if pinned_plus else (free, pinned)))
         if x not in reps:
-            assert not p(x)
+            assert not horner(p, x)
             reps.append(x)
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
 
@@ -413,6 +415,45 @@ def test_census_divides_only_where_delta_divides(monkeypatch):
     delta = characteristic_poly(_sphere(a1, b1), R03)
     assert paravector_root_census(p * delta, [_sphere(a1, b1)]) == (0, 1, 0)
     assert divisions == [delta, delta]
+
+
+@pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
+def test_each_polynomial_is_split_once(sig, monkeypatch):
+    # the root search over 20 classes, the census over the same classes
+    # (R(0,3) only), an affine restriction and an evaluation all read the
+    # kernel rows the polynomial keeps: one split, not one per call
+    rng = random.Random(20)
+    params = rand_class_params(rng, 16)
+    if sig == R03:
+        roots = [r03_cone_point(a, b, *rng.sample(_UNITS, 2)) for a, b in params[:3]]
+    else:
+        roots = [quaternion_from_parts(a, [b * c for c in rng.choice(_UNITS)]) for a, b in params[:3]]
+    roots.append(Multivector.scalar(sig, Fraction(1, 2)))
+    p = characteristic_poly(_sphere(*params[3]), sig)
+    for y in roots:
+        p = append_root(p, y)
+    p = Polynomial(sig, p.coeffs)  # a fresh value, its rows not yet formed
+    classes = [_sphere(a, b) for a, b in params]
+    classes += [ConjugacyClassId.real(Fraction(h, 2)) for h in range(-2, 2)]
+    assert len(set(classes)) == 20
+
+    module = sys.modules["clifflag.poly"]
+    splits = []
+
+    def counting(q):
+        splits.append(q)
+        return original(q)
+
+    original = module._kernel_rows
+    monkeypatch.setattr(module, "_kernel_rows", counting)
+    found = [roots_in_class(p, cls_id) for cls_id in classes]
+    assert sum(not rs.is_empty for rs in found) >= 5
+    if sig == R03:
+        r, s, _ = paravector_root_census(p, classes)
+        assert (r, s) == (1, 1)
+    affine_restriction(p, classes[0])
+    assert p(roots[0]) == 0
+    assert len(splits) == 1 and splits[0] is p
 
 
 def _half_family():

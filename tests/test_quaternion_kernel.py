@@ -3,12 +3,13 @@
 The kernel stores a quaternion as four integer numerators over one
 denominator, which is also what a quaternionic Multivector stores; every
 operation must give the same exact value as the generic blade-table
-arithmetic of R(0,2), in lowest terms. The root search and the Newton
-frame read a polynomial as integer rows over one denominator, one list
-per half; evaluation on such rows is checked against Polynomial, the
-remainder modulo a class quadratic against Multivector division, and the
-frame's rows for a zero content after every step. Derandomized, so the
-suite stays deterministic.
+arithmetic of R(0,2), in lowest terms. The root search, the Newton
+frame and Polynomial evaluation read a polynomial as integer rows over
+one denominator, half by half; evaluation on such rows, and
+Polynomial evaluation in H and R(0,3), are checked against Horner's rule
+on Multivector products (``util.horner``), the remainder modulo a class
+quadratic against Multivector division, and the frame's rows for a zero
+content after every step. Derandomized, so the suite stays deterministic.
 """
 
 import random
@@ -32,7 +33,7 @@ from clifflag import (
 from clifflag import _quaternion as hk
 from clifflag.linsolve import solve_exact
 from clifflag.poly import _split
-from util import random_h_problem
+from util import horner, random_h_problem
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -245,11 +246,17 @@ def test_remainder_matches_division(p, t, n):
 @given(polynomials)
 @example(Polynomial(R03, [Multivector.parse("1/2 + 1/2 e123", R03)] * 2))  # halves 1 and 0
 def test_polynomial_split_is_rows_over_one_denominator(p):
-    # one lcm over P's denominators, and no gcd per row
-    halves, den = _split(p)
+    # one lcm over P's denominators, and no gcd per row; the rows are kept
+    # in P and handed out as tuples all the way down, so no caller can
+    # change them
+    split = _split(p)
+    assert _split(p) is split
+    halves, den = split
     assert den == lcm(*(c._num[-1] for c in p.coeffs))
     assert len(halves) == (2 if p.sig == R03 else 1)
+    assert type(halves) is tuple
     for i, half in enumerate(halves):
+        assert type(half) is tuple and all(type(row) is tuple for row in half)
         assert all(type(v) is int for row in half for v in row)
         assert [hk._reduce(*row, den) for row in half] == [halves_of(c)[i]._num for c in p.coeffs]
 
@@ -262,7 +269,43 @@ def test_evaluation_matches(coeffs, x):
     rows = [tuple(int(v * den) for v in c.coeffs) for c in coeffs]
     got = hk.evaluate(rows, den, as_kernel(x))
     assert_reduced(got)
-    assert got == Polynomial(QUATERNIONS, coeffs)(x)._num
+    assert got == horner(Polynomial(QUATERNIONS, coeffs), x)._num
+
+
+def coefficients_and_point(elements, sig):
+    """Up to eleven coefficients, zero ones (a zero top one too) among them,
+    and a point, all in sig."""
+    coeffs = st.lists(st.one_of(st.just(Multivector.zero(sig)), elements), max_size=11)
+    return st.tuples(coeffs, elements)
+
+
+H_ZERO, R03_ZERO = Multivector.zero(QUATERNIONS), Multivector.zero(R03)
+R03_IDEMPOTENT = Multivector.parse("1/2 + 1/2 e123", R03)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        coefficients_and_point(quaternions, QUATERNIONS),
+        coefficients_and_point(r03_elements, R03),
+    )
+)
+@example(([], Multivector.parse("1/2 - e12", QUATERNIONS)))  # the zero polynomial
+@example(([], R03_IDEMPOTENT))
+# a zero top coefficient
+@example(([Multivector.parse("2 - 1/3 e2", QUATERNIONS), H_ZERO], H_ZERO))
+@example(([Multivector.parse("1/2 e3", R03), R03_IDEMPOTENT, R03_ZERO, R03_ZERO], R03_IDEMPOTENT))
+def test_polynomial_call_matches_multivector_horner(case):
+    # the kernel evaluation of Polynomial.__call__, on the rows P keeps,
+    # against Horner's rule on Multivector products; a second call reuses
+    # the rows and gives the same value
+    coeffs, x = case
+    p = Polynomial(x.sig, coeffs)
+    want = horner(p, x)
+    for _ in range(2):
+        got = p(x)
+        assert type(got) is Multivector and got.sig == x.sig
+        assert got._num == want._num
 
 
 def test_frame_polynomials_are_the_append_root_chain():
@@ -278,8 +321,8 @@ def test_frame_polynomials_are_the_append_root_chain():
                 chain = append_root(chain, nodes[i - 1])
             _, t, den, tx, tx_inv = frame.nodes[-1]
             assert [hk._reduce(*row, den) for row in t] == [c._num for c in chain.coeffs]
-            assert tx == chain(node)._num
-            assert tx_inv == chain(node).inverse()._num
+            assert tx == horner(chain, node)._num
+            assert tx_inv == horner(chain, node).inverse()._num
 
 
 def as_polynomial(rows, den):
@@ -312,7 +355,7 @@ def test_evaluate_on_rows_over_one_denominator_matches_polynomial(rows_den, x):
     rows, den = rows_den
     got = hk.evaluate(rows, den, as_kernel(x))
     assert_reduced(got)
-    assert got == as_polynomial(rows, den)(x)._num
+    assert got == horner(as_polynomial(rows, den), x)._num
 
 
 def assert_primitive(rows, den):

@@ -25,6 +25,7 @@ from clifflag import (
     R03,
     RootSet,
     Signature,
+    roots_in_class,
 )
 
 H = QUATERNIONS
@@ -34,6 +35,19 @@ CLS = X.conjugacy_class()  # t = 2, n = 2
 OTHER_CLS = ConjugacyClassId(0, 1)
 P = Polynomial.parse("X^2*(e1) + (1)", H)
 GROUP = ClassGroup(CLS, (X,), (W,))
+
+
+def searched(p):
+    """p after a root search, which forms the kernel rows that p keeps."""
+    roots_in_class(p, CLS)
+    return p
+
+
+# polynomials whose kept rows are filled, in H and R(0,3)
+SEARCHED = [
+    searched(Polynomial.parse("X^2*(e1) + (1)", H)),
+    searched(Polynomial.parse("X^3*(1/2 e123) + X*(2 - e13) + (1/3 e2)", R03)),
+]
 
 CLS_TEXT = "ConjugacyClassId(t=Fraction(2, 1), n=Fraction(2, 1))"
 X_TEXT = "Multivector(R(0,2), '1 + e1')"
@@ -175,12 +189,15 @@ def test_class_id_coerces_ints_and_floats_and_refuses_4n_below_t_squared():
     [
         (Multivector.parse("1 + e1 - 1/2 e123", R03), {"sig": H, "_num": (1, 0, 0, 0, 1)}),
         (P, {"sig": R03, "coeffs": ()}),
+        (SEARCHED[0], {"sig": R03, "coeffs": (), "_rows": None}),
+        (SEARCHED[1], {"sig": H, "coeffs": (), "_rows": ((), 1)}),
     ],
-    ids=["Multivector", "Polynomial"],
+    ids=["Multivector", "Polynomial", "searched-H", "searched-R03"],
 )
 def test_multivectors_and_polynomials_refuse_assignment_and_deletion(value, fields):
     # a value that changed after it was hashed would be lost in a dict,
-    # and `coeffs = ()` would turn a polynomial into zero
+    # `coeffs = ()` would turn a polynomial into zero, and the rows a root
+    # search formed must stay those of the coefficients
     table = {value: 1}
     before = repr(value)
     for name, new in fields.items():
@@ -193,8 +210,12 @@ def test_multivectors_and_polynomials_refuse_assignment_and_deletion(value, fiel
     assert repr(value) == before and value in table
 
 
-@pytest.mark.parametrize("value", [Multivector.parse("1 + e1 - 1/2 e123", R03), P, Polynomial.zero(R03)])
+@pytest.mark.parametrize(
+    "value", [Multivector.parse("1 + e1 - 1/2 e123", R03), P, Polynomial.zero(R03), *SEARCHED]
+)
 def test_multivectors_and_polynomials_copy_and_pickle(value):
+    fresh = type(value)(value.sig, value.coeffs)
+    assert fresh == value and hash(fresh) == hash(value) and repr(fresh) == repr(value)
     copies = [copy.copy(value), copy.deepcopy(value)]
     copies += [pickle.loads(pickle.dumps(value, proto)) for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
     for b in copies:

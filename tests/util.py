@@ -123,6 +123,16 @@ def random_r03_problem(rng: random.Random, n_points=None) -> InterpolationProble
     return InterpolationProblem.from_pairs(R03, pairs)
 
 
+def horner(p, x: Multivector) -> Multivector:
+    """P(x) = sum_h x^h a_h by Horner's rule on Multivector products: the
+    reference for ``Polynomial.__call__``, which runs on the quaternion
+    kernel in H and R(0,3)."""
+    acc = Multivector.zero(p.sig)
+    for a in reversed(p.coeffs):
+        acc = x * acc + a
+    return acc
+
+
 def count_products(monkeypatch):
     """Record every geometric product (a multivector times a multivector)."""
     real_mul, calls = Multivector.__mul__, []
