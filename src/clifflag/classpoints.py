@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._quaternion import _reduce
+from ._quaternion import _reduce, in_class
 from .multivector import QUATERNIONS, Multivector, from_quaternion_pair
 
 
@@ -62,7 +62,8 @@ def rational_unit_vectors(count: int) -> list[tuple[Fraction, Fraction, Fraction
 def _reflections(q: tuple, limit: int | None) -> list[tuple]:
     """The reduced kernel quaternion q, then its vector part's reflections in
     its own normal plane (the antipode) and those normal to ``_REFLECT_DIRS``,
-    each with q's real part; no duplicates, at most ``limit`` of them."""
+    each with q's real part; no duplicates. q and its antipode always come
+    back; the list stops at ``limit`` entries only after them."""
     c0, c1, c2, c3, den = q
     out = [q]
     seen = {q}
@@ -106,9 +107,12 @@ def quaternion_class_points(t, n, v0, count: int) -> list[Multivector]:
     """Points of the quaternionic class Sphere(t, n) reachable from one of them.
 
     `v0` must be a rational vector with |v0|^2 = n - t^2/4 (for instance the
-    imaginary part of a known class member).
+    imaginary part of a known class member); otherwise ValueError.
     """
-    q = Multivector(QUATERNIONS, (Fraction(t) / 2, *v0))._num
+    t, n = Fraction(t), Fraction(n)
+    q = Multivector(QUATERNIONS, (t / 2, *v0))._num
+    if not in_class(q, t, n):
+        raise ValueError(f"{Multivector._wrap(QUATERNIONS, q)} is not in Sphere(t={t}, n={n})")
     return [Multivector._wrap(QUATERNIONS, w) for w in _reflections(q, count)]
 
 

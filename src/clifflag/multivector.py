@@ -27,6 +27,7 @@ for the coefficients.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -161,6 +162,17 @@ def _blade_name(mask: int) -> str:
     if mask == 0:
         return "1"
     return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _exact_text(q: Fraction) -> str:
+    """str(q), also when its numerator or denominator is longer than the
+    interpreter's cap on int-to-text digits (4300 by default), which str of
+    a Decimal does not have."""
+    try:
+        return str(q)
+    except ValueError:
+        text = str(Decimal(q.numerator))
+        return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 # Clifford conjugation sign by grade mod 4: + - - +
@@ -333,9 +345,12 @@ class Multivector(_Frozen):
         """Text form with each coefficient magnitude written by ``number``.
 
         ``number`` maps a positive ``Fraction`` to text, so ``x.format(str)``
-        is ``str(x)``. Terms follow blade order with their signs between
-        them; a blade whose coefficient is exactly 1 is written bare.
+        is ``str(x)``, exact at any length. Terms follow blade order with
+        their signs between them; a blade whose coefficient is exactly 1 is
+        written bare.
         """
+        if number is str:
+            number = _exact_text
         out = ""
         for mask, c in enumerate(self.coeffs):
             if not c:

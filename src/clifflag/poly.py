@@ -429,33 +429,30 @@ def _kernel_rows(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     """Solve P = 0 inside one conjugacy class of R_{0,2} or R_{0,3}.
 
-    The affine restriction reduces the problem to x a + b = 0 on the class;
-    in R_{0,3} that splits into two independent quaternionic problems whose
-    solutions are recombined. Both run on the quaternion kernel.
+    A real class {alpha} holds a root exactly when P(alpha) = 0; a sphere
+    class goes to :func:`_sphere_roots`.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
-    halves, den = _split(p)
-    remainders = [qk.remainder_mod_quadratic(half, den, cls_id.t, cls_id.n) for half in halves]
     if cls_id.is_real:
-        # Delta = (X - alpha)^2, so P(alpha) = b + alpha a
-        alpha = cls_id.alpha
-        if all(qk.add(b, qk.scale(a, alpha)) == qk.ZERO for b, a in remainders):
-            return RootSet("points", cls_id, (Multivector.scalar(p.sig, alpha),))
-        return RootSet("empty", cls_id)
-    return _sphere_roots(halves, den, remainders, cls_id)
+        alpha = Multivector.scalar(p.sig, cls_id.alpha)
+        return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
+    return _sphere_roots(p, cls_id)
 
 
-def _sphere_roots(halves, den: int, remainders, cls_id: ConjugacyClassId) -> RootSet:
-    """Roots on a sphere class from each half's remainder (b, a) modulo Delta.
+def _sphere_roots(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
+    """Roots on a sphere class, one half of P's rows (:func:`_split`) at a time.
 
-    Each half solves x a + b = 0: one point, no point, or (a = b = 0) its
-    whole sphere, since both halves lie in classes with the same (t, n).
-    ``halves`` and ``den`` are the rows of :func:`_split`.
+    Each half, reduced modulo Delta to b + X a, solves x a + b = 0: one
+    point, no point, or (a = b = 0) its whole sphere, since both halves lie
+    in classes with the same (t, n). The first half without a root ends
+    the search, so no later half is reduced.
     """
+    halves, den = _split(p)
     t, n = cls_id.t, cls_id.n
     solved = []  # per half: a kernel point, None for the whole sphere
-    for b, a in remainders:
+    for half in halves:
+        b, a = qk.remainder_mod_quadratic(half, den, t, n)
         if a == qk.ZERO:
             if b != qk.ZERO:
                 return RootSet("empty", cls_id)
@@ -550,29 +547,21 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     characteristic powers of spherical classes, and remaining non-real
     non-spherical paravector roots found class by class.
 
-    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. P is split once,
-    on its first root search, census or evaluation, and every later call
-    reuses the rows; each sphere costs one reduction per half, and a
-    Multivector division runs only where the remainders show that Delta
-    divides P.
+    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. A real class
+    counts :func:`real_root_multiplicity`; a sphere class runs
+    :func:`roots_in_class`, and only a whole class, where Delta divides P,
+    pays the divisions of :func:`factor_out_characteristic`.
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
-    halves, den = _split(p)
     r = s = k = 0
     for cls_id in dict.fromkeys(witnessed_classes):
         if cls_id.is_real:
-            r += _divide_out(p, characteristic_poly(cls_id, p.sig))[0]
+            r += real_root_multiplicity(p, cls_id.alpha)
             continue
-        remainders = [qk.remainder_mod_quadratic(half, den, cls_id.t, cls_id.n) for half in halves]
-        if all(rem == (qk.ZERO, qk.ZERO) for rem in remainders):
-            s += _divide_out(p, characteristic_poly(cls_id, p.sig))[0]
-            continue
-        roots = _sphere_roots(halves, den, remainders, cls_id)
-        if roots.kind == "points":
-            k += sum(1 for x in roots.points if x.is_paravector())
-        elif roots.kind == "whole_class":
-            raise AssertionError(
-                "class fully contained in the root set must divide by Delta"
-            )
+        roots = roots_in_class(p, cls_id)
+        if roots.kind == "whole_class":
+            s += factor_out_characteristic(p, cls_id)[0]
+        else:
+            k += sum(x.is_paravector() for x in roots.points)
     return r, s, k

@@ -69,6 +69,15 @@ def test_quaternion_class_points_share_trace_and_norm():
         assert h.norm() == n
 
 
+@pytest.mark.parametrize("t, n", [(0, 1), (0, 5), (1, 4), (Fraction(1, 3), 4)])
+def test_quaternion_class_points_refuse_a_start_outside_the_class(t, n):
+    # 2 e1 lies in Sphere(t=0, n=4) only: a wrong norm or trace is an error,
+    # not points of another class
+    assert quaternion_class_points(0, 4, (2, 0, 0), 3)[0] == quaternion_from_parts(0, (2, 0, 0))
+    with pytest.raises(ValueError, match="not in Sphere"):
+        quaternion_class_points(t, n, (2, 0, 0), 3)
+
+
 def test_r03_cone_point_class():
     x = r03_cone_point(Fraction(1, 2), Fraction(3, 2), (1, 0, 0), (0, 1, 0))
     assert x.in_quadratic_cone()

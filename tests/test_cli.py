@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,25 @@ def test_eval_round_trip_canonical_forms():
     assert str(p) == THREE_POINT_RESULT
     x = Multivector.parse("1 + e1", QUATERNIONS)
     assert Multivector.parse(str(x), QUATERNIONS) == x
+
+
+def test_eval_prints_a_value_beyond_the_int_digit_cap(capsys):
+    # a 26788-bit value: str() of an int that long raises ValueError, yet the
+    # exact result is printed in full, with no process-wide setting changed
+    poly, point = "X^1000*(99999999999999999999/7)", "123456789/987654321 + e12"
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(["eval", "-s", "0,2", poly, point]) == 0
+    out = capsys.readouterr().out.strip()
+    value = Polynomial.parse(poly, QUATERNIONS)(Multivector.parse(point, QUATERNIONS))
+    assert max(c.denominator.bit_length() for c in value.coeffs) > 26000
+
+    def decimal_text(q):
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+    assert out == value.format(decimal_text)
+    assert str(Polynomial.constant(value)) == f"({out})"
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
 
 
 def test_eval_accepts_surrounding_whitespace(capsys):

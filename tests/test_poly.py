@@ -417,6 +417,51 @@ def test_census_divides_only_where_delta_divides(monkeypatch):
     assert divisions == [delta, delta]
 
 
+def _count_reductions(monkeypatch):
+    kernel = sys.modules["clifflag.poly"].qk
+    original = kernel.remainder_mod_quadratic
+    calls = []
+
+    def counting(rows, den, t, n):
+        calls.append((t, n))
+        return original(rows, den, t, n)
+
+    monkeypatch.setattr(kernel, "remainder_mod_quadratic", counting)
+    return calls
+
+
+def test_sphere_probe_stops_at_its_first_empty_half(monkeypatch):
+    # X - e1 has its plus half's only root in S, so a probe of Sphere(0, 4)
+    # is empty after reducing the plus half; the minus half is never reduced
+    calls = _count_reductions(monkeypatch)
+    p = Polynomial.x_minus(Multivector.basis(R03, 1))
+    assert roots_in_class(p, _sphere(0, 2)).is_empty
+    assert len(calls) == 1
+    calls.clear()
+    assert roots_in_class(p, S) == RootSet("points", S, (Multivector.basis(R03, 1),))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_census_reduces_as_the_root_search_does(seed, monkeypatch):
+    # the census searches each class with roots_in_class: over the same
+    # classes it makes exactly the root search's reductions, and a real
+    # class makes none in either
+    calls = _count_reductions(monkeypatch)
+    for p, probes in _root_search_cases(R03, seed):
+        if not p:
+            continue
+        classes = list(dict.fromkeys(probes))
+        calls.clear()
+        for cls_id in classes:
+            roots_in_class(p, cls_id)
+        searched = list(calls)
+        calls.clear()
+        paravector_root_census(p, probes)
+        assert calls == searched
+        assert len(calls) <= 2 * sum(not cls_id.is_real for cls_id in classes)
+
+
 @pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
 def test_each_polynomial_is_split_once(sig, monkeypatch):
     # the root search over 20 classes, the census over the same classes
