@@ -38,6 +38,10 @@ of integer quaternions, whose pivots are made real by left multiplication
 with their conjugates. It gives the kind and the particular solution that
 ``clifflag.linsolve.solve_exact`` gives on the rows' real expansion into
 4x4 blocks, because that expansion's pivot columns come in whole blocks.
+The oracle's rows hold unreduced integer powers of each point, with a
+real positive column 0, and every row is divided by its content first;
+a real pivot or a real multiplier then takes a path without quaternion
+products that gives the same integers as the products would.
 """
 
 from __future__ import annotations
@@ -268,9 +272,15 @@ def solve_left(rows: list) -> tuple:
     becomes the real N(p) = p conj(p); a row with f in the pivot column
     becomes N row - f top, and every row is divided by its content. Both
     steps multiply equations on the left or add them, which keeps the
-    solutions. A real pivot is central, so back-substitution keeps
-    integer numerators over one shared denominator, as ``solve_exact``
-    does, and reduces each unknown once at the end.
+    solutions. Every row is primitive once divided by its content, so a
+    real pivot p gives top = sign(p) row, which is conj(p) row over its
+    content |p|, with no product and no gcd; a real multiplier f gives
+    N x - f_0 v per entry, the same integers as the Hamilton product with
+    four multiplications instead of sixteen. Every intermediate row is
+    therefore the one the products would give. A real pivot is central,
+    so back-substitution keeps integer numerators over one shared
+    denominator, as ``solve_exact`` does, and reduces each unknown once
+    at the end.
 
     The result equals ``solve_exact`` on the real expansion (each r_h
     its 4x4 matrix of b -> r_h b). The span of that matrix's columns for
@@ -293,21 +303,49 @@ def solve_left(rows: list) -> tuple:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        p0, p1, p2, p3 = a[r][c]
-        conj = (p0, -p1, -p2, -p3)
+        top = a[r]
+        p0, p1, p2, p3 = top[c]
         # entries left of c are zero in every row from r on and stay zero
-        top = a[r] = _primitive(a[r][:c] + [_product(conj, v) for v in a[r][c:]])[0]
+        if p1 or p2 or p3:
+            top = a[r] = _primitive(
+                top[:c]
+                + [
+                    (
+                        p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3,
+                        p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2,
+                        p0 * v2 + p1 * v3 - p2 * v0 - p3 * v1,
+                        p0 * v3 - p1 * v2 + p2 * v1 - p3 * v0,
+                    )
+                    for v0, v1, v2, v3 in top[c:]
+                ]
+            )[0]
+        elif p0 < 0:
+            # the row is primitive, so conj(p) row over its content is -row
+            top = a[r] = top[:c] + [(-v0, -v1, -v2, -v3) for v0, v1, v2, v3 in top[c:]]
         norm = top[c][0]
         tail = top[c + 1 :]
         for i in range(r + 1, m):
             row = a[i]
-            f = row[c]
-            if f != _ZERO4:
-                new = [_ZERO4] * (c + 1)
-                for (x0, x1, x2, x3), v in zip(row[c + 1 :], tail):
-                    y0, y1, y2, y3 = _product(f, v)
-                    new.append((norm * x0 - y0, norm * x1 - y1, norm * x2 - y2, norm * x3 - y3))
-                a[i] = _primitive(new)[0]
+            f0, f1, f2, f3 = row[c]
+            entries = zip(row[c + 1 :], tail)
+            if f1 or f2 or f3:
+                new = [
+                    (
+                        norm * x0 - (f0 * v0 - f1 * v1 - f2 * v2 - f3 * v3),
+                        norm * x1 - (f0 * v1 + f1 * v0 + f2 * v3 - f3 * v2),
+                        norm * x2 - (f0 * v2 - f1 * v3 + f2 * v0 + f3 * v1),
+                        norm * x3 - (f0 * v3 + f1 * v2 - f2 * v1 + f3 * v0),
+                    )
+                    for (x0, x1, x2, x3), (v0, v1, v2, v3) in entries
+                ]
+            elif f0:
+                new = [
+                    (norm * x0 - f0 * v0, norm * x1 - f0 * v1, norm * x2 - f0 * v2, norm * x3 - f0 * v3)
+                    for (x0, x1, x2, x3), (v0, v1, v2, v3) in entries
+                ]
+            else:
+                continue
+            a[i] = _primitive([_ZERO4] * (c + 1) + new)[0]
         pivot_cols.append(c)
         r += 1
 

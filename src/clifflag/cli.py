@@ -35,7 +35,7 @@ from .interpolate import (
     interpolate,
     verify_interpolant,
 )
-from .multivector import QUATERNIONS, R03, Multivector, Signature, _tokens
+from .multivector import QUATERNIONS, R03, Multivector, Signature, _literal_int, _tokens
 from .poly import MAX_DEGREE, Polynomial
 
 # Largest number of points in a problem file or a diagnose call. A problem's
@@ -61,7 +61,7 @@ def _whole_number(text: str) -> int:
     tokens = _tokens(text)
     if len(tokens) != 1 or tokens[0][0] != "number" or "/" in tokens[0][1]:
         raise ValueError(f"expected ASCII digits, got {text!r}")
-    return int(tokens[0][1])  # ValueError beyond 4300 digits
+    return _literal_int(tokens[0][1])
 
 
 def _parse_signature(text: str) -> Signature:

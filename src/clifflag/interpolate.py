@@ -47,7 +47,6 @@ The package attribute ``clifflag.interpolate`` is the function
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import lcm
 
 from .errors import (
     CollinearityViolated,
@@ -60,7 +59,7 @@ from .errors import (
     SignatureMismatch,
     UnsupportedSignature,
 )
-from ._quaternion import ONE, ZERO, NewtonFrame, mul, solve_left, split
+from ._quaternion import ZERO, NewtonFrame, solve_left, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -359,16 +358,34 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
 
 
 def _solve_half(points, values, max_degree: int):
-    """``solve_left`` on one half: a pair's row is [x^0, ..., x^D | w] over
-    one lcm that makes it integer."""
+    """``solve_left`` on one half: a pair's equation sum_h x^h a_h = w,
+    times w_d x_d^D to make it integer.
+
+    With x = n / x_d and w = m / w_d, entry h of the row is
+    w_d x_d^(D-h) n^h and its right-hand side is x_d^D m: the powers n^h
+    are running Hamilton products of integers, not reduced, so a row costs
+    no gcd and no lcm. The row is a positive multiple of the row of
+    reduced powers over their lcm, and ``solve_left`` opens by dividing
+    each row by its content, which gives both the same primitive row.
+    """
     rows = []
-    for x, w in zip(points, values):
-        row = [ONE]
+    for (n0, n1, n2, n3, xd), (m0, m1, m2, m3, wd) in zip(points, values):
+        scales = [wd]  # w_d x_d^k
         for _ in range(max_degree):
-            row.append(mul(row[-1], x))
-        row.append(w)
-        scale = lcm(*(q[4] for q in row))
-        rows.append([tuple(map((scale // q[4]).__mul__, q[:4])) for q in row])
+            scales.append(scales[-1] * xd)
+        row = [(scales.pop(), 0, 0, 0)]
+        p0, p1, p2, p3 = 1, 0, 0, 0  # n^h
+        for s in reversed(scales):
+            p0, p1, p2, p3 = (
+                p0 * n0 - p1 * n1 - p2 * n2 - p3 * n3,
+                p0 * n1 + p1 * n0 + p2 * n3 - p3 * n2,
+                p0 * n2 - p1 * n3 + p2 * n0 + p3 * n1,
+                p0 * n3 + p1 * n2 - p2 * n1 + p3 * n0,
+            )
+            row.append((s * p0, s * p1, s * p2, s * p3))
+        top = xd**max_degree
+        row.append((top * m0, top * m1, top * m2, top * m3))
+        rows.append(row)
     return solve_left(rows)
 
 

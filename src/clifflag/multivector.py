@@ -45,6 +45,10 @@ from .errors import (
 
 # Cap on p+q: an algebra of dimension 2^6 = 64 is the largest accepted.
 HARD_DIM_LIMIT = 6
+# Longest numerator or denominator of a literal, in digits: the default of
+# the interpreter's cap on text-to-int conversion, fixed here so that the
+# height of a literal does not move with that setting.
+MAX_LITERAL_DIGITS = 4300
 
 _ONE = Fraction(1)
 
@@ -197,6 +201,17 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
     return [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
 
 
+def _literal_int(digits: str) -> int:
+    """The int of a number token's ASCII digits; ValueError beyond
+    MAX_LITERAL_DIGITS, whatever cap the interpreter sets."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"{len(digits)} digits exceed {MAX_LITERAL_DIGITS}")
+    try:
+        return int(digits)
+    except ValueError:  # the interpreter's cap is set below MAX_LITERAL_DIGITS
+        return int(Decimal(digits))
+
+
 def _unexpected(token: tuple[str, str, int], text: str) -> ParseError:
     return ParseError(f"cannot parse {text!r} at {text[token[2]:]!r}")
 
@@ -247,11 +262,14 @@ def _read_multivector(tokens: list, sig: Signature, text: str) -> Multivector:
                 raise ParseError(f"blade {blade!r} must have strictly ascending indices")
             prev = index
             mask |= 1 << (index - 1)
+        if number is None:
+            return (mask, _ONE), i
+        num, _, den = number.partition("/")
         try:
-            return (mask, Fraction(number) if number is not None else _ONE), i
+            return (mask, Fraction(_literal_int(num), _literal_int(den) if den else 1)), i
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {number!r}") from None
-        except ValueError:  # int() refuses more than 4300 digits
+        except ValueError:
             raise ParseError(f"coefficient of {len(number)} characters is too long") from None
 
     coeffs = [0] * sig.dim

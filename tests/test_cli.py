@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from clifflag import MAX_DEGREE, Multivector, Polynomial, QUATERNIONS, R03
+from clifflag import MAX_DEGREE, Multivector, ParseError, Polynomial, QUATERNIONS, R03
 from clifflag.cli import MAX_DECIMAL_DIGITS, MAX_POINTS, main
 
 FIVE_POINT_DOC = {
@@ -175,6 +176,29 @@ def test_eval_prints_a_value_beyond_the_int_digit_cap(capsys):
     assert out == value.format(decimal_text)
     assert str(Polynomial.constant(value)) == f"({out})"
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
+
+
+@pytest.mark.parametrize("limit", [0, 640])
+def test_literal_cap_does_not_follow_the_int_digit_setting(limit, capsys):
+    # 4300 digits per numerator and per denominator, with the interpreter's
+    # cap on int-to-text conversion off (0) or at its least (640)
+    sevens = (10**4300 - 1) // 9 * 7  # 4300 sevens, built without text
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(limit)
+    try:
+        assert Multivector.parse("7" * 4300, QUATERNIONS).coeffs[0] == sevens
+        assert Multivector.parse(f"1/{'7' * 4300} e1", QUATERNIONS).coeffs[1] == Fraction(1, sevens)
+        for text in ("7" * 4301, "1/" + "7" * 4301, "7" * 4301 + "/2"):
+            with pytest.raises(ParseError, match=f"^coefficient of {len(text)} characters is too long$"):
+                Multivector.parse(text, QUATERNIONS)
+        assert main(["eval", "-s", "0,2", "X^1*(1)", "7" * 4301]) == 2
+        assert main(["eval", "-s", "0,2", "X^1*(1)", "7" * 4300]) == 0
+    finally:
+        set_cap(cap)
+    out, err = capsys.readouterr()
+    assert err == "error: coefficient of 4301 characters is too long\n"
+    assert out == "7" * 4300 + "\n"
 
 
 def test_eval_accepts_surrounding_whitespace(capsys):

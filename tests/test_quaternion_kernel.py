@@ -12,6 +12,7 @@ quadratic against Multivector division, and the frame's rows for a zero
 content after every step. Derandomized, so the suite stays deterministic.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -174,6 +175,20 @@ def real_expansion(rows):
 
 
 I, J, K = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+R1, R2, R3 = (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)
+
+
+def power_rows(points, coeffs, scales):
+    """Oracle-shaped rows [s, s x, ..., s x^D | s P(x)] of integer points x,
+    with P = sum_h X^h coeffs[h] and a positive integer s per row."""
+    rows = []
+    for x, s in zip(points, scales):
+        powers = [R1]
+        for _ in coeffs[1:]:
+            powers.append(product4(powers[-1], x))
+        row = [*powers, left_sum(powers, coeffs)]
+        rows.append([tuple(s * v for v in q) for q in row])
+    return rows
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -183,6 +198,13 @@ I, J, K = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 @example([[(1, 0, 0, 0), (1, 0, 0, 0)], [(2, 0, 0, 0), (3, 0, 0, 0)]])  # none
 @example([[Q0, I, Q0, J], [Q0, J, K, (1, 0, 0, 0)]])  # a zero column and a pivot after a free one
 @example([[(0, 2, 0, 0), (0, 0, 1, -1), (-1, 0, 0, 1)], [I, J, K], [K, I, J]])  # row 0 = row 1 + j row 2
+@example([[R2, I, R1], [R3, (1, 1, 0, 0), J]])  # a real positive pivot over a real multiplier
+@example([[(-4, 0, 0, 0), (0, 2, 0, 0), (6, 0, 0, 2)], [I, K, J]])  # a real negative pivot, content 2
+@example([[(1, 1, 0, 0), J, R1], [R3, K, I], [(-2, 0, 0, 0), R1, Q0]])  # real multipliers, non-real pivot
+# column 0 real and positive, then powers of each row's point: unique with
+# m = n, and with m > n on data from one polynomial
+@example(power_rows([(1, 1, 0, 0), (0, 0, 2, -1), (3, 0, 0, 0)], [R1, I, J], [1, 3, 2]))
+@example(power_rows([(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 2, 0), (2, 1, 1, 1)], [J, K, R2], [2, 1, 5, 1]))
 def test_solve_left_equals_solve_exact_on_the_real_expansion(rows):
     kind, solution = solve_exact(*real_expansion(rows))
     got_kind, got = hk.solve_left(rows)
@@ -193,6 +215,49 @@ def test_solve_left_equals_solve_exact_on_the_real_expansion(rows):
     for q in got:
         assert_reduced(q)
     assert [Fraction(v, q[4]) for q in got for v in q[:4]] == solution
+
+
+def reduced_power_row(x, w, max_degree):
+    """The oracle's row [x^0, ..., x^D | w] of reduced kernel powers over
+    their lcm: the reference for the rows of unreduced powers."""
+    row = [hk.ONE]
+    for _ in range(max_degree):
+        row.append(hk.mul(row[-1], x))
+    row.append(w)
+    scale = lcm(*(q[4] for q in row))
+    return [tuple(map((scale // q[4]).__mul__, q[:4])) for q in row]
+
+
+def test_oracle_rows_are_the_reduced_power_rows_up_to_content(monkeypatch):
+    # points and values over unrelated denominators, a zero point and a
+    # zero value among them; each row that _solve_half hands to solve_left
+    # has the primitive row of the reference
+    oracle = importlib.import_module("clifflag.interpolate")
+    seen = []
+
+    def recording(rows):
+        seen.append(rows)
+        return hk.solve_left(rows)
+
+    monkeypatch.setattr(oracle, "solve_left", recording)
+    rng = random.Random("oracle rows")
+    primes = (1, 2, 3, 5, 7, 11, 13, 49, 125)
+
+    def kernel_point():
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(4)]
+        return Multivector(QUATERNIONS, coeffs)._num
+
+    for max_degree in range(6):
+        for _ in range(4):
+            points = [kernel_point() for _ in range(rng.randint(1, 5))] + [hk.ZERO]
+            values = [hk.ZERO] + [kernel_point() for _ in points[1:]]
+            seen.clear()
+            oracle._solve_half(points, values, max_degree)
+            (rows,) = seen
+            assert len(rows) == len(points)
+            for row, x, w in zip(rows, points, values):
+                assert len(row) == max_degree + 2
+                assert hk._primitive(row)[0] == hk._primitive(reduced_power_row(x, w, max_degree))[0]
 
 
 @PROPERTY_SETTINGS
