@@ -53,6 +53,10 @@ class CollinearityViolated(AlgebraError):
             f"collinearity violated in class group j={group_index} at point h={h}{where}"
         )
 
+    def __reduce__(self):
+        # BaseException rebuilds from self.args, which holds only the message
+        return type(self), (self.group_index, self.h, self.representative), self.__dict__
+
 
 class InternalNonInvertible(AlgebraError):
     """A value the construction guarantees to be invertible was not.

@@ -319,20 +319,18 @@ def brute_force_interpolate(
     if max_degree > MAX_DEGREE:
         raise ValueError(f"max_degree {max_degree} exceeds {MAX_DEGREE}")
     if sig in (QUATERNIONS, R03):
-        result = _split_oracle(problem, max_degree)
-        if result is not None:
-            return result
+        return _split_oracle(problem, max_degree)
     return _coordinate_oracle(problem, max_degree)
 
 
-def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResult | None:
-    """The oracle on the halves of the split; None for an R_{0,3} family.
+def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResult:
+    """The oracle on the halves of the split.
 
     The split is a ring isomorphism, so the R_{0,3} system decouples into
     one system per half: it has no solution if either half has none, and
     one if both have one. When a half has many, the particular solution
-    would depend on the basis, so the caller takes the coordinate route
-    and the R_{0,3} family keeps that route's particular solution.
+    would depend on the basis, so an R_{0,3} family is handed to
+    :func:`_coordinate_oracle` and keeps that route's particular solution.
 
     Each half is eliminated over H (:func:`clifflag._quaternion.solve_left`),
     which gives the kind and the particular solution of the real system
@@ -352,7 +350,7 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
         solutions.append(solution)
     unique = kinds == {"unique"}
     if not unique and problem.sig == R03:
-        return None
+        return _coordinate_oracle(problem, max_degree)
     coeffs = map(_from_halves, zip(*solutions))
     return OracleResult("unique" if unique else "affine_family", Polynomial(problem.sig, coeffs))
 

@@ -189,10 +189,8 @@ class Polynomial(_Frozen):
                     if b:
                         out[h + k] = out[h + k] + a * b
             return Polynomial(self.sig, out)
-        if isinstance(other, Multivector):
+        if isinstance(other, (Multivector, int, Fraction)):
             # right constant: same as multiplying by the constant polynomial
-            return Polynomial(self.sig, (c * other for c in self.coeffs))
-        if isinstance(other, (int, Fraction)):
             return Polynomial(self.sig, (c * other for c in self.coeffs))
         return NotImplemented
 
@@ -468,22 +466,20 @@ def _sphere_roots(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
         return RootSet("whole_class", cls_id)
 
     # R_{0,3}, one half pinned, the other free over its whole sphere: sample
-    # representatives of the infinite family, always including the unique
-    # paravector candidate (free half = pinned one with k negated). Every
-    # candidate shares the pinned half, so that half is evaluated once.
-    pinned_plus = solved[1] is None
-    pinned = solved[0] if pinned_plus else solved[1]
-    pinned_half, free_half = halves if pinned_plus else halves[::-1]
-    pinned_vanishes = qk.evaluate(pinned_half, den, pinned) == qk.ZERO
+    # the family, the paravector candidate (free half = pinned one with k
+    # negated) first. The pinned half, shared by all, is evaluated once.
+    free = solved.index(None)
+    pinned = solved[1 - free]
+    pinned_vanishes = qk.evaluate(halves[1 - free], den, pinned) == qk.ZERO
     c0, c1, c2, c3, d = pinned
     v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
     frees = [(c0, c1, c2, -c3, d)] + [f._num for f in quaternion_class_points(t, n, v0, 12)]
     reps = []
-    for free in dict.fromkeys(frees):
-        pair = (pinned, free) if pinned_plus else (free, pinned)
-        if not pinned_vanishes or qk.evaluate(free_half, den, free) != qk.ZERO:
-            raise AssertionError(f"sampled representative {_from_halves(pair)} is not a root")
-        reps.append(_from_halves(pair))
+    for candidate in dict.fromkeys(frees):
+        solved[free] = candidate
+        if not pinned_vanishes or qk.evaluate(halves[free], den, candidate) != qk.ZERO:
+            raise AssertionError(f"sampled representative {_from_halves(solved)} is not a root")
+        reps.append(_from_halves(solved))
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
 
 
@@ -547,20 +543,21 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     characteristic powers of spherical classes, and remaining non-real
     non-spherical paravector roots found class by class.
 
-    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. A real class
-    counts :func:`real_root_multiplicity`; a sphere class runs
-    :func:`roots_in_class`, and only a whole class, where Delta divides P,
-    pays the divisions of :func:`factor_out_characteristic`.
+    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. Every class runs
+    :func:`roots_in_class` first and counts nothing without a root; only
+    then does a real class divide for :func:`real_root_multiplicity` and a
+    whole sphere, where Delta divides P, for :func:`factor_out_characteristic`.
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
     r = s = k = 0
     for cls_id in dict.fromkeys(witnessed_classes):
+        roots = roots_in_class(p, cls_id)
+        if roots.is_empty:
+            continue
         if cls_id.is_real:
             r += real_root_multiplicity(p, cls_id.alpha)
-            continue
-        roots = roots_in_class(p, cls_id)
-        if roots.kind == "whole_class":
+        elif roots.kind == "whole_class":
             s += factor_out_characteristic(p, cls_id)[0]
         else:
             k += sum(x.is_paravector() for x in roots.points)

@@ -1,6 +1,8 @@
 """Tests for the two Lagrange constructions and the linear-system oracle."""
 
+import copy
 import importlib
+import pickle
 import random
 import re
 
@@ -161,6 +163,23 @@ def test_collinearity_violation_raises_and_oracle_agrees():
         interpolate(bad)
     assert info.value.h == 3
     assert brute_force_interpolate(bad).kind == "none"
+
+
+def test_collinearity_violation_copies_and_pickles():
+    # the exception has its own constructor, so its copies must be rebuilt
+    # from its fields, not from the message alone
+    bad = InterpolationProblem.from_pairs(
+        H, [(ZERO, ONE), (ONE + I, -ONE), (I, ONE), (J, K), (K, J)]
+    )
+    with pytest.raises(CollinearityViolated) as info:
+        interpolate(bad)
+    for e in (info.value, CollinearityViolated(2, 5)):
+        copies = [copy.copy(e), copy.deepcopy(e)]
+        copies += [pickle.loads(pickle.dumps(e, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is CollinearityViolated
+            assert (c.group_index, c.h, c.representative) == (e.group_index, e.h, e.representative)
+            assert str(c) == str(e)
 
 
 def test_three_point_r03_interpolation():

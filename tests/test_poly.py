@@ -394,18 +394,23 @@ def test_census_equals_reference(seed):
         assert paravector_root_census(p, probes) == census_reference(p, probes)
 
 
-def test_census_divides_only_where_delta_divides(monkeypatch):
-    # a sphere that Delta does not divide costs no Multivector division; one
-    # that it divides costs s + 1 divisions to find the multiplicity s
+def _count_divisions(monkeypatch):
     module = sys.modules["clifflag.poly"]
+    original = module.divide_by_real
     divisions = []
 
     def counting(p, divisor):
         divisions.append(divisor)
         return original(p, divisor)
 
-    original = module.divide_by_real
     monkeypatch.setattr(module, "divide_by_real", counting)
+    return divisions
+
+
+def test_census_divides_only_where_delta_divides(monkeypatch):
+    # a sphere that Delta does not divide costs no Multivector division; one
+    # that it divides costs s + 1 divisions to find the multiplicity s
+    divisions = _count_divisions(monkeypatch)
     rng = random.Random(34)
     (a0, b0), (a1, b1) = rand_class_params(rng, 2)
     y = Multivector.scalar(R03, a0) + Multivector.basis(R03, 1) * b0  # a paravector
@@ -415,6 +420,23 @@ def test_census_divides_only_where_delta_divides(monkeypatch):
     delta = characteristic_poly(_sphere(a1, b1), R03)
     assert paravector_root_census(p * delta, [_sphere(a1, b1)]) == (0, 1, 0)
     assert divisions == [delta, delta]
+
+
+def test_census_searches_a_real_class_before_dividing(monkeypatch):
+    # a real class whose alpha is not a root costs no Multivector division;
+    # a real root of multiplicity r costs r + 1 divisions to find r
+    divisions = _count_divisions(monkeypatch)
+    rng = random.Random(35)
+    [(a0, b0)] = rand_class_params(rng, 1)
+    y = Multivector.scalar(R03, a0) + Multivector.basis(R03, 1) * b0
+    alpha = Fraction(1, 3)
+    p = Polynomial.x_minus(y)
+    assert paravector_root_census(p, [ConjugacyClassId.real(alpha)]) == (0, 0, 0)
+    assert divisions == []
+    linear = Polynomial.from_scalars(R03, (-alpha, 1))
+    p = p * linear * linear
+    assert paravector_root_census(p, [ConjugacyClassId.real(alpha), _sphere(a0, b0)]) == (2, 0, 1)
+    assert divisions == [linear] * 3
 
 
 def _count_reductions(monkeypatch):

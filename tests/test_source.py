@@ -1,9 +1,11 @@
 """Source-level rules for the package modules."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import clifflag
@@ -78,3 +80,45 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], env=env, check=True, capture_output=True, text=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py wraps the package's functions and methods by name, so
+    # a moved or renamed one would otherwise break only traced benchmark
+    # runs. In a fresh interpreter: install the wrappers, check that each
+    # listed name was wrapped where it is defined, that a sampled family's
+    # search still reaches the traced classpoints layer (the r03-roots
+    # benchmark reads its count), and remove the wrappers again.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = textwrap.dedent(
+        """
+        import json, sys, tracing
+        import clifflag as cl
+        tracer = tracing.Tracer()
+        instrumentation = tracing.Instrumentation(tracer)
+        instrumentation.install()
+        saved = list(instrumentation.saved)
+        wrapped = {(owner, attr) for owner, attr, _ in saved}
+        listed = [(sys.modules[m], a) for m, table in tracing.FUNCTIONS.items() for a in table]
+        listed += [(getattr(sys.modules[m], c), a) for (m, c), table in tracing.METHODS.items() for a in table]
+        basis = cl.Multivector.basis
+        # (1 - e123) + X (e1 + e23): plus half free, minus half pinned at i
+        p = cl.Polynomial(cl.R03, (cl.Multivector.one(cl.R03) - basis(cl.R03, 1, 2, 3),
+                                   basis(cl.R03, 1) + basis(cl.R03, 2, 3)))
+        family = cl.roots_in_class(p, cl.ConjugacyClassId.sphere(0, 1))
+        instrumentation.remove()
+        print(json.dumps({
+            "missing": [a for owner, a in listed if (owner, a) not in wrapped],
+            "restored": all(vars(owner)[a] is original for owner, a, original in saved),
+            "family": not family.exhaustive and len(family.points) > 1,
+            "sampled": sum(span[0] == "classpoints.sample" for span in tracer.spans),
+        }))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE_DIR.parent), str(bench)]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    report = json.loads(out)
+    assert report["missing"] == [] and report["restored"] and report["family"], report
+    assert report["sampled"] >= 1, report
