@@ -23,14 +23,16 @@ to the whole polynomial, as FLINT's ``fmpq_poly`` stores one: integer
 4-tuple rows over one positive denominator, a_h = rows[h] / den. Horner's
 rule runs on those integers and reduces only its results, in
 :func:`evaluate` (the one evaluator) and in
-:func:`remainder_mod_quadratic`. The Lagrange construction of
+:func:`remainder_mod_quadratic`; :func:`sphere_root` reduces nothing
+unless it finds a root. The Lagrange construction of
 :mod:`clifflag.interpolate` runs on :class:`NewtonFrame`, whose
 polynomials are such rows, with one content gcd per polynomial step
 instead of one gcd per coefficient. The rows of each polynomial half
 are formed once per :class:`clifflag.poly.Polynomial` in H or R_{0,3}, and
 kept in it: its evaluation runs :func:`evaluate` on them, and its root
-search and root census reduce them modulo a class quadratic and test the
-roots with :func:`in_class` and :func:`evaluate`.
+search and root census decide each sphere class with :func:`sphere_root`,
+on the unreduced numerators of the remainder modulo the class quadratic,
+and check a sampled family's roots with :func:`evaluate`.
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -191,22 +193,22 @@ def in_class(a: tuple, t, n) -> bool:
     )
 
 
-def remainder_mod_quadratic(rows: list, den: int, t, n) -> tuple[tuple, tuple]:
-    """(b, a) with P = Q (X^2 - t X + n) + b + X a, for rational t and n.
+def _remainder_numerators(rows: list, t, n) -> tuple[tuple, tuple, int]:
+    """(B, A, L^k): the integer numerators of P's remainder b + X a modulo
+    X^2 - t X + n, for P's rows over the denominator den: b = B / (den L^k)
+    and a = A / (den L^k).
 
-    P has coefficient h equal to rows[h] / den: integer 4-tuples over one
-    denominator. Horner's rule from the top keeps b + X a congruent to the
-    part of P read so far, since (b + X a) X + c = X (b + t a) + (c - n a)
-    modulo the divisor. With L the lcm of the denominators of t and n,
-    T = t L and N = n L, the step runs on integers A, B over den L^k:
+    Horner's rule from the top keeps b + X a congruent to the part of P
+    read so far, since (b + X a) X + c = X (b + t a) + (c - n a) modulo the
+    divisor. With L the lcm of the denominators of t and n, T = t L and
+    N = n L, the step runs on integers A, B over den L^k:
 
         A' = L B + T A,    B' = L^(k+1) C - N A    (over den L^(k+1)),
 
-    so no gcd runs until each result is reduced once. The divisor is real,
-    so it is central and Q is the same on either side.
+    so no gcd runs at all.
     """
     if not rows:
-        return ZERO, ZERO
+        return _ZERO4, _ZERO4, 1
     td, nd = t.denominator, n.denominator
     L = lcm(td, nd)
     T = t.numerator * (L // td)
@@ -226,8 +228,58 @@ def remainder_mod_quadratic(rows: list, den: int, t, n) -> tuple[tuple, tuple]:
             power * c2 - N * a2,
             power * c3 - N * a3,
         )
+    return (b0, b1, b2, b3), (a0, a1, a2, a3), power
+
+
+def remainder_mod_quadratic(rows: list, den: int, t, n) -> tuple[tuple, tuple]:
+    """(b, a) with P = Q (X^2 - t X + n) + b + X a, for rational t and n.
+
+    P has coefficient h equal to rows[h] / den: integer 4-tuples over one
+    denominator. The numerators come from :func:`_remainder_numerators`,
+    and each result is reduced once. The divisor is real, so it is
+    central and Q is the same on either side.
+    """
+    B, A, power = _remainder_numerators(rows, t, n)
     d = den * power
-    return _reduce(b0, b1, b2, b3, d), _reduce(a0, a1, a2, a3, d)
+    return _reduce(*B, d), _reduce(*A, d)
+
+
+def sphere_root(rows: list, t, n):
+    """The root in the class (t, n) of P, a polynomial over H given by
+    integer rows over any positive denominator: a reduced quaternion,
+    ``None`` when the whole class is roots, or ``False`` when it holds none.
+
+    P agrees on the class with its remainder b + X a modulo X^2 - t X + n,
+    so a root solves x a + b = 0. b and a share one denominator, which
+    cancels: with B and A their numerators from
+    :func:`_remainder_numerators`, the only candidate is
+
+        x = -b a^-1 = -B conj(A) / N(A),
+
+    with trace -2 <B, A> / N(A) and norm N(B) / N(A). So x lies in the
+    class exactly when -2 <B, A> t_d = t_n N(A) and N(B) n_d = n_n N(A),
+    and a probe without a root takes no gcd, inverse or product; A = 0
+    leaves the whole class (B = 0) or nothing. A found root is reduced
+    once, over N(A) > 0, so it is the tuple ``mul(neg(b), inverse(a))``
+    gives.
+    """
+    (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, t, n)
+    norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    if not norm:
+        return None if not (b0 or b1 or b2 or b3) else False
+    dot = b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3
+    if (
+        -2 * dot * t.denominator != t.numerator * norm
+        or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * n.denominator != n.numerator * norm
+    ):
+        return False
+    return _reduce(
+        -dot,
+        b0 * a1 - b1 * a0 + b2 * a3 - b3 * a2,
+        b0 * a2 - b1 * a3 - b2 * a0 + b3 * a1,
+        b0 * a3 + b1 * a2 - b2 * a1 - b3 * a0,
+        norm,
+    )
 
 
 def _product(a: tuple, b: tuple) -> tuple:

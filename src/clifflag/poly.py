@@ -441,23 +441,19 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
 def _sphere_roots(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     """Roots on a sphere class, one half of P's rows (:func:`_split`) at a time.
 
-    Each half, reduced modulo Delta to b + X a, solves x a + b = 0: one
-    point, no point, or (a = b = 0) its whole sphere, since both halves lie
-    in classes with the same (t, n). The first half without a root ends
+    Each half, reduced modulo Delta to b + X a, solves x a + b = 0 with
+    :func:`_quaternion.sphere_root`: one point, no point, or (a = b = 0)
+    its whole sphere, since both halves lie in classes with the same
+    (t, n). The class is decided on the remainder's unreduced numerators,
+    and only a root found is reduced. The first half without a root ends
     the search, so no later half is reduced.
     """
     halves, den = _split(p)
     t, n = cls_id.t, cls_id.n
     solved = []  # per half: a kernel point, None for the whole sphere
     for half in halves:
-        b, a = qk.remainder_mod_quadratic(half, den, t, n)
-        if a == qk.ZERO:
-            if b != qk.ZERO:
-                return RootSet("empty", cls_id)
-            solved.append(None)
-            continue
-        x = qk.mul(qk.neg(b), qk.inverse(a))
-        if not qk.in_class(x, t, n):
+        x = qk.sphere_root(half, t, n)
+        if x is False:
             return RootSet("empty", cls_id)
         solved.append(x)
     if None not in solved:

@@ -34,7 +34,7 @@ from clifflag.classpoints import (
     vector_part,
 )
 from clifflag.multivector import from_quaternion_pair, to_quaternion_pair
-from clifflag.poly import RootSet, _divide_out
+from clifflag.poly import RootSet, _divide_out, _split
 from util import (
     horner,
     rand_class_params,
@@ -440,15 +440,17 @@ def test_census_searches_a_real_class_before_dividing(monkeypatch):
 
 
 def _count_reductions(monkeypatch):
+    # the Horner reduction modulo a class quadratic, which both
+    # remainder_mod_quadratic and the root search's sphere_root run
     kernel = sys.modules["clifflag.poly"].qk
-    original = kernel.remainder_mod_quadratic
+    original = kernel._remainder_numerators
     calls = []
 
-    def counting(rows, den, t, n):
+    def counting(rows, t, n):
         calls.append((t, n))
-        return original(rows, den, t, n)
+        return original(rows, t, n)
 
-    monkeypatch.setattr(kernel, "remainder_mod_quadratic", counting)
+    monkeypatch.setattr(kernel, "_remainder_numerators", counting)
     return calls
 
 
@@ -462,6 +464,39 @@ def test_sphere_probe_stops_at_its_first_empty_half(monkeypatch):
     calls.clear()
     assert roots_in_class(p, S) == RootSet("points", S, (Multivector.basis(R03, 1),))
     assert len(calls) == 2
+
+
+def test_empty_sphere_probe_reduces_nothing(monkeypatch):
+    # the class is decided on the remainder's unreduced numerators: a probe
+    # without a root takes no gcd, inverse, product or class test, and a
+    # root found is reduced once per half
+    names = ("_reduce", "mul", "inverse", "in_class", "join")
+    p = Polynomial.x_minus(Multivector.basis(R03, 1))  # both halves X - i
+    q = Polynomial.x_minus(I)
+    _split(p), _split(q)  # the rows are formed before counting
+    kernel = sys.modules["clifflag.poly"].qk
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(kernel, name, counting(name, getattr(kernel, name)))
+    # i has norm 1, not 4; and trace 0, not 2
+    for cls_id in (_sphere(0, 2), ConjugacyClassId.sphere(2, 2)):
+        assert roots_in_class(p, cls_id).is_empty
+        assert roots_in_class(q, cls_id).is_empty
+    assert calls == dict.fromkeys(names, 0)
+    assert roots_in_class(q, S) == RootSet("points", S, (I,))
+    assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "join": 1}
+    calls.update(dict.fromkeys(names, 0))
+    assert roots_in_class(p, S) == RootSet("points", S, (Multivector.basis(R03, 1),))
+    # one reduction per solved half, and one where join puts them together
+    assert calls == {**dict.fromkeys(names, 0), "_reduce": 3, "join": 1}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -307,6 +307,42 @@ def test_remainder_matches_division(p, t, n):
             assert got == want._num
 
 
+def sphere_root_reference(rows, den, t, n):
+    """The root of x a + b = 0 in the class (t, n) from the reduced remainder."""
+    b, a = hk.remainder_mod_quadratic(rows, den, t, n)
+    if a == hk.ZERO:
+        return None if b == hk.ZERO else False
+    x = hk.mul(hk.neg(b), hk.inverse(a))
+    return x if hk.in_class(x, t, n) else False
+
+
+_Y = Multivector.parse("1/2 + 1/3 e1 - 2/5 e12 + e2", QUATERNIONS)
+
+
+@PROPERTY_SETTINGS
+@given(polynomials, fractions, fractions)
+@example(Polynomial.zero(R03), Fraction(1, 2), Fraction(1, 3))  # the whole sphere
+@example(Polynomial.constant(Multivector.parse("2 - e13", R03)), Fraction(0), Fraction(1))  # a = 0 != b
+@example(Polynomial.x_minus(Multivector.parse("e1 + 1/2 e3", R03)), Fraction(0), Fraction(5, 4))  # halves i -+ 1/2 k
+@example(  # a root of X^2 - X (y + z) + y z in y's class, over unreduced numerators
+    Polynomial.x_minus(_Y) * Polynomial.x_minus(Multivector.parse("3 - 1/7 e2", QUATERNIONS)),
+    2 * _Y.scalar_part(),
+    _Y.norm().scalar_part(),
+)
+@example(Polynomial.x_minus(Multivector.basis(QUATERNIONS, 1)), Fraction(1), Fraction(1))  # right norm, wrong trace
+@example(Polynomial.x_minus(Multivector.basis(QUATERNIONS, 1)), Fraction(0), Fraction(2))  # right trace, wrong norm
+def test_sphere_root_matches_the_reduced_candidate(p, t, n):
+    # deciding the class on the unreduced numerators gives what reducing b
+    # and a, forming -b a^-1 and testing its class gives, half by half
+    halves, den = kernel_rows(p)
+    for rows in halves:
+        got = hk.sphere_root(rows, t, n)
+        want = sphere_root_reference(rows, den, t, n)
+        assert type(got) is type(want) and got == want
+        if want:
+            assert_reduced(got)
+
+
 @PROPERTY_SETTINGS
 @given(polynomials)
 @example(Polynomial(R03, [Multivector.parse("1/2 + 1/2 e123", R03)] * 2))  # halves 1 and 0
