@@ -259,9 +259,9 @@ def sphere_root(rows: list, t, n):
     with trace -2 <B, A> / N(A) and norm N(B) / N(A). So x lies in the
     class exactly when -2 <B, A> t_d = t_n N(A) and N(B) n_d = n_n N(A),
     and a probe without a root takes no gcd, inverse or product; A = 0
-    leaves the whole class (B = 0) or nothing. A found root is reduced
-    once, over N(A) > 0, so it is the tuple ``mul(neg(b), inverse(a))``
-    gives.
+    leaves the whole class (B = 0) or nothing. A found root is the product
+    B (-a_0, a_1, a_2, a_3) = -B conj(A), reduced once over N(A) > 0, so it
+    is the tuple ``mul(neg(b), inverse(a))`` gives.
     """
     (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, t, n)
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -273,13 +273,7 @@ def sphere_root(rows: list, t, n):
         or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * n.denominator != n.numerator * norm
     ):
         return False
-    return _reduce(
-        -dot,
-        b0 * a1 - b1 * a0 + b2 * a3 - b3 * a2,
-        b0 * a2 - b1 * a3 - b2 * a0 + b3 * a1,
-        b0 * a3 + b1 * a2 - b2 * a1 - b3 * a0,
-        norm,
-    )
+    return _reduce(*_product((b0, b1, b2, b3), (-a0, a1, a2, a3)), norm)
 
 
 def _product(a: tuple, b: tuple) -> tuple:

@@ -174,6 +174,13 @@ def cmd_interpolate(args) -> int:
                 f"oracle: AFFINE-FAMILY at max degree {bound} "
                 f"(not unique, above the construction bound; {status})"
             )
+        elif poly and bound < poly.degree:
+            # the interpolant is unique within the construction bound, so no
+            # polynomial of lower degree takes the values
+            print(
+                f"oracle: NONE at max degree {bound} "
+                f"(below the interpolant's degree {poly.degree})"
+            )
         else:
             print("oracle: DISAGREE (no solution found)")
     return EXIT_OK

@@ -161,8 +161,8 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
         raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
     _check_signatures(problem)
     seen = set()
-    ordered: dict[ConjugacyClassId, list[int]] = {}
-    for idx, (x, _) in enumerate(problem.pairs):
+    ordered: dict[ConjugacyClassId, list[tuple[Multivector, Multivector]]] = {}
+    for x, w in problem.pairs:
         if x in seen:
             raise DuplicatePoint(f"point {x} appears twice")
         seen.add(x)
@@ -170,15 +170,8 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
             cls_id = x.conjugacy_class()
         except NotInCone:
             raise PointNotInCone(f"point {x} is outside the quadratic cone") from None
-        ordered.setdefault(cls_id, []).append(idx)
-    groups = [
-        ClassGroup(
-            cls_id,
-            tuple(problem.pairs[i][0] for i in idxs),
-            tuple(problem.pairs[i][1] for i in idxs),
-        )
-        for cls_id, idxs in ordered.items()
-    ]
+        ordered.setdefault(cls_id, []).append((x, w))
+    groups = [ClassGroup(cls_id, *map(tuple, zip(*pairs))) for cls_id, pairs in ordered.items()]
     if problem.sig == R03:
         for g in groups:
             if g.size > 1:
@@ -203,11 +196,13 @@ def first_collinearity_violation(group: ClassGroup):
     return None
 
 
-def _nodes(problem: InterpolationProblem):
-    """The construction's nodes and their values, in order.
+def _frames(problem: InterpolationProblem):
+    """The construction's nodes, their values, and one quaternion Newton
+    frame per component over those nodes.
 
     Singleton classes come first, then the first two points of each
-    multi-point class (there are none in R_{0,3}).
+    multi-point class (there are none in R_{0,3}). Every group passes the
+    collinearity check before any frame is built.
     """
     grouping = group_by_class(problem)
     for j, g in enumerate(grouping.groups, start=1):
@@ -218,12 +213,7 @@ def _nodes(problem: InterpolationProblem):
     for g in grouping.groups:
         nodes.extend(g.points[:2])
         values.extend(g.values[:2])
-    return nodes, values
-
-
-def _newton_frames(sig: Signature, nodes):
-    """One quaternion Newton frame per component, over the same nodes."""
-    frames = [NewtonFrame() for _ in range(2 if sig == R03 else 1)]
+    frames = [NewtonFrame() for _ in range(2 if problem.sig == R03 else 1)]
     for node in nodes:
         try:
             for frame, half in zip(frames, split(node._num)):
@@ -232,7 +222,7 @@ def _newton_frames(sig: Signature, nodes):
             raise InternalNonInvertible(
                 f"construction hit a non-invertible value for node {node}: {exc}"
             ) from exc
-    return frames
+    return nodes, values, frames
 
 
 def _newton(frames, values) -> Polynomial:
@@ -247,8 +237,7 @@ def lagrange_basis(problem: InterpolationProblem):
     """(node, basis polynomial) pairs: each polynomial is 1 at its node and
     0 at every other node used by the construction (first two per class in
     the quaternionic case)."""
-    nodes, _ = _nodes(problem)
-    frames = _newton_frames(problem.sig, nodes)
+    nodes, _, frames = _frames(problem)
     one, zero = Multivector.one(problem.sig), Multivector.zero(problem.sig)
     return tuple(
         (node, _newton(frames, [one if k == j else zero for k in range(len(nodes))]))
@@ -260,8 +249,8 @@ def interpolate(problem: InterpolationProblem) -> Polynomial:
     """The unique interpolating polynomial within the construction's degree bound."""
     if not problem.pairs:
         raise ValueError("cannot interpolate an empty problem")
-    nodes, values = _nodes(problem)
-    return _newton(_newton_frames(problem.sig, nodes), values)
+    _, values, frames = _frames(problem)
+    return _newton(frames, values)
 
 
 def interpolate_quaternion(problem: InterpolationProblem) -> Polynomial:

@@ -427,27 +427,19 @@ def _kernel_rows(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     """Solve P = 0 inside one conjugacy class of R_{0,2} or R_{0,3}.
 
-    A real class {alpha} holds a root exactly when P(alpha) = 0; a sphere
-    class goes to :func:`_sphere_roots`.
+    A real class {alpha} holds a root exactly when P(alpha) = 0. On a sphere
+    class each half of P's rows (:func:`_split`), reduced modulo Delta to
+    b + X a, solves x a + b = 0 with :func:`_quaternion.sphere_root`: one
+    point, no point, or (a = b = 0) its whole sphere, since both halves lie
+    in classes with the same (t, n). The class is decided on the remainder's
+    unreduced numerators, and only a root found is reduced. The first half
+    without a root ends the search, so no later half is reduced.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
     if cls_id.is_real:
         alpha = Multivector.scalar(p.sig, cls_id.alpha)
         return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
-    return _sphere_roots(p, cls_id)
-
-
-def _sphere_roots(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
-    """Roots on a sphere class, one half of P's rows (:func:`_split`) at a time.
-
-    Each half, reduced modulo Delta to b + X a, solves x a + b = 0 with
-    :func:`_quaternion.sphere_root`: one point, no point, or (a = b = 0)
-    its whole sphere, since both halves lie in classes with the same
-    (t, n). The class is decided on the remainder's unreduced numerators,
-    and only a root found is reduced. The first half without a root ends
-    the search, so no later half is reduced.
-    """
     halves, den = _split(p)
     t, n = cls_id.t, cls_id.n
     solved = []  # per half: a kernel point, None for the whole sphere

@@ -37,6 +37,7 @@ from util import UNITS, count_products, random_h_problem, random_r03_problem
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 R11 = Signature(1, 1)
 R13 = Signature(1, 3)
+R04 = Signature(0, 4)
 
 # Zero and unit magnitudes are over-weighted: they reach the reals and, in
 # R(1,1), non-real elements with 4n = t^2 such as e1 + e2.
@@ -119,6 +120,8 @@ pairs = elements.flatmap(
 @example((Multivector.parse("e123", R03), Multivector.parse("e1", R03)))
 @example((Multivector.parse("e1 + e2 + e13 + e23", R03), Multivector.parse("e1", R03)))
 @example((Multivector.parse("e1 + e2 - e13 + e23", R03), Multivector.parse("e1", R03)))
+# trace 0 but norm 2 - 2 e123: a real trace with a non-real norm
+@example((Multivector.parse("e1 + e23", R04), Multivector.parse("e1", R04)))
 def test_class_id_matches_trace_and_norm(pair):
     x, y = pair
     t, n = x.trace(), x.norm()

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from clifflag import MAX_DEGREE, Multivector, ParseError, Polynomial, QUATERNIONS, R03
+from clifflag import (
+    MAX_DEGREE,
+    Multivector,
+    OracleResult,
+    ParseError,
+    Polynomial,
+    QUATERNIONS,
+    R03,
+)
 from clifflag.cli import MAX_DECIMAL_DIGITS, MAX_POINTS, main
 
 FIVE_POINT_DOC = {
@@ -68,6 +76,29 @@ def test_interpolate_oracle_above_bound(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "AFFINE-FAMILY" in out and "solution lies in it" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "2"])
+def test_interpolate_oracle_below_the_interpolant_degree(tmp_path, capsys, bound):
+    # the interpolant X^3 e1 + X^2 + 1 is unique within degree 3, so no
+    # polynomial of lower degree takes the five values: not a disagreement
+    code = main(
+        ["interpolate", write(tmp_path, FIVE_POINT_DOC), "--oracle", "--max-degree", bound]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"oracle: NONE at max degree {bound} (below the interpolant's degree 3)"
+    )
+
+
+def test_interpolate_oracle_without_solution_at_the_bound(tmp_path, capsys, monkeypatch):
+    # at or above the interpolant's degree the interpolant itself solves the
+    # system, so an oracle that finds none disagrees with the construction
+    cli = importlib.import_module("clifflag.cli")
+    monkeypatch.setattr(cli, "brute_force_interpolate", lambda *_: OracleResult("none", None))
+    for extra in ([], ["--max-degree", "3"]):
+        assert main(["interpolate", write(tmp_path, FIVE_POINT_DOC), "--oracle", *extra]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle: DISAGREE (no solution found)"
 
 
 def test_interpolate_oracle_groups_at_most_twice(tmp_path, capsys, monkeypatch):

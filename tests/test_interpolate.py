@@ -274,6 +274,11 @@ def test_oracle_degree_above_cap_rejected_before_work(monkeypatch):
         brute_force_interpolate(FIVE_POINTS, max_degree=MAX_DEGREE + 1)
 
 
+def test_oracle_negative_degree_rejected():
+    with pytest.raises(ValueError, match="^max_degree must be non-negative$"):
+        brute_force_interpolate(FIVE_POINTS, -1)
+
+
 def test_verify_interpolant():
     assert verify_interpolant(FIVE_POINTS_P, FIVE_POINTS)
     assert not verify_interpolant(Polynomial.zero(H), FIVE_POINTS)

@@ -16,6 +16,9 @@ from clifflag import (
     QUATERNIONS,
     R03,
     Signature,
+    SignatureMismatch,
+    UnsupportedSignature,
+    WrongSignature,
     affine_restriction,
     append_root,
     characteristic_poly,
@@ -754,6 +757,46 @@ def test_zero_polynomial_has_no_finite_multiplicity(call):
         call(Polynomial.zero(R03))
     assert roots_in_class(Polynomial.zero(R03), S).kind == "whole_class"
     assert roots_in_class(Polynomial.zero(R03), ConjugacyClassId.real(1)).kind == "points"
+
+
+R01 = Signature(0, 1)
+ONE_R03 = Multivector.one(R03)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: roots_in_class(Polynomial.one(R01), S), UnsupportedSignature, "root search"),
+        (lambda: affine_restriction(Polynomial.one(R01), S), UnsupportedSignature, "affine"),
+        (lambda: paravector_root_census(P_FIVE, [S]), WrongSignature, "root census"),
+        (
+            lambda: factor_out_characteristic(P_FIVE, ConjugacyClassId.real(1)),
+            ValueError,
+            "expected a sphere class",
+        ),
+        (lambda: Polynomial(H, (ONE_H, 1)), TypeError, "must be multivectors"),
+        (lambda: Polynomial(H, (ONE_H, ONE_R03)), SignatureMismatch, "coefficient in"),
+        (lambda: P_FIVE(ONE_R03), SignatureMismatch, "point in"),
+        (lambda: P_FIVE.divide_left_linear(ONE_R03), SignatureMismatch, "point in"),
+        (lambda: Polynomial.one(H).divide_left_linear(I), ValueError, "degree at least 1"),
+        (lambda: Polynomial.zero(H).divide_left_linear(I), ValueError, "degree at least 1"),
+    ],
+    ids=[
+        "roots_in_class-R01",
+        "affine_restriction-R01",
+        "census-H",
+        "factor_out_characteristic-real-class",
+        "coefficient-not-multivector",
+        "coefficient-other-signature",
+        "eval-other-signature",
+        "divide-other-signature",
+        "divide-constant",
+        "divide-zero",
+    ],
+)
+def test_refusals_are_named(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_census_constructed_equality_case():
