@@ -5,7 +5,7 @@ An element with coordinates c_0..c_{k-1} is the tuple (n_0, ..., n_{k-1}, d)
 of integers with d > 0 and gcd(n_0, ..., n_{k-1}, d) = 1, standing for
 c_h = n_h / d; zero is (0, ..., 0, 1). This is the storage of
 :class:`clifflag.multivector.Multivector` in every signature, so the
-helpers :func:`add`, :func:`neg`, :func:`sub` and :func:`scale` take tuples
+helpers :func:`add`, :func:`neg` and :func:`scale` take tuples
 of any length and serve both. Each works on the integer numerators and
 reduces its result by one gcd, instead of one gcd per ``Fraction``
 operation.
@@ -14,25 +14,32 @@ A quaternion a0 + a1 i + a2 j + a3 k is such a tuple of length 5. The
 units are i = e1, j = e2, k = e12 of R_{0,2}, so a quaternionic
 ``Multivector`` stores exactly its kernel tuple, and nothing is converted.
 An R_{0,3} tuple splits into two quaternions, one per half of its H (+) H
-split (:func:`split`, :func:`join`); :func:`_halves` is the one place that
-writes out that layout.
+split (:func:`split`, :func:`join`); :func:`_halves` and its inverse
+:func:`_blades` are the one place that writes out that layout.
 
 A polynomial, a_0 first and valued as sum_h x^h a_h like
 :class:`clifflag.poly.Polynomial`, lifts the layout from one coefficient
 to the whole polynomial, as FLINT's ``fmpq_poly`` stores one: integer
 4-tuple rows over one positive denominator, a_h = rows[h] / den. Horner's
-rule runs on those integers and reduces only its results, in
-:func:`evaluate` (the one evaluator) and in
-:func:`remainder_mod_quadratic`; :func:`sphere_root` reduces nothing
-unless it finds a root. The Lagrange construction of
-:mod:`clifflag.interpolate` runs on :class:`NewtonFrame`, whose
-polynomials are such rows, with one content gcd per polynomial step
-instead of one gcd per coefficient. The rows of each polynomial half
-are formed once per :class:`clifflag.poly.Polynomial` in H or R_{0,3}, and
-kept in it: its evaluation runs :func:`evaluate` on them, and its root
-search and root census decide each sphere class with :func:`sphere_root`,
-on the unreduced numerators of the remainder modulo the class quadratic,
-and check a sampled family's roots with :func:`evaluate`.
+rule runs on those integers in one loop, :func:`_horner`, which reduces
+nothing; :func:`evaluate` is that loop reduced once, and
+:func:`remainder_mod_quadratic` reduces its results once;
+:func:`sphere_root` reduces nothing unless it finds a root. The Lagrange
+construction of :mod:`clifflag.interpolate` runs on :class:`NewtonFrame`,
+whose polynomials are such rows, with one content gcd per polynomial
+step instead of one gcd per coefficient. The frame takes its nodes and
+values as the halves of each point over the point's own denominator
+(:func:`split_unreduced`, no gcd), reads T(x) and P(x) off
+:func:`_horner` unreduced, and reduces once per step: the root of an
+append, or the constant of a Newton step. Its two halves are joined over
+one lcm of their denominators (:func:`join_rows`), one gcd per
+coefficient. The rows of each polynomial half are formed once per
+:class:`clifflag.poly.Polynomial` in H or R_{0,3}, and kept in it: its
+evaluation runs :func:`evaluate` on them, and its root search and root
+census decide each sphere class with :func:`sphere_root`, on the
+unreduced numerators of the remainder modulo the class quadratic, and
+check a sampled family's roots with :func:`evaluate`. Conjugacy classes
+are read off the halves too (:func:`class_numerators`).
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -48,7 +55,7 @@ products that gives the same integers as the products would.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat, zip_longest
 from math import gcd, lcm
 from operator import add as _add, neg as _neg
 
@@ -56,6 +63,7 @@ from .errors import NotInvertible
 
 ZERO = (0, 0, 0, 0, 1)
 ONE = (1, 0, 0, 0, 1)
+_ZERO4 = (0, 0, 0, 0)
 
 
 def _reduce(*a: int) -> tuple:
@@ -79,6 +87,24 @@ def _halves(a: tuple) -> tuple:
     return (n0 + n7, n1 - n6, n2 + n5, n3 - n4), (n0 - n7, n1 + n6, n2 - n5, n3 + n4)
 
 
+def class_numerators(a: tuple):
+    """(T, N) with trace T / d and norm N / d^2, for d = a[-1], when a lies
+    in the cone, else None.
+
+    Every quaternion lies in the cone, and the split keeps trace and norm,
+    so an R_{0,3} element lies in it when its halves, over d, share their
+    real numerator h_0 and their squared norm N; T = 2 h_0.
+    """
+    halves = _halves(a)
+    h0, h1, h2, h3 = halves[0]
+    n = h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3
+    if len(halves) == 2:
+        m0, m1, m2, m3 = halves[1]
+        if m0 != h0 or m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 != n:
+            return None
+    return 2 * h0, n
+
+
 def split(a: tuple) -> tuple:
     """The halves of a: its H (+) H split for an R_{0,3} tuple, else a alone.
 
@@ -91,16 +117,22 @@ def split(a: tuple) -> tuple:
     return _reduce(*plus, d), _reduce(*minus, d)
 
 
-def join(halves) -> tuple:
-    """Inverse of :func:`split`: the R_{0,3} tuple is (h+ + h-)/2 in blade order."""
-    if len(halves) == 1:
-        return halves[0]
-    (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = halves
-    d = lcm(pd, md)
-    fp, fm = d // pd, d // md
-    p0, p1, p2, p3 = p0 * fp, p1 * fp, p2 * fp, p3 * fp
-    m0, m1, m2, m3 = m0 * fm, m1 * fm, m2 * fm, m3 * fm
-    return _reduce(
+def split_unreduced(a: tuple) -> tuple:
+    """The halves of a as tuples over a's own denominator: :func:`split`
+    without its gcds."""
+    if len(a) == 5:
+        return (a,)
+    d = a[-1]
+    plus, minus = _halves(a)
+    return (*plus, d), (*minus, d)
+
+
+def _blades(p, m, d: int) -> tuple:
+    """The R_{0,3} tuple (h+ + h-)/2 in blade order, not reduced, for the
+    halves' numerators p and m over one denominator d."""
+    p0, p1, p2, p3 = p
+    m0, m1, m2, m3 = m
+    return (
         p0 + m0,  # 1
         p1 + m1,  # e1
         p2 + m2,  # e2
@@ -113,6 +145,34 @@ def join(halves) -> tuple:
     )
 
 
+def join(halves) -> tuple:
+    """Inverse of :func:`split`: the R_{0,3} tuple is (h+ + h-)/2 in blade order."""
+    if len(halves) == 1:
+        return halves[0]
+    (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = halves
+    d = lcm(pd, md)
+    fp, fm = d // pd, d // md
+    return _reduce(*_blades((p0 * fp, p1 * fp, p2 * fp, p3 * fp), (m0 * fm, m1 * fm, m2 * fm, m3 * fm), d))
+
+
+def join_rows(halves) -> list[tuple]:
+    """The reduced coefficients of the polynomial whose halves are the
+    (rows, den) pairs ``halves``, as :func:`join` gives them one by one:
+    both halves are brought over one lcm of their denominators once, and
+    each coefficient is reduced once. A shorter half is padded with zero
+    rows."""
+    if len(halves) == 1:
+        ((rows, den),) = halves
+        return [_reduce(*row, den) for row in rows]
+    (p, pd), (m, md) = halves
+    d = lcm(pd, md)
+    fp, fm = d // pd, d // md
+    return [
+        _reduce(*_blades((p0 * fp, p1 * fp, p2 * fp, p3 * fp), (m0 * fm, m1 * fm, m2 * fm, m3 * fm), d))
+        for (p0, p1, p2, p3), (m0, m1, m2, m3) in zip_longest(p, m, fillvalue=_ZERO4)
+    ]
+
+
 def add(a: tuple, b: tuple) -> tuple:
     # map stops at a's numerators, so b's denominator is never summed
     ad, bd = a[-1], b[-1]
@@ -123,10 +183,6 @@ def add(a: tuple, b: tuple) -> tuple:
 
 def neg(a: tuple) -> tuple:
     return (*map(_neg, a[:-1]), a[-1])
-
-
-def sub(a: tuple, b: tuple) -> tuple:
-    return add(a, neg(b))
 
 
 def mul(a: tuple, b: tuple) -> tuple:
@@ -156,20 +212,21 @@ def inverse(a: tuple) -> tuple:
     return _reduce(ad * a0, -ad * a1, -ad * a2, -ad * a3, norm)
 
 
-def evaluate(rows: list, den: int, x: tuple) -> tuple:
-    """P(x) = sum_h x^h a_h in lowest terms, for a_h = rows[h] / den.
+def _horner(rows: list, den: int, x: tuple) -> tuple:
+    """P(x) = sum_h x^h a_h for a_h = rows[h] / den, as a tuple not reduced:
+    the value's integer numerators over den x_d^k, for P of degree k.
 
     The rows are integer 4-tuples over one positive denominator, as in
-    :func:`remainder_mod_quadratic`. Horner's rule from the top keeps the
-    powers of x left: with x = (x_0..x_3) / x_d, the accumulator is an
-    integer quaternion A over den x_d^k, and
+    :func:`remainder_mod_quadratic`, and x = (x_0..x_3) / x_d need not be
+    in lowest terms. Horner's rule from the top keeps the powers of x
+    left: the accumulator is an integer quaternion A over den x_d^k, and
 
         A' = x A + x_d^(k+1) c_k    (over den x_d^(k+1)),
 
-    so no gcd runs until the value is reduced once.
+    so no gcd runs at all.
     """
     if not rows:
-        return ZERO
+        return (0, 0, 0, 0, den)
     x0, x1, x2, x3, xd = x
     a0, a1, a2, a3 = rows[-1]
     power = 1  # x_d^k
@@ -181,7 +238,12 @@ def evaluate(rows: list, den: int, x: tuple) -> tuple:
             x0 * a2 - x1 * a3 + x2 * a0 + x3 * a1 + power * c2,
             x0 * a3 + x1 * a2 - x2 * a1 + x3 * a0 + power * c3,
         )
-    return _reduce(a0, a1, a2, a3, den * power)
+    return a0, a1, a2, a3, den * power
+
+
+def evaluate(rows: list, den: int, x: tuple) -> tuple:
+    """P(x) in lowest terms: :func:`_horner` reduced once."""
+    return _reduce(*_horner(rows, den, x))
 
 
 def in_class(a: tuple, t, n) -> bool:
@@ -278,7 +340,8 @@ def sphere_root(rows: list, t, n):
 
 def _product(a: tuple, b: tuple) -> tuple:
     """The Hamilton product of two integer 4-tuples, not reduced; :func:`mul`
-    writes the same sums out on its own, since it runs on every hot path."""
+    and the steps of :class:`NewtonFrame` write the same sums out on their
+    own, since they run on every hot path."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (
@@ -287,9 +350,6 @@ def _product(a: tuple, b: tuple) -> tuple:
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
     )
-
-
-_ZERO4 = (0, 0, 0, 0)
 
 
 def _primitive(rows: list, den: int = 0) -> tuple[list, int]:
@@ -423,59 +483,106 @@ def solve_left(rows: list) -> tuple:
 
 
 class NewtonFrame:
-    """Nodes x_i with T_i and T_i(x_i)^-1, built one node at a time.
+    """Nodes x_i with T_i and T_i(x_i), built one node at a time.
 
     T_0 = 1 and T_{i+1} = T_i (X - T_i(x_i)^-1 x_i T_i(x_i)), which vanishes
-    at x_i and wherever T_i does. The append reuses the value and inverse
-    that the frame stored for x_i, and runs only once a later node arrives.
+    at x_i and wherever T_i does. The append reuses the value that the
+    frame stored for x_i, and runs only once a later node arrives.
 
     Every polynomial of the frame, each T_i and the P that :meth:`solve`
     builds, is kept as integer 4-tuple rows over one positive denominator,
     with the gcd of all entries and the denominator equal to 1: each step
     takes one content gcd for the whole polynomial, not one per coefficient.
+    Nodes and values are kernel tuples that need not be in lowest terms,
+    such as the halves of an R_{0,3} element over its own denominator
+    (:func:`split_unreduced`). T_i(x_i) is kept as :func:`_horner` gives
+    it, integer numerators A over a denominator D, with N(A) = A conj(A):
+    its inverse is D conj(A) / N(A), so neither step inverts or reduces
+    T_i(x_i), and each reduces once, the root of an append or the
+    constant of a Newton step.
     """
 
     def __init__(self):
-        self.nodes: list[tuple] = []  # (x, T rows, T denominator, T(x), T(x)^-1)
+        self.nodes: list[tuple] = []  # (x, T rows, T denominator, T(x) as _horner gives it, N(A))
 
     def add_node(self, x: tuple):
         """Append node x; raises NotInvertible when T(x) is zero."""
         if self.nodes:
-            y, t, den, ty, ty_inv = self.nodes[-1]
-            *r, rd = mul(mul(ty_inv, y), ty)
+            (y0, y1, y2, y3, yd), t, den, (a0, a1, a2, a3, _), norm = self.nodes[-1]
+            # the root T(y)^-1 y T(y) is conj(A) y A / (N(A) y_d): u = conj(A) y, then u A
+            u0 = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3
+            u1 = a0 * y1 - a1 * y0 - a2 * y3 + a3 * y2
+            u2 = a0 * y2 + a1 * y3 - a2 * y0 - a3 * y1
+            u3 = a0 * y3 - a1 * y2 + a2 * y1 - a3 * y0
+            r0, r1, r2, r3, rd = _reduce(
+                u0 * a0 - u1 * a1 - u2 * a2 - u3 * a3,
+                u0 * a1 + u1 * a0 + u2 * a3 - u3 * a2,
+                u0 * a2 - u1 * a3 + u2 * a0 + u3 * a1,
+                u0 * a3 + u1 * a2 - u2 * a1 + u3 * a0,
+                norm * yd,
+            )
             # T (X - r / rd) over den rd: coefficient h is rd t_(h-1) - t_h r
-            rows = []
-            for (p0, p1, p2, p3), a in zip([_ZERO4] + t, t + [_ZERO4]):
-                y0, y1, y2, y3 = _product(a, r)
-                rows.append((rd * p0 - y0, rd * p1 - y1, rd * p2 - y2, rd * p3 - y3))
-            t, den = _primitive(rows, den * rd)
+            t, den = _primitive(
+                [
+                    (
+                        rd * p0 - (c0 * r0 - c1 * r1 - c2 * r2 - c3 * r3),
+                        rd * p1 - (c0 * r1 + c1 * r0 + c2 * r3 - c3 * r2),
+                        rd * p2 - (c0 * r2 - c1 * r3 + c2 * r0 + c3 * r1),
+                        rd * p3 - (c0 * r3 + c1 * r2 - c2 * r1 + c3 * r0),
+                    )
+                    for (p0, p1, p2, p3), (c0, c1, c2, c3) in zip(chain((_ZERO4,), t), chain(t, (_ZERO4,)))
+                ],
+                den * rd,
+            )
         else:
             t, den = [(1, 0, 0, 0)], 1
-        tx = evaluate(t, den, x)
-        self.nodes.append((x, t, den, tx, inverse(tx)))
+        tx = _horner(t, den, x)
+        a0, a1, a2, a3, _ = tx
+        norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        if not norm:
+            raise NotInvertible("0")
+        self.nodes.append((x, t, den, tx, norm))
 
-    def solve(self, values) -> list[tuple]:
-        """Coefficients of the polynomial within the frame's degree taking
-        ``values`` at its nodes: P += T (T(x)^-1 (w - P(x))) node by node.
+    def solve(self, values) -> tuple[list, int]:
+        """The polynomial within the frame's degree taking ``values`` at its
+        nodes, as primitive rows over one denominator: P += T (T(x)^-1 (w -
+        P(x))) node by node.
 
-        P's rows are added over the lcm of the two denominators; each
-        coefficient is reduced once, at the end.
+        With P(x) = B / D from :func:`_horner` and w = m / w_d, the residual
+        is (m D - w_d B) / (w_d D), and the constant c = T(x)^-1 times it is
+        reduced once. P's rows are added over the lcm of the two
+        denominators; :func:`join_rows` reduces each coefficient.
         """
         rows: list[tuple] = []
         den = 1
-        for (x, t, tden, _, t_inv), w in zip(self.nodes, values):
-            residual = sub(w, evaluate(rows, den, x))
-            if residual == ZERO:
+        for (x, t, tden, (a0, a1, a2, a3, ad), norm), (w0, w1, w2, w3, wd) in zip(self.nodes, values):
+            b0, b1, b2, b3, bd = _horner(rows, den, x)
+            r0, r1, r2, r3 = w0 * bd - wd * b0, w1 * bd - wd * b1, w2 * bd - wd * b2, w3 * bd - wd * b3
+            if not (r0 or r1 or r2 or r3):
                 continue
-            *c, cd = mul(t_inv, residual)
+            # c = D_T conj(A) R / (N(A) w_d D)
+            c0, c1, c2, c3, cd = _reduce(
+                ad * (a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3),
+                ad * (a0 * r1 - a1 * r0 - a2 * r3 + a3 * r2),
+                ad * (a0 * r2 + a1 * r3 - a2 * r0 - a3 * r1),
+                ad * (a0 * r3 - a1 * r2 + a2 * r1 - a3 * r0),
+                norm * wd * bd,
+            )
             # T c is t_h c over tden cd; bring P and T c over their lcm
             common = lcm(den, tden * cd)
             f, g = common // den, common // (tden * cd)
-            c = [g * v for v in c]
-            step = [_product(a, c) for a in t]
-            summed = [
-                (f * p0 + s0, f * p1 + s1, f * p2 + s2, f * p3 + s3)
-                for (p0, p1, p2, p3), (s0, s1, s2, s3) in zip(rows, step)
-            ]
-            rows, den = _primitive(summed + step[len(rows):], common)
-        return [_reduce(*row, den) for row in rows]
+            c0, c1, c2, c3 = g * c0, g * c1, g * c2, g * c3
+            rows, den = _primitive(
+                [
+                    (
+                        f * p0 + e0 * c0 - e1 * c1 - e2 * c2 - e3 * c3,
+                        f * p1 + e0 * c1 + e1 * c0 + e2 * c3 - e3 * c2,
+                        f * p2 + e0 * c2 - e1 * c3 + e2 * c0 + e3 * c1,
+                        f * p3 + e0 * c3 + e1 * c2 - e2 * c1 + e3 * c0,
+                    )
+                    # P is shorter than T, so its missing rows are zero
+                    for (p0, p1, p2, p3), (e0, e1, e2, e3) in zip(chain(rows, repeat(_ZERO4)), t)
+                ],
+                common,
+            )
+        return rows, den

@@ -13,10 +13,14 @@ paper's product construction, which the tests keep as their reference.
 R_{0,3} is H (+) H through the central idempotents (1 +- e123)/2. The
 projections are ring homomorphisms and keep a cone point's trace and
 norm, so an R_{0,3} problem runs as two quaternion frames over the split
-nodes and values, recombined coefficient by coefficient. The frame works
-on the kernel tuples that ``Multivector`` stores (see
-``clifflag._quaternion``), so nothing is converted on the way in or out.
-Nodes are grouped by conjugacy class, on the caller's problem:
+nodes and values, and the two solved halves are joined coefficient by
+coefficient over one common denominator. The frame works on the integer
+numerators that ``Multivector`` stores (see ``clifflag._quaternion``):
+each node and value enters as its halves over its own denominator, with
+no gcd, and each coefficient of the result is reduced once, so nothing
+is converted on the way in or out. Nodes are grouped by conjugacy class,
+on the caller's problem, keyed by the class's trace and norm in lowest
+terms as integers read off the same halves:
 
 * quaternions: every class may carry any number of points, but from the
   third one on the data must satisfy the collinearity condition
@@ -46,20 +50,20 @@ The package attribute ``clifflag.interpolate`` is the function
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CollinearityViolated,
     DuplicatePoint,
     InternalNonInvertible,
     MultiPointClassInR03,
-    NotInCone,
     NotInvertible,
     PointNotInCone,
     SignatureMismatch,
     UnsupportedSignature,
 )
-from ._quaternion import ZERO, NewtonFrame, solve_left, split
+from ._quaternion import NewtonFrame, class_numerators, join_rows, solve_left, split, split_unreduced
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -160,18 +164,27 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
     if problem.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
     _check_signatures(problem)
+    # classes are keyed by trace and norm in lowest terms, read off the
+    # kernel tuple: (t_n, t_d, n_n, n_d)
     seen = set()
-    ordered: dict[ConjugacyClassId, list[tuple[Multivector, Multivector]]] = {}
+    ordered: dict[tuple, list[tuple[Multivector, Multivector]]] = {}
     for x, w in problem.pairs:
-        if x in seen:
+        a = x._num
+        if a in seen:
             raise DuplicatePoint(f"point {x} appears twice")
-        seen.add(x)
-        try:
-            cls_id = x.conjugacy_class()
-        except NotInCone:
-            raise PointNotInCone(f"point {x} is outside the quadratic cone") from None
-        ordered.setdefault(cls_id, []).append((x, w))
-    groups = [ClassGroup(cls_id, *map(tuple, zip(*pairs))) for cls_id, pairs in ordered.items()]
+        seen.add(a)
+        trace_norm = class_numerators(a)
+        if trace_norm is None:
+            raise PointNotInCone(f"point {x} is outside the quadratic cone")
+        t, n = trace_norm
+        d = a[-1]
+        dd = d * d
+        g, h = gcd(t, d), gcd(n, dd)
+        ordered.setdefault((t // g, d // g, n // h, dd // h), []).append((x, w))
+    groups = [
+        ClassGroup(ConjugacyClassId(Fraction(tn, td), Fraction(nn, nd)), *map(tuple, zip(*pairs)))
+        for (tn, td, nn, nd), pairs in ordered.items()
+    ]
     if problem.sig == R03:
         for g in groups:
             if g.size > 1:
@@ -216,7 +229,7 @@ def _frames(problem: InterpolationProblem):
     frames = [NewtonFrame() for _ in range(2 if problem.sig == R03 else 1)]
     for node in nodes:
         try:
-            for frame, half in zip(frames, split(node._num)):
+            for frame, half in zip(frames, split_unreduced(node._num)):
                 frame.add_node(half)
         except NotInvertible as exc:
             raise InternalNonInvertible(
@@ -227,10 +240,12 @@ def _frames(problem: InterpolationProblem):
 
 def _newton(frames, values) -> Polynomial:
     """The polynomial within the degree bound taking ``values`` at the frames'
-    nodes, solved per component and recombined coefficient by coefficient."""
-    columns = zip(*(split(w._num) for w in values))
-    components = [frame.solve(column) for frame, column in zip(frames, columns)]
-    return Polynomial(values[0].sig, map(_from_halves, zip_longest(*components, fillvalue=ZERO)))
+    nodes, solved per component and joined over one lcm of the components'
+    denominators."""
+    columns = zip(*(split_unreduced(w._num) for w in values))
+    sig = values[0].sig
+    coeffs = join_rows([frame.solve(column) for frame, column in zip(frames, columns)])
+    return Polynomial(sig, [Multivector._wrap(sig, c) for c in coeffs])
 
 
 def lagrange_basis(problem: InterpolationProblem):

@@ -581,18 +581,16 @@ class Multivector(_Frozen):
 
     def _class_id(self) -> ConjugacyClassId | None:
         # The one place that forms trace and norm for the cone test; None
-        # outside the cone. A real x has 4n = t^2 and the id of real(x).
+        # outside the cone. A real x has 4n = t^2 and the id of real(x). In
+        # H and R_{0,3} they come from the kernel, which grouping reads too.
         sig = self.sig
         if sig in (QUATERNIONS, R03):
-            # Every quaternion is in the cone and the split keeps trace and
-            # norm, so x is in the cone when its halves, over x's denominator,
-            # share their real numerator h0 and squared norm n.
-            a = self._num
-            ids = {(h0, h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3) for h0, h1, h2, h3 in qk._halves(a)}
-            if len(ids) > 1:
+            trace_norm = qk.class_numerators(self._num)
+            if trace_norm is None:
                 return None
-            ((h0, n),) = ids
-            return ConjugacyClassId(Fraction(2 * h0, a[-1]), Fraction(n, a[-1] ** 2))
+            t, n = trace_norm
+            d = self._num[-1]
+            return ConjugacyClassId(Fraction(t, d), Fraction(n, d * d))
         conj = self.conjugate()
         t = self + conj
         if not t.is_scalar():

@@ -54,6 +54,14 @@ def test_interpolate_five_points(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "X^3*(e1) + X^2*(1) + (1)"
 
 
+def test_checked_in_r03_problem_prints_the_paper_interpolant(capsys):
+    # the file that CI interpolates with the installed console script
+    path = Path(__file__).parent / "data" / "r03_three_point.json"
+    assert json.loads(path.read_text()) == THREE_POINT_DOC
+    assert main(["interpolate", str(path)]) == 0
+    assert capsys.readouterr().out == THREE_POINT_RESULT + "\n"
+
+
 def test_interpolate_verify_prints_zero_residuals(tmp_path, capsys):
     code = main(["interpolate", write(tmp_path, FIVE_POINT_DOC), "--verify"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import json
 import pickle
 import random
 import re
@@ -32,6 +33,7 @@ from clifflag import (
     lagrange_basis,
     verify_interpolant,
 )
+from clifflag.cli import main
 from util import (
     rand_multivector,
     random_h_problem,
@@ -99,6 +101,38 @@ def test_grouping_errors():
                 [(Multivector.basis(Signature(0, 4), 4), Multivector.one(Signature(0, 4)))],
             )
         )
+
+
+# one class, trace 1 and norm 1/2, over the reduced denominators 2 and 10
+SAME_CLASS_TEXTS = ("1/2 + 1/2 e1", "1/2 + 3/10 e1 + 2/5 e2")
+
+
+def test_grouping_keys_classes_on_trace_and_norm_in_lowest_terms(tmp_path, capsys):
+    points = [Multivector.parse(text, H) for text in SAME_CLASS_TEXTS]
+    assert [x._num[-1] for x in points] == [2, 10]
+    grouping = group_by_class(InterpolationProblem.from_pairs(H, [(points[0], ONE), (I, K), (points[1], J)]))
+    assert [g.size for g in grouping.groups] == [1, 2]
+    group = grouping.groups[1]
+    assert group.points == tuple(points) and group.values == (ONE, J)
+    for x in points:
+        assert group.cls_id == x.conjugacy_class()
+    # the same layout in R(0,3), from the library and from the CLI
+    r03_points = [Multivector.parse(text, R03) for text in SAME_CLASS_TEXTS]
+    with pytest.raises(MultiPointClassInR03):
+        group_by_class(InterpolationProblem.from_pairs(R03, [(x, E1) for x in r03_points]))
+    path = tmp_path / "problem.json"
+    doc = {"signature": {"p": 0, "q": 3}, "points": list(SAME_CLASS_TEXTS), "values": ["1", "e1"]}
+    path.write_text(json.dumps(doc))
+    assert main(["interpolate", str(path)]) == 4
+    assert "R(0,3) allows one" in capsys.readouterr().err
+
+
+def test_duplicate_point_is_refused_before_a_later_point_off_the_cone():
+    off_cone = Multivector.basis(R03, 1, 2, 3)
+    with pytest.raises(DuplicatePoint):
+        group_by_class(InterpolationProblem.from_pairs(R03, [(E1, E1), (E1, E1), (off_cone, E1)]))
+    with pytest.raises(PointNotInCone):
+        group_by_class(InterpolationProblem.from_pairs(R03, [(E1, E1), (off_cone, E1), (E1, E1)]))
 
 
 def test_collinearity_of_five_point_group():

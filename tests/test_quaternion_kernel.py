@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clifflag import (
+    InterpolationProblem,
     Multivector,
     NotInvertible,
     Polynomial,
@@ -29,12 +30,13 @@ from clifflag import (
     R03,
     append_root,
     divide_by_real,
+    interpolate,
     to_quaternion_pair,
 )
 from clifflag import _quaternion as hk
 from clifflag.linsolve import solve_exact
 from clifflag.poly import _split
-from util import horner, random_h_problem
+from util import horner, random_h_problem, random_r03_problem
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -66,7 +68,6 @@ def test_product_and_sums_match(x, y):
     for got, want in (
         (hk.mul(a, b), x * y),
         (hk.add(a, b), x + y),
-        (hk.sub(a, b), x - y),
         (hk.neg(a), -x),
     ):
         assert_reduced(got)
@@ -410,7 +411,10 @@ def test_polynomial_call_matches_multivector_horner(case):
 
 
 def test_frame_polynomials_are_the_append_root_chain():
-    # T_i of the frame is append_root over the earlier nodes, in order
+    # T_i of the frame is append_root over the earlier nodes, in order; the
+    # frame keeps T_i(x_i) unreduced, with the squared norm of its
+    # numerators, and that tuple reduces to T_i(x_i) and inverts to its
+    # inverse
     rng = random.Random("frame")
     for _ in range(10):
         nodes = [x for x, _ in random_h_problem(rng, sizes=(1, 1, 1, 1)).pairs]
@@ -420,10 +424,12 @@ def test_frame_polynomials_are_the_append_root_chain():
             frame.add_node(node._num)
             if i:
                 chain = append_root(chain, nodes[i - 1])
-            _, t, den, tx, tx_inv = frame.nodes[-1]
+            _, t, den, tx, norm = frame.nodes[-1]
             assert [hk._reduce(*row, den) for row in t] == [c._num for c in chain.coeffs]
-            assert tx == horner(chain, node)._num
-            assert tx_inv == horner(chain, node).inverse()._num
+            value = horner(chain, node)
+            assert hk._reduce(*tx) == value._num
+            assert norm == sum(v * v for v in tx[:4])
+            assert hk.inverse(tx) == value.inverse()._num
 
 
 def as_polynomial(rows, den):
@@ -473,9 +479,10 @@ def h_pairs(*texts):
 @example(h_pairs(("e1", "1"), ("2", "e2"), ("e1", "0")))  # a repeated node stops the frame
 def test_frame_rows_are_primitive_after_every_step(pairs):
     # every T that add_node builds and every P that solve reads at a node
-    # is integer rows over a positive denominator with no common factor
+    # is integer rows over a positive denominator with no common factor,
+    # and so is the P that solve returns
     seen = []
-    original = hk.evaluate
+    original = hk._horner
 
     def recording(rows, den, x):
         seen.append((list(rows), den))
@@ -483,7 +490,7 @@ def test_frame_rows_are_primitive_after_every_step(pairs):
 
     frame = hk.NewtonFrame()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hk, "evaluate", recording)
+        mp.setattr(hk, "_horner", recording)
         for x, _ in pairs:
             try:
                 frame.add_node(as_kernel(x))
@@ -492,14 +499,81 @@ def test_frame_rows_are_primitive_after_every_step(pairs):
                 break
         assert len(seen) == len(frame.nodes)
         values = [as_kernel(w) for _, w in pairs[: len(frame.nodes)]]
-        got = frame.solve(values)
+        rows, den = frame.solve(values)
     assert len(seen) == 2 * len(frame.nodes)
-    for _, t, den, _, _ in frame.nodes:
-        assert_primitive(t, den)
-    for rows, den in seen:
-        assert_primitive(rows, den)
+    for _, t, den_t, _, _ in frame.nodes:
+        assert_primitive(t, den_t)
+    for seen_rows, seen_den in seen:
+        assert_primitive(seen_rows, seen_den)
+    assert_primitive(rows, den)
+    got = hk.join_rows([(rows, den)])
     for q in got:
         assert_reduced(q)
     p = Polynomial(QUATERNIONS, [Multivector(QUATERNIONS, [Fraction(v, q[4]) for v in q[:4]]) for q in got])
     for (x, _), w in zip(pairs, values):
         assert p(x)._num == w
+
+
+def scaled(a, k):
+    return tuple(k * v for v in a)
+
+
+def solved(nodes, values):
+    """The reduced coefficients of the frames over ``nodes`` that take
+    ``values``, one frame per half; None once a node is a root of the
+    frame so far."""
+    frames = [hk.NewtonFrame() for _ in nodes[0]]
+    try:
+        for halves in nodes:
+            for frame, half in zip(frames, halves):
+                frame.add_node(half)
+    except NotInvertible:
+        return None
+    return hk.join_rows([frame.solve(column) for frame, column in zip(frames, zip(*values))])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(quaternions, quaternions, st.integers(2, 12), st.integers(2, 2**64)),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([(x, w, 2, 3) for x, w in h_pairs(("1/2", "1"), ("e1", "0"), ("1 + e2", "2/3 e12"))])
+@example([(x, w, 2, 2) for x, w in h_pairs(("e1", "1"), ("2", "e2"), ("e1", "0"))])  # a repeated node
+def test_frame_on_unreduced_tuples_matches_reduced(cases):
+    # nodes and values scaled by k >= 2 stand for the same quaternions, so
+    # the frame gives the same reduced coefficients, and refuses the same
+    # repeated node
+    nodes = [(as_kernel(x),) for x, _, _, _ in cases]
+    values = [(as_kernel(w),) for _, w, _, _ in cases]
+    want = solved(nodes, values)
+    got = solved(
+        [(scaled(x, k),) for (x,), (_, _, k, _) in zip(nodes, cases)],
+        [(scaled(w, k),) for (w,), (_, _, _, k) in zip(values, cases)],
+    )
+    assert got == want
+
+
+# a cone point whose two halves over its denominator 2, (2, 2, 0, 0) and
+# (2, 0, 2, 0), share the factor 2
+R03_EVEN_HALVES = Multivector.parse("1 + 1/2 e1 + 1/2 e2 - 1/2 e13 - 1/2 e23", R03)
+
+
+def test_r03_frames_on_unreduced_halves_match_reduced():
+    assert [gcd(*h) for h in hk.split_unreduced(R03_EVEN_HALVES._num)] == [2, 2]
+    rng = random.Random("unreduced halves")
+    for _ in range(10):
+        problem = random_r03_problem(rng, 4)
+        pairs = [(R03_EVEN_HALVES, Multivector.parse("1/2 e123 + e3", R03)), *problem.pairs]
+        if any(x.conjugacy_class() == R03_EVEN_HALVES.conjugacy_class() for x, _ in problem.pairs):
+            continue
+        want, got = (
+            solved([split(x._num) for x, _ in pairs], [split(w._num) for _, w in pairs])
+            for split in (hk.split, hk.split_unreduced)
+        )
+        assert got is not None and got == want
+        p = Polynomial(R03, [Multivector._wrap(R03, c) for c in got])
+        assert p == interpolate(InterpolationProblem.from_pairs(R03, pairs))
+        assert all(p(x) == w for x, w in pairs)
