@@ -14,32 +14,33 @@ A quaternion a0 + a1 i + a2 j + a3 k is such a tuple of length 5. The
 units are i = e1, j = e2, k = e12 of R_{0,2}, so a quaternionic
 ``Multivector`` stores exactly its kernel tuple, and nothing is converted.
 An R_{0,3} tuple splits into two quaternions, one per half of its H (+) H
-split (:func:`split`, :func:`join`); :func:`_halves` and its inverse
-:func:`_blades` are the one place that writes out that layout.
+split; :func:`_halves` and its inverse :func:`_blades` are the one place
+that writes out that layout.
 
 A polynomial, a_0 first and valued as sum_h x^h a_h like
 :class:`clifflag.poly.Polynomial`, lifts the layout from one coefficient
 to the whole polynomial, as FLINT's ``fmpq_poly`` stores one: integer
-4-tuple rows over one positive denominator, a_h = rows[h] / den. Horner's
-rule runs on those integers in one loop, :func:`_horner`, which reduces
-nothing; :func:`evaluate` is that loop reduced once, and
-:func:`remainder_mod_quadratic` reduces its results once;
-:func:`sphere_root` reduces nothing unless it finds a root. The Lagrange
-construction of :mod:`clifflag.interpolate` runs on :class:`NewtonFrame`,
-whose polynomials are such rows, with one content gcd per polynomial
-step instead of one gcd per coefficient. The frame takes its nodes and
-values as the halves of each point over the point's own denominator
-(:func:`split_unreduced`, no gcd), reads T(x) and P(x) off
-:func:`_horner` unreduced, and reduces once per step: the root of an
-append, or the constant of a Newton step. Its two halves are joined over
-one lcm of their denominators (:func:`join_rows`), one gcd per
-coefficient. The rows of each polynomial half are formed once per
-:class:`clifflag.poly.Polynomial` in H or R_{0,3}, and kept in it: its
-evaluation runs :func:`evaluate` on them, and its root search and root
-census decide each sphere class with :func:`sphere_root`, on the
-unreduced numerators of the remainder modulo the class quadratic, and
-check a sampled family's roots with :func:`evaluate`. Conjugacy classes
-are read off the halves too (:func:`class_numerators`).
+4-tuple rows over one positive denominator, a_h = rows[h] / den.
+
+Values cross into the kernel two ways and out of it two ways, and the
+rule is the same for all four: nothing is reduced on the way in or
+inside, and each coefficient is reduced once on the way out. In,
+:func:`split` hands over a value's halves as its numerators over its own
+denominator, and :func:`split_rows` a polynomial's halves as rows over
+the lcm of its denominators; neither takes a gcd. Inside, every result
+stays unreduced: Horner's rule on the rows (:func:`_horner`), the
+remainder modulo a class quadratic (:func:`_remainder_numerators`), the
+root of a sphere class (:func:`sphere_root`, which decides the class on
+the remainder's numerators), :func:`inverse`, the oracle's elimination
+(:func:`solve_left`) and the Lagrange construction of
+:mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
+are such rows, with one content gcd per step and one gcd for the root
+or constant a step finds. Out, :func:`join` gives one value and
+:func:`join_rows` a polynomial's coefficients, each reduced by one gcd
+over one lcm of the halves' denominators. The storage helpers above and
+:func:`mul` keep their results in lowest terms, since that storage is
+canonical. Conjugacy classes are read off the halves too
+(:func:`class_numerators`).
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -106,25 +107,26 @@ def class_numerators(a: tuple):
 
 
 def split(a: tuple) -> tuple:
-    """The halves of a: its H (+) H split for an R_{0,3} tuple, else a alone.
-
-    Each half is reduced by one gcd.
-    """
-    if len(a) == 5:
-        return (a,)
-    d = a[-1]
-    plus, minus = _halves(a)
-    return _reduce(*plus, d), _reduce(*minus, d)
-
-
-def split_unreduced(a: tuple) -> tuple:
-    """The halves of a as tuples over a's own denominator: :func:`split`
-    without its gcds."""
+    """The halves of a as tuples over a's own denominator, not reduced: its
+    H (+) H split for an R_{0,3} tuple, else a alone."""
     if len(a) == 5:
         return (a,)
     d = a[-1]
     plus, minus = _halves(a)
     return (*plus, d), (*minus, d)
+
+
+def split_rows(nums: list, count: int) -> tuple[tuple[tuple[tuple, ...], ...], int]:
+    """(halves, den): the ``count`` halves (1 for H, 2 for R_{0,3}) of the
+    polynomial with coefficient tuples ``nums``, a_0 first, as integer rows
+    over den, the lcm of their denominators, with no gcd; all tuples."""
+    den = lcm(*(a[-1] for a in nums))
+    halves = [[] for _ in range(count)]
+    for a in nums:
+        f = den // a[-1]
+        for half, (h0, h1, h2, h3) in zip(halves, _halves(a)):
+            half.append((h0 * f, h1 * f, h2 * f, h3 * f))
+    return tuple(map(tuple, halves)), den
 
 
 def _blades(p, m, d: int) -> tuple:
@@ -146,9 +148,10 @@ def _blades(p, m, d: int) -> tuple:
 
 
 def join(halves) -> tuple:
-    """Inverse of :func:`split`: the R_{0,3} tuple is (h+ + h-)/2 in blade order."""
+    """Inverse of :func:`split` on halves in any terms, reduced once: the
+    R_{0,3} tuple (h+ + h-)/2 in blade order over one lcm, or the one half."""
     if len(halves) == 1:
-        return halves[0]
+        return _reduce(*halves[0])
     (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = halves
     d = lcm(pd, md)
     fp, fm = d // pd, d // md
@@ -204,20 +207,20 @@ def scale(a: tuple, q) -> tuple:
 
 
 def inverse(a: tuple) -> tuple:
-    """d conj(n) / |n|^2; raises NotInvertible for zero."""
+    """d conj(n) / |n|^2, not reduced; raises NotInvertible for zero."""
     a0, a1, a2, a3, ad = a
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     if not norm:
         raise NotInvertible("0")
-    return _reduce(ad * a0, -ad * a1, -ad * a2, -ad * a3, norm)
+    return ad * a0, -ad * a1, -ad * a2, -ad * a3, norm
 
 
 def _horner(rows: list, den: int, x: tuple) -> tuple:
     """P(x) = sum_h x^h a_h for a_h = rows[h] / den, as a tuple not reduced:
     the value's integer numerators over den x_d^k, for P of degree k.
 
-    The rows are integer 4-tuples over one positive denominator, as in
-    :func:`remainder_mod_quadratic`, and x = (x_0..x_3) / x_d need not be
+    The rows are integer 4-tuples over one positive denominator, as
+    :func:`split_rows` gives them, and x = (x_0..x_3) / x_d need not be
     in lowest terms. Horner's rule from the top keeps the powers of x
     left: the accumulator is an integer quaternion A over den x_d^k, and
 
@@ -239,11 +242,6 @@ def _horner(rows: list, den: int, x: tuple) -> tuple:
             x0 * a3 + x1 * a2 - x2 * a1 + x3 * a0 + power * c3,
         )
     return a0, a1, a2, a3, den * power
-
-
-def evaluate(rows: list, den: int, x: tuple) -> tuple:
-    """P(x) in lowest terms: :func:`_horner` reduced once."""
-    return _reduce(*_horner(rows, den, x))
 
 
 def in_class(a: tuple, t, n) -> bool:
@@ -293,23 +291,11 @@ def _remainder_numerators(rows: list, t, n) -> tuple[tuple, tuple, int]:
     return (b0, b1, b2, b3), (a0, a1, a2, a3), power
 
 
-def remainder_mod_quadratic(rows: list, den: int, t, n) -> tuple[tuple, tuple]:
-    """(b, a) with P = Q (X^2 - t X + n) + b + X a, for rational t and n.
-
-    P has coefficient h equal to rows[h] / den: integer 4-tuples over one
-    denominator. The numerators come from :func:`_remainder_numerators`,
-    and each result is reduced once. The divisor is real, so it is
-    central and Q is the same on either side.
-    """
-    B, A, power = _remainder_numerators(rows, t, n)
-    d = den * power
-    return _reduce(*B, d), _reduce(*A, d)
-
-
 def sphere_root(rows: list, t, n):
     """The root in the class (t, n) of P, a polynomial over H given by
-    integer rows over any positive denominator: a reduced quaternion,
-    ``None`` when the whole class is roots, or ``False`` when it holds none.
+    integer rows over any positive denominator: a quaternion, not
+    reduced, ``None`` when the whole class is roots, or ``False`` when it
+    holds none.
 
     P agrees on the class with its remainder b + X a modulo X^2 - t X + n,
     so a root solves x a + b = 0. b and a share one denominator, which
@@ -322,8 +308,8 @@ def sphere_root(rows: list, t, n):
     class exactly when -2 <B, A> t_d = t_n N(A) and N(B) n_d = n_n N(A),
     and a probe without a root takes no gcd, inverse or product; A = 0
     leaves the whole class (B = 0) or nothing. A found root is the product
-    B (-a_0, a_1, a_2, a_3) = -B conj(A), reduced once over N(A) > 0, so it
-    is the tuple ``mul(neg(b), inverse(a))`` gives.
+    B (-a_0, a_1, a_2, a_3) = -B conj(A) over N(A) > 0, which reduces to
+    the tuple ``mul(neg(b), inverse(a))`` gives.
     """
     (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, t, n)
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -335,7 +321,7 @@ def sphere_root(rows: list, t, n):
         or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * n.denominator != n.numerator * norm
     ):
         return False
-    return _reduce(*_product((b0, b1, b2, b3), (-a0, a1, a2, a3)), norm)
+    return (*_product((b0, b1, b2, b3), (-a0, a1, a2, a3)), norm)
 
 
 def _product(a: tuple, b: tuple) -> tuple:
@@ -370,8 +356,10 @@ def solve_left(rows: list) -> tuple:
     scaled to integers, whose unknowns a_h stand right of their
     coefficients. Returns ``(kind, solution)`` as
     :func:`clifflag.linsolve.solve_exact` does: kind is ``"unique"``,
-    ``"none"`` or ``"many"``, and a consistent system gives n reduced
-    quaternions with every free unknown zero (``None`` for ``"none"``).
+    ``"none"`` or ``"many"``, and a consistent system gives the n unknowns
+    as ``(rows, den)``, integer 4-tuples over one positive denominator
+    and not reduced, with every free unknown zero (``None`` for
+    ``"none"``).
 
     Fraction-free elimination over the skew field H, after Bareiss:
     the pivot row is multiplied on the left by conj(p), so its pivot
@@ -385,8 +373,8 @@ def solve_left(rows: list) -> tuple:
     four multiplications instead of sixteen. Every intermediate row is
     therefore the one the products would give. A real pivot is central,
     so back-substitution keeps integer numerators over one shared
-    denominator, as ``solve_exact`` does, and reduces each unknown once
-    at the end.
+    denominator, as ``solve_exact`` does, divided by their common gcd at
+    each step; :func:`join_rows` reduces each unknown once.
 
     The result equals ``solve_exact`` on the real expansion (each r_h
     its 4x4 matrix of b -> r_h b). The span of that matrix's columns for
@@ -478,8 +466,7 @@ def solve_left(rows: list) -> tuple:
             den //= g
             for j in pivot_cols[k:]:
                 num[j] = tuple(map(g.__rfloordiv__, num[j]))
-    kind = "unique" if r == n else "many"
-    return kind, [_reduce(*v, den) for v in num]
+    return "unique" if r == n else "many", (num, den)
 
 
 class NewtonFrame:
@@ -495,7 +482,7 @@ class NewtonFrame:
     takes one content gcd for the whole polynomial, not one per coefficient.
     Nodes and values are kernel tuples that need not be in lowest terms,
     such as the halves of an R_{0,3} element over its own denominator
-    (:func:`split_unreduced`). T_i(x_i) is kept as :func:`_horner` gives
+    (:func:`split`). T_i(x_i) is kept as :func:`_horner` gives
     it, integer numerators A over a denominator D, with N(A) = A conj(A):
     its inverse is D conj(A) / N(A), so neither step inverts or reduces
     T_i(x_i), and each reduces once, the root of an append or the

@@ -63,7 +63,7 @@ from .errors import (
     SignatureMismatch,
     UnsupportedSignature,
 )
-from ._quaternion import NewtonFrame, class_numerators, join_rows, solve_left, split, split_unreduced
+from ._quaternion import NewtonFrame, class_numerators, join_rows, solve_left, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -72,7 +72,6 @@ from .multivector import (
     Multivector,
     Signature,
     _Value,
-    _from_halves,
     _set,
 )
 from .poly import MAX_DEGREE, Polynomial
@@ -229,7 +228,7 @@ def _frames(problem: InterpolationProblem):
     frames = [NewtonFrame() for _ in range(2 if problem.sig == R03 else 1)]
     for node in nodes:
         try:
-            for frame, half in zip(frames, split_unreduced(node._num)):
+            for frame, half in zip(frames, split(node._num)):
                 frame.add_node(half)
         except NotInvertible as exc:
             raise InternalNonInvertible(
@@ -240,9 +239,8 @@ def _frames(problem: InterpolationProblem):
 
 def _newton(frames, values) -> Polynomial:
     """The polynomial within the degree bound taking ``values`` at the frames'
-    nodes, solved per component and joined over one lcm of the components'
-    denominators."""
-    columns = zip(*(split_unreduced(w._num) for w in values))
+    nodes, solved per component and joined once per coefficient."""
+    columns = zip(*(split(w._num) for w in values))
     sig = values[0].sig
     coeffs = join_rows([frame.solve(column) for frame, column in zip(frames, columns)])
     return Polynomial(sig, [Multivector._wrap(sig, c) for c in coeffs])
@@ -342,6 +340,9 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     blocks, one per quaternionic pivot, so its free real coordinates are
     the free quaternion unknowns. For H that real system is the
     coordinate route's own, so all three kinds agree with that route.
+    Points and values enter as their halves over their own denominators
+    (:func:`split`), and the solved halves leave as the construction's
+    do, one gcd per coefficient (:func:`join_rows`).
     """
     points = [split(x._num) for x in problem.points]
     values = [split(w._num) for w in problem.values]
@@ -355,8 +356,9 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     unique = kinds == {"unique"}
     if not unique and problem.sig == R03:
         return _coordinate_oracle(problem, max_degree)
-    coeffs = map(_from_halves, zip(*solutions))
-    return OracleResult("unique" if unique else "affine_family", Polynomial(problem.sig, coeffs))
+    sig = problem.sig
+    poly = Polynomial(sig, [Multivector._wrap(sig, c) for c in join_rows(solutions)])
+    return OracleResult("unique" if unique else "affine_family", poly)
 
 
 def _solve_half(points, values, max_degree: int):

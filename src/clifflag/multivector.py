@@ -61,9 +61,11 @@ class _Frozen:
     A subclass sets each of its ``__slots__`` once, in ``__init__`` or a
     private constructor, with ``_set`` (``object.__setattr__``), so a value
     cannot change after it has been hashed or shared. One slot is a derived
-    value filled on first use: ``Polynomial._rows``, its kernel rows, is
-    ``None`` until the first root search, census or evaluation forms them
-    from the coefficients, and is set only that once.
+    value filled on first use: ``Polynomial._rows``, the rows with which
+    the polynomial crosses into the quaternion kernel
+    (``clifflag._quaternion.split_rows``), is ``None`` until the first
+    root search, census, restriction or evaluation forms them from the
+    coefficients, and is set only that once.
     """
 
     __slots__ = ()
@@ -240,8 +242,10 @@ def _signed_sum(tokens: list, read_term, text: str) -> list[tuple[bool, object]]
 
 
 def _read_multivector(tokens: list, sig: Signature, text: str) -> Multivector:
-    """The multivector grammar over lexed tokens: a signed sum of ``[number] [blade]``."""
-    tokens = [tok for tok in tokens if tok[0] != "star"]  # '*' before a blade is optional
+    """The multivector grammar over lexed tokens: a signed sum of
+    ``[number] [blade]``, where a ``*`` may stand between the number and
+    the blade of a term and nowhere else."""
+    lexed, tokens = tokens, [tok for tok in tokens if tok[0] != "star"]
 
     def read_term(i):
         number = blade = None
@@ -272,8 +276,14 @@ def _read_multivector(tokens: list, sig: Signature, text: str) -> Multivector:
         except ValueError:
             raise ParseError(f"coefficient of {len(number)} characters is too long") from None
 
+    terms = _signed_sum(tokens, read_term, text)
+    # after the sum, so that a sign before a '*', as in 'e1 -*', is a dangling sign
+    kinds = [tok[0] for tok in lexed]
+    for k, kind in enumerate(kinds):
+        if kind == "star" and (not k or kinds[k - 1 : k + 2] != ["number", "star", "blade"]):
+            raise _unexpected(lexed[k], text)
     coeffs = [0] * sig.dim
-    for negate, (mask, value) in _signed_sum(tokens, read_term, text):
+    for negate, (mask, value) in terms:
         coeffs[mask] += -value if negate else value
     return Multivector(sig, coeffs)
 
@@ -546,7 +556,8 @@ class Multivector(_Frozen):
         """Two-sided inverse; raises NotInvertible for zero and zero divisors.
 
         H and R_{0,3} invert on the quaternion kernel, each half of the split
-        as d conj(n) / |n|^2. Other signatures run Faddeev-LeVerrier in the
+        as d conj(n) / |n|^2 on its numerators, reduced once by the join.
+        Other signatures run Faddeev-LeVerrier in the
         algebra (D. S. Shirokov, Comput. Appl. Math. 40, 173 (2021),
         arXiv:2005.04015): with N = 2^ceil(m/2), A_0 = 1, U_k = x A_{k-1} and
         A_k = U_k - (N/k) <U_k>_0, x A_{N-1} is real (-Det(x) once N > 1),
@@ -555,7 +566,7 @@ class Multivector(_Frozen):
         sig = self.sig
         if sig in (QUATERNIONS, R03):
             halves = qk.split(self._num)
-            if qk.ZERO in halves:
+            if any(not any(h[:4]) for h in halves):
                 raise NotInvertible(str(self))
             return _from_halves([qk.inverse(h) for h in halves])
         n = 1 << (sig.m + 1) // 2
@@ -688,7 +699,7 @@ class ConjugacyClassId(_Value):
 def to_quaternion_pair(x: Multivector) -> tuple[Multivector, Multivector]:
     """Split an R_{0,3} element into its two quaternionic components."""
     x._require_sig(R03, "to_quaternion_pair")
-    plus, minus = qk.split(x._num)
+    plus, minus = (qk._reduce(*h) for h in qk.split(x._num))
     return Multivector._wrap(QUATERNIONS, plus), Multivector._wrap(QUATERNIONS, minus)
 
 
@@ -700,5 +711,6 @@ def from_quaternion_pair(h_plus: Multivector, h_minus: Multivector) -> Multivect
 
 
 def _from_halves(halves) -> Multivector:
-    """The element of H (one half) or R_{0,3} (two) whose kernel split is ``halves``."""
+    """The element of H (one half) or R_{0,3} (two) whose kernel split is
+    ``halves``, kernel tuples that need not be in lowest terms."""
     return Multivector._wrap(R03 if len(halves) == 2 else QUATERNIONS, qk.join(halves))

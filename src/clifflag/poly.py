@@ -19,7 +19,6 @@ coefficients omitted, the constant term written without a power.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import _quaternion as qk
 from .classpoints import quaternion_class_points
@@ -143,13 +142,14 @@ class Polynomial(_Frozen):
         """Evaluate sum_h x^h a_h (Horner from the top; powers stay left).
 
         In H and R_{0,3} each half of the kernel rows is evaluated at the
-        matching half of x on integers, and the halves are joined.
+        matching half of x on integers, and the halves are joined: one gcd
+        for the whole value.
         """
         if x.sig != self.sig:
             raise SignatureMismatch(f"point in {x.sig}, polynomial in {self.sig}")
         if self.sig in (QUATERNIONS, R03):
             halves, den = _split(self)
-            values = [qk.evaluate(half, den, y) for half, y in zip(halves, qk.split(x._num))]
+            values = [qk._horner(half, den, y) for half, y in zip(halves, qk.split(x._num))]
             return _from_halves(values)
         acc = Multivector.zero(self.sig)
         for a in reversed(self.coeffs):
@@ -358,14 +358,18 @@ def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestric
 
     P agrees on the class with its remainder b + X a modulo Delta (for a
     real class Delta = (X - alpha)^2), so P(x) = x a + b there. The
-    remainder is taken on the quaternion kernel, half by half.
+    remainder is taken on the quaternion kernel, half by half, and b and a
+    are each joined from their halves with one gcd.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"affine restriction not available in {p.sig}")
     halves, den = _split(p)
-    remainders = [qk.remainder_mod_quadratic(half, den, cls_id.t, cls_id.n) for half in halves]
-    b, a = (_from_halves(column) for column in zip(*remainders))
-    return AffineRestriction(cls_id, a, b)
+    b, a = [], []
+    for half in halves:
+        b_num, a_num, power = qk._remainder_numerators(half, cls_id.t, cls_id.n)
+        b.append((*b_num, den * power))
+        a.append((*a_num, den * power))
+    return AffineRestriction(cls_id, _from_halves(a), _from_halves(b))
 
 
 class RootSet(_Value):
@@ -398,30 +402,17 @@ class RootSet(_Value):
 
 
 def _split(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
-    """P as integer rows over one denominator: (halves, den).
+    """P as integer rows over one denominator, (halves, den), as
+    :func:`_quaternion.split_rows` forms them: the one crossing of a
+    polynomial into the kernel.
 
-    There is one half for H, and the plus and minus halves for R_{0,3};
-    coefficient h of a half is half[h] / den, with den the lcm of the
-    denominators of P's coefficients and no gcd taken. The split is a ring
-    isomorphism, so P(x) splits into P+(x+) and P-(x-). The rows are formed
-    once per polynomial, by :func:`_kernel_rows`, and kept in P; they are
-    tuples, so no caller can change them.
+    There is one half for H, and the plus and minus halves for R_{0,3}.
+    The split is a ring isomorphism, so P(x) splits into P+(x+) and
+    P-(x-). The rows are formed once per polynomial and kept in P.
     """
     if p._rows is None:
-        _set(p, "_rows", _kernel_rows(p))
+        _set(p, "_rows", qk.split_rows([c._num for c in p.coeffs], 2 if p.sig == R03 else 1))
     return p._rows
-
-
-def _kernel_rows(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
-    """Form the rows that :func:`_split` keeps."""
-    nums = [c._num for c in p.coeffs]
-    den = lcm(*(a[-1] for a in nums))
-    halves = [[] for _ in range(2 if p.sig == R03 else 1)]
-    for a in nums:
-        f = den // a[-1]
-        for half, (h0, h1, h2, h3) in zip(halves, qk._halves(a)):
-            half.append((h0 * f, h1 * f, h2 * f, h3 * f))
-    return tuple(map(tuple, halves)), den
 
 
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
@@ -432,8 +423,9 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     b + X a, solves x a + b = 0 with :func:`_quaternion.sphere_root`: one
     point, no point, or (a = b = 0) its whole sphere, since both halves lie
     in classes with the same (t, n). The class is decided on the remainder's
-    unreduced numerators, and only a root found is reduced. The first half
-    without a root ends the search, so no later half is reduced.
+    unreduced numerators, and a root found is reduced once, when its halves
+    are joined. The first half without a root ends the search, so no later
+    half is reduced modulo Delta.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
@@ -442,7 +434,7 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
         return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
     halves, den = _split(p)
     t, n = cls_id.t, cls_id.n
-    solved = []  # per half: a kernel point, None for the whole sphere
+    solved = []  # per half: an unreduced kernel point, None for the whole sphere
     for half in halves:
         x = qk.sphere_root(half, t, n)
         if x is False:
@@ -456,16 +448,18 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     # R_{0,3}, one half pinned, the other free over its whole sphere: sample
     # the family, the paravector candidate (free half = pinned one with k
     # negated) first. The pinned half, shared by all, is evaluated once.
+    # Candidates are compared as tuples, so the pinned half, the first one's
+    # start, is reduced like the sampled ones, and once for every join.
     free = solved.index(None)
-    pinned = solved[1 - free]
-    pinned_vanishes = qk.evaluate(halves[1 - free], den, pinned) == qk.ZERO
+    pinned = solved[1 - free] = qk._reduce(*solved[1 - free])
+    pinned_vanishes = not any(qk._horner(halves[1 - free], den, pinned)[:4])
     c0, c1, c2, c3, d = pinned
     v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
     frees = [(c0, c1, c2, -c3, d)] + [f._num for f in quaternion_class_points(t, n, v0, 12)]
     reps = []
     for candidate in dict.fromkeys(frees):
         solved[free] = candidate
-        if not pinned_vanishes or qk.evaluate(halves[free], den, candidate) != qk.ZERO:
+        if not pinned_vanishes or any(qk._horner(halves[free], den, candidate)[:4]):
             raise AssertionError(f"sampled representative {_from_halves(solved)} is not a root")
         reps.append(_from_halves(solved))
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)

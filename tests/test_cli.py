@@ -440,6 +440,14 @@ def test_eval_exponent_above_cap_exits_2(capsys):
     assert f"exceeds {MAX_DEGREE}" in captured.err
 
 
+def test_eval_stray_star_exits_2(capsys):
+    # 'X**2' is neither X^2 (-1 at e1 in H) nor X 2 (2 e1): nothing is printed
+    assert main(["eval", "-s", "0,2", "X**2", "e1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse 'X**2' at '*2'" in captured.err
+
+
 def test_eval_negative_decimal_rejected_before_work(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "-s", "0,2", "X^1*(1/3)", "1", "--decimal", "-3"])

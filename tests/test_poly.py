@@ -444,7 +444,7 @@ def test_census_searches_a_real_class_before_dividing(monkeypatch):
 
 def _count_reductions(monkeypatch):
     # the Horner reduction modulo a class quadratic, which both
-    # remainder_mod_quadratic and the root search's sphere_root run
+    # affine_restriction and the root search's sphere_root run
     kernel = sys.modules["clifflag.poly"].qk
     original = kernel._remainder_numerators
     calls = []
@@ -472,7 +472,7 @@ def test_sphere_probe_stops_at_its_first_empty_half(monkeypatch):
 def test_empty_sphere_probe_reduces_nothing(monkeypatch):
     # the class is decided on the remainder's unreduced numerators: a probe
     # without a root takes no gcd, inverse, product or class test, and a
-    # root found is reduced once per half
+    # root found is reduced once, where join puts its halves together
     names = ("_reduce", "mul", "inverse", "in_class", "join")
     p = Polynomial.x_minus(Multivector.basis(R03, 1))  # both halves X - i
     q = Polynomial.x_minus(I)
@@ -498,8 +498,7 @@ def test_empty_sphere_probe_reduces_nothing(monkeypatch):
     assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "join": 1}
     calls.update(dict.fromkeys(names, 0))
     assert roots_in_class(p, S) == RootSet("points", S, (Multivector.basis(R03, 1),))
-    # one reduction per solved half, and one where join puts them together
-    assert calls == {**dict.fromkeys(names, 0), "_reduce": 3, "join": 1}
+    assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "join": 1}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -542,15 +541,15 @@ def test_each_polynomial_is_split_once(sig, monkeypatch):
     classes += [ConjugacyClassId.real(Fraction(h, 2)) for h in range(-2, 2)]
     assert len(set(classes)) == 20
 
-    module = sys.modules["clifflag.poly"]
+    kernel = sys.modules["clifflag.poly"].qk
     splits = []
 
-    def counting(q):
-        splits.append(q)
-        return original(q)
+    def counting(nums, count):
+        splits.append(nums)
+        return original(nums, count)
 
-    original = module._kernel_rows
-    monkeypatch.setattr(module, "_kernel_rows", counting)
+    original = kernel.split_rows
+    monkeypatch.setattr(kernel, "split_rows", counting)
     found = [roots_in_class(p, cls_id) for cls_id in classes]
     assert sum(not rs.is_empty for rs in found) >= 5
     if sig == R03:
@@ -558,7 +557,7 @@ def test_each_polynomial_is_split_once(sig, monkeypatch):
         assert (r, s) == (1, 1)
     affine_restriction(p, classes[0])
     assert p(roots[0]) == 0
-    assert len(splits) == 1 and splits[0] is p
+    assert splits == [[c._num for c in p.coeffs]]
 
 
 def _half_family():
@@ -574,14 +573,14 @@ def test_sampled_family_evaluates_the_pinned_half_once(monkeypatch):
     # the pinned half is the same for every candidate: one evaluation of it
     # plus one of the free half per candidate (two per candidate before)
     kernel = sys.modules["clifflag.poly"].qk
-    original = kernel.evaluate
+    original = kernel._horner
     calls = []
 
     def counting(rows, den, x):
         calls.append(x)
         return original(rows, den, x)
 
-    monkeypatch.setattr(kernel, "evaluate", counting)
+    monkeypatch.setattr(kernel, "_horner", counting)
     found = roots_in_class(_half_family(), S)
     assert found.kind == "points" and not found.exhaustive
     assert len(found.points) > 1
@@ -591,14 +590,14 @@ def test_sampled_family_evaluates_the_pinned_half_once(monkeypatch):
 def test_sampled_family_self_check_is_live(monkeypatch):
     # a pinned half that does not vanish at its point must still be caught
     kernel = sys.modules["clifflag.poly"].qk
-    original = kernel.evaluate
+    original = kernel._horner
 
     def pinned_misses(rows, den, x):
         if any(any(row) for row in rows):  # the free half is the zero polynomial
             return kernel.ONE
         return original(rows, den, x)
 
-    monkeypatch.setattr(kernel, "evaluate", pinned_misses)
+    monkeypatch.setattr(kernel, "_horner", pinned_misses)
     with pytest.raises(AssertionError, match="is not a root"):
         roots_in_class(_half_family(), S)
 
@@ -886,6 +885,22 @@ def test_polynomial_parse_errors():
     for text in ("(\u0663)", "X^1*(e\u0661)"):
         with pytest.raises(ParseError, match="cannot parse"):
             Polynomial.parse(text, H)
+
+
+@pytest.mark.parametrize("text", ["X**2", "*1", "1*", "e1*", "2**e1", "X*(*2)"])
+def test_stray_star_is_refused(text):
+    # '*' stands after X or a power of X, or between a number and its blade:
+    # 'X**2' is neither X^2 nor X 2
+    with pytest.raises(ParseError, match="cannot parse"):
+        Polynomial.parse(text, H)
+
+
+def test_star_between_number_and_blade_still_parses():
+    two_i = Multivector.parse("2 e1", H)
+    assert Multivector.parse("2*e1", H) == two_i
+    assert Polynomial.parse("2*e1", H) == Polynomial.constant(two_i)
+    assert Polynomial.parse("X^2*e1", H) == Polynomial(H, (ZERO_H, ZERO_H, I))
+    assert Polynomial.parse("X^2*2*e1 - 1/2 * e12", H) == Polynomial(H, (-K / 2, ZERO_H, two_i))
 
 
 def test_polynomial_parse_is_linear_in_input():

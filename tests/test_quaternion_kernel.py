@@ -13,22 +13,27 @@ content after every step. Derandomized, so the suite stays deterministic.
 """
 
 import importlib
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clifflag import (
+    ConjugacyClassId,
     InterpolationProblem,
     Multivector,
     NotInvertible,
     Polynomial,
     QUATERNIONS,
     R03,
+    affine_restriction,
     append_root,
+    brute_force_interpolate,
     divide_by_real,
     interpolate,
     to_quaternion_pair,
@@ -77,13 +82,14 @@ def test_product_and_sums_match(x, y):
 @PROPERTY_SETTINGS
 @given(quaternions)
 def test_inverse_matches(x):
+    # a kernel result, left unreduced over a positive denominator
     if not x:
         with pytest.raises(NotInvertible):
             hk.inverse(as_kernel(x))
         return
     got = hk.inverse(as_kernel(x))
-    assert_reduced(got)
-    assert got == x.inverse()._num
+    assert got[4] > 0
+    assert hk._reduce(*got) == x.inverse()._num
 
 
 @PROPERTY_SETTINGS
@@ -95,13 +101,15 @@ def test_scale_matches(x, q):
 
 
 @PROPERTY_SETTINGS
-@given(st.one_of(quaternions, r03_elements))
-def test_split_and_join_invert_each_other(x):
+@given(st.one_of(quaternions, r03_elements), st.integers(1, 12))
+def test_split_and_join_invert_each_other(x, k):
+    # split keeps x's own denominator and takes no gcd; join reduces once,
+    # so halves scaled by any k >= 1 join to x in lowest terms
     halves = hk.split(x._num)
     assert len(halves) == (2 if x.sig == R03 else 1)
-    for half in halves:
-        assert_reduced(half)
+    assert all(half[4] == x._num[-1] for half in halves)
     assert hk.join(halves) == x._num
+    assert hk.join([scaled(half, k) for half in halves]) == x._num
 
 
 @PROPERTY_SETTINGS
@@ -109,9 +117,10 @@ def test_split_and_join_invert_each_other(x):
 @example(Multivector.parse("1/2 + 1/2 e123", R03))  # the minus half is zero
 @example(Multivector.parse("1/4 e1 + 1/3 e2 + 1/4 e23", R03))  # gcds 4 and 2
 def test_split_is_the_quaternion_pair_in_lowest_terms(x):
-    halves = hk.split(x._num)
-    assert halves == tuple(h._num for h in to_quaternion_pair(x))
-    for half in halves:
+    # to_quaternion_pair reduces the kernel's unreduced halves once each
+    pair = tuple(h._num for h in to_quaternion_pair(x))
+    assert pair == tuple(hk._reduce(*half) for half in hk.split(x._num))
+    for half in pair:
         assert_reduced(half)
 
 
@@ -213,9 +222,13 @@ def test_solve_left_equals_solve_exact_on_the_real_expansion(rows):
     if kind == "none":
         assert got is None
         return
-    for q in got:
+    # the unknowns as integer rows over one denominator, which join_rows
+    # reduces one by one
+    num, den = got
+    assert den > 0
+    assert [Fraction(v, den) for q in num for v in q] == solution
+    for q in hk.join_rows([got]):
         assert_reduced(q)
-    assert [Fraction(v, q[4]) for q in got for v in q[:4]] == solution
 
 
 def reduced_power_row(x, w, max_degree):
@@ -295,26 +308,33 @@ polynomials = st.one_of(
 @example(Polynomial.zero(R03), Fraction(1, 2), Fraction(1, 3))
 @example(Polynomial.constant(Multivector.parse("1/2 - 3 e1 + 1/5 e123", R03)), Fraction(1, 2), Fraction(2, 3))
 @example(Polynomial.parse("X^10*(1/3 e1) + X^3*(1/7) + (2)", R03), Fraction(-3, 4), Fraction(5, 6))
+@example(Polynomial.parse("X^2*(e1) + (1/2)", QUATERNIONS), Fraction(1), Fraction(1, 4))  # a real class
 def test_remainder_matches_division(p, t, n):
-    # one half for H, two for R(0,3); the class quadratic's t and n with
-    # denominators of their own, degrees 0 to 10 and the zero polynomial
+    # the kernel's remainder, joined by affine_restriction, against long
+    # division: one half for H, two for R(0,3); t and n with denominators
+    # of their own, degrees 0 to 10 and the zero polynomial. A drawn n
+    # below t^2/4 is moved into the cone, where classes live.
+    if 4 * n < t * t:
+        n = t * t / 4 + abs(n)
+    restriction = affine_restriction(p, ConjugacyClassId(t, n))
     _, rem = divide_by_real(p, Polynomial.from_scalars(p.sig, (n, -t, 1)))
-    halves, den = kernel_rows(p)
-    expected = zip(halves_of(rem.coefficient(0)), halves_of(rem.coefficient(1)))
-    for rows, (want_b, want_a) in zip(halves, expected, strict=True):
-        b, a = hk.remainder_mod_quadratic(rows, den, t, n)
-        for got, want in ((b, want_b), (a, want_a)):
-            assert_reduced(got)
-            assert got == want._num
+    assert restriction.b._num == rem.coefficient(0)._num
+    assert restriction.a._num == rem.coefficient(1)._num
 
 
-def sphere_root_reference(rows, den, t, n):
-    """The root of x a + b = 0 in the class (t, n) from the reduced remainder."""
-    b, a = hk.remainder_mod_quadratic(rows, den, t, n)
-    if a == hk.ZERO:
-        return None if b == hk.ZERO else False
-    x = hk.mul(hk.neg(b), hk.inverse(a))
-    return x if hk.in_class(x, t, n) else False
+def sphere_root_reference(p, t, n):
+    """Per half, the root of x a + b = 0 in the class (t, n), from the
+    reduced remainder b + X a of long division."""
+    _, rem = divide_by_real(p, Polynomial.from_scalars(p.sig, (n, -t, 1)))
+    roots = []
+    for b, a in zip(halves_of(rem.coefficient(0)), halves_of(rem.coefficient(1))):
+        b, a = b._num, a._num
+        if a == hk.ZERO:
+            roots.append(None if b == hk.ZERO else False)
+            continue
+        x = hk.mul(hk.neg(b), hk.inverse(a))
+        roots.append(x if hk.in_class(x, t, n) else False)
+    return roots
 
 
 _Y = Multivector.parse("1/2 + 1/3 e1 - 2/5 e12 + e2", QUATERNIONS)
@@ -334,14 +354,13 @@ _Y = Multivector.parse("1/2 + 1/3 e1 - 2/5 e12 + e2", QUATERNIONS)
 @example(Polynomial.x_minus(Multivector.basis(QUATERNIONS, 1)), Fraction(0), Fraction(2))  # right trace, wrong norm
 def test_sphere_root_matches_the_reduced_candidate(p, t, n):
     # deciding the class on the unreduced numerators gives what reducing b
-    # and a, forming -b a^-1 and testing its class gives, half by half
-    halves, den = kernel_rows(p)
-    for rows in halves:
+    # and a, forming -b a^-1 and testing its class gives, half by half; a
+    # root found is left unreduced
+    halves, _ = kernel_rows(p)
+    for rows, want in zip(halves, sphere_root_reference(p, t, n), strict=True):
         got = hk.sphere_root(rows, t, n)
-        want = sphere_root_reference(rows, den, t, n)
-        assert type(got) is type(want) and got == want
-        if want:
-            assert_reduced(got)
+        assert type(got) is type(want)
+        assert (hk._reduce(*got) if want else got) == want
 
 
 @PROPERTY_SETTINGS
@@ -369,7 +388,7 @@ def test_evaluation_matches(coeffs, x):
     # the coefficients over their lcm, a zero top coefficient kept
     den = lcm(*(as_kernel(c)[4] for c in coeffs))
     rows = [tuple(int(v * den) for v in c.coeffs) for c in coeffs]
-    got = hk.evaluate(rows, den, as_kernel(x))
+    got = hk.join([hk._horner(rows, den, as_kernel(x))])
     assert_reduced(got)
     assert got == horner(Polynomial(QUATERNIONS, coeffs), x)._num
 
@@ -429,7 +448,7 @@ def test_frame_polynomials_are_the_append_root_chain():
             value = horner(chain, node)
             assert hk._reduce(*tx) == value._num
             assert norm == sum(v * v for v in tx[:4])
-            assert hk.inverse(tx) == value.inverse()._num
+            assert hk._reduce(*hk.inverse(tx)) == value.inverse()._num
 
 
 def as_polynomial(rows, den):
@@ -460,7 +479,7 @@ def rows_over_one_denominator(draw):
 @example(([(2, 4, 6, 8), (6, 0, 0, 2)], 10), Multivector.parse("1/3 + 2/3 e1", QUATERNIONS))  # factor 2
 def test_evaluate_on_rows_over_one_denominator_matches_polynomial(rows_den, x):
     rows, den = rows_den
-    got = hk.evaluate(rows, den, as_kernel(x))
+    got = hk.join([hk._horner(rows, den, as_kernel(x))])
     assert_reduced(got)
     assert got == horner(as_polynomial(rows, den), x)._num
 
@@ -561,8 +580,12 @@ def test_frame_on_unreduced_tuples_matches_reduced(cases):
 R03_EVEN_HALVES = Multivector.parse("1 + 1/2 e1 + 1/2 e2 - 1/2 e13 - 1/2 e23", R03)
 
 
+def reduced_split(a):
+    return tuple(hk._reduce(*half) for half in hk.split(a))
+
+
 def test_r03_frames_on_unreduced_halves_match_reduced():
-    assert [gcd(*h) for h in hk.split_unreduced(R03_EVEN_HALVES._num)] == [2, 2]
+    assert [gcd(*h) for h in hk.split(R03_EVEN_HALVES._num)] == [2, 2]
     rng = random.Random("unreduced halves")
     for _ in range(10):
         problem = random_r03_problem(rng, 4)
@@ -571,9 +594,44 @@ def test_r03_frames_on_unreduced_halves_match_reduced():
             continue
         want, got = (
             solved([split(x._num) for x, _ in pairs], [split(w._num) for _, w in pairs])
-            for split in (hk.split, hk.split_unreduced)
+            for split in (reduced_split, hk.split)
         )
         assert got is not None and got == want
         p = Polynomial(R03, [Multivector._wrap(R03, c) for c in got])
         assert p == interpolate(InterpolationProblem.from_pairs(R03, pairs))
         assert all(p(x) == w for x, w in pairs)
+
+
+def test_each_value_leaves_the_kernel_with_one_reduction(monkeypatch):
+    # values cross into the kernel unreduced (split, split_rows), stay
+    # unreduced inside it, and each coefficient is reduced once on the way
+    # out (join, join_rows): an R(0,3) evaluation, forming P's rows on the
+    # way, and an R(0,3) inverse take one gcd each, and the oracle one per
+    # coefficient of its result
+    doc = json.loads((Path(__file__).parent / "data" / "r03_three_point.json").read_text())
+    pairs = zip(doc["points"], doc["values"])
+    problem = InterpolationProblem.from_pairs(
+        R03, [(Multivector.parse(x, R03), Multivector.parse(w, R03)) for x, w in pairs]
+    )
+    p = interpolate(problem)
+    x = R03_EVEN_HALVES
+    want_value, want_inverse = horner(p, x), x.inverse()
+    calls = []
+    original = hk._reduce
+
+    def counting(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(hk, "_reduce", counting)
+    value = p(x)
+    assert len(calls) == 1
+    calls.clear()
+    inverse = x.inverse()
+    assert len(calls) == 1
+    calls.clear()
+    result = brute_force_interpolate(problem)
+    assert len(calls) == len(result.polynomial.coeffs) == 3
+    monkeypatch.undo()
+    assert value == want_value and inverse == want_inverse
+    assert result.kind == "unique" and result.polynomial == p
