@@ -37,10 +37,9 @@ the remainder's numerators), :func:`inverse`, the oracle's elimination
 are such rows, with one content gcd per step and one gcd for the root
 or constant a step finds. Out, :func:`join` gives one value and
 :func:`join_rows` a polynomial's coefficients, each reduced by one gcd
-over one lcm of the halves' denominators. The storage helpers above and
-:func:`mul` keep their results in lowest terms, since that storage is
-canonical. Conjugacy classes are read off the halves too
-(:func:`class_numerators`).
+over one lcm of the halves' denominators. The storage helpers above
+keep their results in lowest terms, since that storage is canonical.
+Conjugacy classes are read off the halves too (:func:`class_numerators`).
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -188,19 +187,6 @@ def neg(a: tuple) -> tuple:
     return (*map(_neg, a[:-1]), a[-1])
 
 
-def mul(a: tuple, b: tuple) -> tuple:
-    """The Hamilton product, with ij = k, jk = i and ki = j."""
-    a0, a1, a2, a3, ad = a
-    b0, b1, b2, b3, bd = b
-    return _reduce(
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ad * bd,
-    )
-
-
 def scale(a: tuple, q) -> tuple:
     """a times the rational number q (an int or a ``Fraction``)."""
     return _reduce(*map(q.numerator.__mul__, a[:-1]), a[-1] * q.denominator)
@@ -309,7 +295,7 @@ def sphere_root(rows: list, t, n):
     and a probe without a root takes no gcd, inverse or product; A = 0
     leaves the whole class (B = 0) or nothing. A found root is the product
     B (-a_0, a_1, a_2, a_3) = -B conj(A) over N(A) > 0, which reduces to
-    the tuple ``mul(neg(b), inverse(a))`` gives.
+    -b a^-1 in lowest terms.
     """
     (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, t, n)
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -325,9 +311,9 @@ def sphere_root(rows: list, t, n):
 
 
 def _product(a: tuple, b: tuple) -> tuple:
-    """The Hamilton product of two integer 4-tuples, not reduced; :func:`mul`
-    and the steps of :class:`NewtonFrame` write the same sums out on their
-    own, since they run on every hot path."""
+    """The Hamilton product of two integer 4-tuples, with ij = k, jk = i
+    and ki = j, not reduced; the steps of :class:`NewtonFrame` write the
+    same sums out on their own, since they run on every hot path."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (

@@ -38,10 +38,10 @@ systems in the coefficient coordinates, classifying existence and
 uniqueness independently of the construction above. In H and R_{0,3} it
 solves one system per half of the split, over H itself: one equation per
 point in the D + 1 quaternion unknowns, eliminated on the kernel
-(``clifflag._quaternion.solve_left``). Every other signature, and an
-R_{0,3} problem with a family of solutions, takes one real system in the
-blade coordinates (``clifflag.linsolve.solve_exact``), which the tests
-keep as the referee of the split.
+(``clifflag._quaternion.solve_left``). Every other signature takes one
+real system in the blade coordinates (``clifflag.linsolve.solve_exact``),
+which the tests keep as the referee of the split. The route depends on
+the signature alone, never on the kind of the result.
 
 The package attribute ``clifflag.interpolate`` is the function
 :func:`interpolate`, which shadows this submodule; reach the module with
@@ -282,8 +282,11 @@ class OracleResult(_Value):
     """Outcome of the linear-system oracle.
 
     kind is "unique", "none" or "affine_family"; `polynomial` is the
-    solution (a particular one with free coordinates zeroed for
-    "affine_family", None for "none").
+    solution, None for "none". For "affine_family" it is one particular
+    solution: with every free quaternion unknown of each half of the
+    split zero in H and R_{0,3} (for H these are exactly the free blade
+    coordinates), and with every free blade coordinate zero in the other
+    signatures.
     """
 
     __slots__ = ("kind", "polynomial")
@@ -304,11 +307,11 @@ def brute_force_interpolate(
     unknowns are the quaternion coefficients of each half of the H (+) H
     split: one system over H of max_degree + 1 unknowns and one equation
     per pair, for each half (see :func:`_split_oracle`). Every other
-    signature, and an R_{0,3} problem with a whole family of solutions,
-    solves one real system in the 2^m (max_degree + 1) blade coordinates
-    (:func:`_coordinate_oracle`). ``max_degree`` defaults to
-    the construction's degree bound and must lie in 0..MAX_DEGREE, the
-    CLI's ``--max-degree`` cap; each degree costs one power per point.
+    signature solves one real system in the 2^m (max_degree + 1) blade
+    coordinates (:func:`_coordinate_oracle`). The signature alone picks
+    the route, for every kind. ``max_degree`` defaults to the
+    construction's degree bound and must lie in 0..MAX_DEGREE, the CLI's
+    ``--max-degree`` cap; each degree costs one power per point.
     """
     sig = problem.sig
     _check_signatures(problem)
@@ -329,20 +332,23 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     """The oracle on the halves of the split.
 
     The split is a ring isomorphism, so the R_{0,3} system decouples into
-    one system per half: it has no solution if either half has none, and
-    one if both have one. When a half has many, the particular solution
-    would depend on the basis, so an R_{0,3} family is handed to
-    :func:`_coordinate_oracle` and keeps that route's particular solution.
+    one system per half: it has no solution if either half has none, one
+    if both have one, and a family otherwise, so the kind is the
+    coordinate route's.
 
     Each half is eliminated over H (:func:`clifflag._quaternion.solve_left`),
     which gives the kind and the particular solution of the real system
     of the half's 4x4 blocks: that system's pivot columns come in whole
     blocks, one per quaternionic pivot, so its free real coordinates are
-    the free quaternion unknowns. For H that real system is the
-    coordinate route's own, so all three kinds agree with that route.
-    Points and values enter as their halves over their own denominators
-    (:func:`split`), and the solved halves leave as the construction's
-    do, one gcd per coefficient (:func:`join_rows`).
+    the free quaternion unknowns, and the particular solution sets them
+    to zero. For H that real system is the coordinate route's own, so
+    the polynomial agrees with that route for all three kinds. An R_{0,3}
+    family joins the two halves' particular solutions; that is the
+    coordinate route's too wherever both halves leave the same unknowns
+    free, and may differ where they do not. Points and values enter as
+    their halves over their own denominators (:func:`split`), and the
+    solved halves leave as the construction's do, one gcd per
+    coefficient (:func:`join_rows`).
     """
     points = [split(x._num) for x in problem.points]
     values = [split(w._num) for w in problem.values]
@@ -353,12 +359,9 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
             return OracleResult("none", None)
         kinds.add(kind)
         solutions.append(solution)
-    unique = kinds == {"unique"}
-    if not unique and problem.sig == R03:
-        return _coordinate_oracle(problem, max_degree)
     sig = problem.sig
     poly = Polynomial(sig, [Multivector._wrap(sig, c) for c in join_rows(solutions)])
-    return OracleResult("unique" if unique else "affine_family", poly)
+    return OracleResult("unique" if kinds == {"unique"} else "affine_family", poly)
 
 
 def _solve_half(points, values, max_degree: int):

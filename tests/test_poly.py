@@ -472,8 +472,9 @@ def test_sphere_probe_stops_at_its_first_empty_half(monkeypatch):
 def test_empty_sphere_probe_reduces_nothing(monkeypatch):
     # the class is decided on the remainder's unreduced numerators: a probe
     # without a root takes no gcd, inverse, product or class test, and a
-    # root found is reduced once, where join puts its halves together
-    names = ("_reduce", "mul", "inverse", "in_class", "join")
+    # root found is one product per half, reduced once, where join puts its
+    # halves together
+    names = ("_reduce", "_product", "inverse", "in_class", "join")
     p = Polynomial.x_minus(Multivector.basis(R03, 1))  # both halves X - i
     q = Polynomial.x_minus(I)
     _split(p), _split(q)  # the rows are formed before counting
@@ -495,10 +496,10 @@ def test_empty_sphere_probe_reduces_nothing(monkeypatch):
         assert roots_in_class(q, cls_id).is_empty
     assert calls == dict.fromkeys(names, 0)
     assert roots_in_class(q, S) == RootSet("points", S, (I,))
-    assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "join": 1}
+    assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "_product": 1, "join": 1}
     calls.update(dict.fromkeys(names, 0))
     assert roots_in_class(p, S) == RootSet("points", S, (Multivector.basis(R03, 1),))
-    assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "join": 1}
+    assert calls == {**dict.fromkeys(names, 0), "_reduce": 1, "_product": 2, "join": 1}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -71,7 +71,6 @@ def as_kernel(x):
 def test_product_and_sums_match(x, y):
     a, b = as_kernel(x), as_kernel(y)
     for got, want in (
-        (hk.mul(a, b), x * y),
         (hk.add(a, b), x + y),
         (hk.neg(a), -x),
     ):
@@ -232,12 +231,14 @@ def test_solve_left_equals_solve_exact_on_the_real_expansion(rows):
 
 
 def reduced_power_row(x, w, max_degree):
-    """The oracle's row [x^0, ..., x^D | w] of reduced kernel powers over
-    their lcm: the reference for the rows of unreduced powers."""
-    row = [hk.ONE]
+    """The oracle's row [x^0, ..., x^D | w] of reduced powers over their
+    lcm, the powers as Multivector products in H: the reference for the
+    rows of unreduced powers."""
+    point = Multivector(QUATERNIONS, [Fraction(v, x[4]) for v in x[:4]])
+    row = [Multivector.one(QUATERNIONS)]
     for _ in range(max_degree):
-        row.append(hk.mul(row[-1], x))
-    row.append(w)
+        row.append(row[-1] * point)
+    row = [q._num for q in row] + [w]
     scale = lcm(*(q[4] for q in row))
     return [tuple(map((scale // q[4]).__mul__, q[:4])) for q in row]
 
@@ -324,16 +325,17 @@ def test_remainder_matches_division(p, t, n):
 
 def sphere_root_reference(p, t, n):
     """Per half, the root of x a + b = 0 in the class (t, n), from the
-    reduced remainder b + X a of long division."""
+    reduced remainder b + X a of long division, as Multivector products in
+    H: x = -b conj(a) / |a|^2."""
     _, rem = divide_by_real(p, Polynomial.from_scalars(p.sig, (n, -t, 1)))
     roots = []
     for b, a in zip(halves_of(rem.coefficient(0)), halves_of(rem.coefficient(1))):
-        b, a = b._num, a._num
-        if a == hk.ZERO:
-            roots.append(None if b == hk.ZERO else False)
+        if not a:
+            roots.append(None if not b else False)
             continue
-        x = hk.mul(hk.neg(b), hk.inverse(a))
-        roots.append(x if hk.in_class(x, t, n) else False)
+        x = -(b * a.conjugate()) / a.norm().scalar_part()
+        in_class = 2 * x.scalar_part() == t and x.norm().scalar_part() == n
+        roots.append(x._num if in_class else False)
     return roots
 
 

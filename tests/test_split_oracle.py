@@ -2,11 +2,16 @@
 
 In H and R(0,3), `brute_force_interpolate` solves one system per half of
 the split, on the integer quaternion kernel that the construction uses
-too. The coordinate route (`_coordinate_oracle`), one system in the blade
-coordinates, shares no code with the kernel, so it stays the referee:
-kinds and polynomials must be equal, Fraction for Fraction, on seeded
-problems of all three kinds, with zero-divisor pairs and degrees below,
-at and above the construction's bound.
+too, for every kind of result. The coordinate route (`_coordinate_oracle`),
+one system in the blade coordinates, shares no code with the kernel, so
+it stays the referee: kinds must be equal on seeded problems of all three
+kinds, with zero-divisor pairs and degrees below, at and above the
+construction's bound. Polynomials must be equal, Fraction for Fraction, in
+H and wherever both halves of an R(0,3) problem leave the same unknowns
+free. An R(0,3) family whose halves do not (a point sharing one half with
+another, at an equal half-value) keeps each half's own particular
+solution, so there the referee is the coordinate route on each half's H
+problem.
 """
 
 import importlib
@@ -20,6 +25,8 @@ from clifflag import (
     R03,
     Signature,
     brute_force_interpolate,
+    from_quaternion_pair,
+    to_quaternion_pair,
     verify_interpolant,
 )
 from util import (
@@ -40,6 +47,35 @@ def with_zero_divisor_pair(rng, problem):
     x, _ = problem.pairs[0]
     extra = (x + rand_zero_divisor(rng), rand_multivector(rng, R03, 3))
     return InterpolationProblem.from_pairs(R03, [*problem.pairs, extra])
+
+
+U = Multivector.parse("1 + e1 + e2", QUATERNIONS)
+
+
+def with_shared_plus_half(rng, problem):
+    """The problem plus a point y in its first point x's class that shares
+    x's plus half, (x+, u x- u^-1) for u = 1 + e1 + e2, whose value shares
+    the first value's plus half: the plus half repeats a node at an equal
+    value, so the halves leave different unknowns free."""
+    x, w = problem.pairs[0]
+    x_plus, x_minus = to_quaternion_pair(x)
+    y = from_quaternion_pair(x_plus, U * x_minus * U.inverse())
+    value = from_quaternion_pair(to_quaternion_pair(w)[0], rand_multivector(rng, QUATERNIONS, 3))
+    return InterpolationProblem.from_pairs(R03, [*problem.pairs, (y, value)])
+
+
+def assert_each_half_is_its_h_solution(result, problem, degree):
+    """Each half of every coefficient of an R(0,3) result is the coordinate
+    route's solution of that half's H problem."""
+    points = [to_quaternion_pair(x) for x in problem.points]
+    values = [to_quaternion_pair(w) for w in problem.values]
+    for i, (xs, ws) in enumerate(zip(zip(*points), zip(*values))):
+        half = InterpolationProblem.from_pairs(QUATERNIONS, zip(xs, ws))
+        want = ORACLE._coordinate_oracle(half, degree)
+        assert want.kind != "none"
+        for h in range(degree + 1):
+            got = to_quaternion_pair(result.polynomial.coefficient(h))[i]
+            assert got == want.polynomial.coefficient(h)
 
 
 def seeded_problems(rng):
@@ -88,16 +124,15 @@ def test_split_equals_coordinate_route_at_the_bound():
         assert got == ORACLE._coordinate_oracle(problem, bound)
 
 
-def test_r03_family_takes_the_coordinate_route(monkeypatch):
-    # a half with many solutions sends the whole R(0,3) problem to the
-    # coordinate route, so its particular solution is that route's
+def test_r03_family_stays_on_the_split(monkeypatch):
+    # a half with many solutions keeps the R(0,3) problem on the split, and
+    # each half of the family's particular solution is that half's own
     problem = random_r03_problem(random.Random("family"), n_points=3)
-    reference = ORACLE._coordinate_oracle(problem, 4)
     calls = count_coordinate_route(monkeypatch)
     result = brute_force_interpolate(problem, 4)
-    assert calls == [problem]
+    assert calls == []
     assert result.kind == "affine_family"
-    assert result == reference
+    assert_each_half_is_its_h_solution(result, problem, 4)
 
 
 def test_h_family_and_r03_unique_or_none_stay_on_the_split(monkeypatch):
@@ -149,9 +184,8 @@ def count_real_solves(monkeypatch):
 
 
 def test_split_halves_are_solved_over_h_without_real_solves(monkeypatch):
-    # H problems of every kind, and R(0,3) problems whose kind is unique or
-    # none, are eliminated over H; an R(0,3) family and every other
-    # signature still solve a real system in the blade coordinates
+    # H and R(0,3) problems of every kind are eliminated over H; only the
+    # other signatures solve a real system in the blade coordinates
     rng = random.Random("no real solves")
     calls = count_real_solves(monkeypatch)
     kinds = Counter()
@@ -178,9 +212,28 @@ def test_split_halves_are_solved_over_h_without_real_solves(monkeypatch):
 
     family = random_r03_problem(rng, n_points=3)
     assert brute_force_interpolate(family, 4).kind == "affine_family"
-    assert calls == [8 * 3]
+    assert calls == []
     sig = Signature(1, 1)
     one = Multivector.one(sig)
     other = InterpolationProblem.from_pairs(sig, [(one, Multivector.basis(sig, 1)), (-one, one)])
     brute_force_interpolate(other, 1)
-    assert calls == [8 * 3, 4 * 2]
+    assert calls == [4 * 2]
+
+
+def test_shared_half_families_keep_each_halfs_solution(monkeypatch):
+    # the plus half repeats a node, so it has a family at degrees n - 1 and
+    # n where the minus half may not: the kind is still the coordinate
+    # route's, the polynomial interpolates, each half is that half's own H
+    # solution, and no real system is solved
+    rng = random.Random("shared half")
+    calls = count_real_solves(monkeypatch)
+    for _ in range(10):
+        problem = with_shared_plus_half(rng, random_r03_problem(rng))
+        n = len(problem.pairs)
+        for degree in (n - 1, n):
+            calls.clear()
+            result = brute_force_interpolate(problem, degree)
+            assert calls == []
+            assert result.kind == ORACLE._coordinate_oracle(problem, degree).kind
+            assert verify_interpolant(result.polynomial, problem)
+            assert_each_half_is_its_h_solution(result, problem, degree)
