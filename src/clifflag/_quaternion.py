@@ -39,7 +39,8 @@ or constant a step finds. Out, :func:`join` gives one value and
 :func:`join_rows` a polynomial's coefficients, each reduced by one gcd
 over one lcm of the halves' denominators. The storage helpers above
 keep their results in lowest terms, since that storage is canonical.
-Conjugacy classes are read off the halves too (:func:`class_numerators`).
+Conjugacy classes are read off the halves too, as one integer key in
+lowest terms (:func:`class_key`).
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -87,13 +88,14 @@ def _halves(a: tuple) -> tuple:
     return (n0 + n7, n1 - n6, n2 + n5, n3 - n4), (n0 - n7, n1 + n6, n2 - n5, n3 + n4)
 
 
-def class_numerators(a: tuple):
-    """(T, N) with trace T / d and norm N / d^2, for d = a[-1], when a lies
-    in the cone, else None.
+def class_key(a: tuple):
+    """(t_n, t_d, n_n, n_d): a's trace t_n / t_d and norm n_n / n_d in lowest
+    terms when a lies in the cone, else None; one key per class.
 
     Every quaternion lies in the cone, and the split keeps trace and norm,
-    so an R_{0,3} element lies in it when its halves, over d, share their
-    real numerator h_0 and their squared norm N; T = 2 h_0.
+    so an R_{0,3} element lies in it when its halves, over d = a[-1], share
+    their real numerator h_0 and their squared norm N: trace 2 h_0 / d and
+    norm N / d^2.
     """
     halves = _halves(a)
     h0, h1, h2, h3 = halves[0]
@@ -102,7 +104,10 @@ def class_numerators(a: tuple):
         m0, m1, m2, m3 = halves[1]
         if m0 != h0 or m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 != n:
             return None
-    return 2 * h0, n
+    t, d = 2 * h0, a[-1]
+    dd = d * d
+    g, h = gcd(t, d), gcd(n, dd)
+    return t // g, d // g, n // h, dd // h
 
 
 def split(a: tuple) -> tuple:
@@ -228,15 +233,6 @@ def _horner(rows: list, den: int, x: tuple) -> tuple:
             x0 * a3 + x1 * a2 - x2 * a1 + x3 * a0 + power * c3,
         )
     return a0, a1, a2, a3, den * power
-
-
-def in_class(a: tuple, t, n) -> bool:
-    """Whether a has trace t and norm n: 2 n_0 / d = t and sum n_h^2 / d^2 = n."""
-    a0, a1, a2, a3, ad = a
-    return (
-        2 * a0 * t.denominator == t.numerator * ad
-        and (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) * n.denominator == n.numerator * ad * ad
-    )
 
 
 def _remainder_numerators(rows: list, t, n) -> tuple[tuple, tuple, int]:

@@ -14,14 +14,14 @@ on a kernel quaternion (c0, c, D): the reflection of its vector part in the
 plane normal to an integer direction u is (c0 |u|^2, c |u|^2 - 2 (c . u) u,
 D |u|^2), reduced by one gcd, so reduced tuples also serve as the keys that
 remove duplicates. :func:`reflect_through` reads its vector parts as
-Fractions; :func:`quaternion_class_points` wraps its tuples as they are.
+Fractions; :func:`quaternion_class_points` wraps a class member's as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._quaternion import _reduce, in_class
+from ._quaternion import _reduce
 from .multivector import QUATERNIONS, Multivector, from_quaternion_pair
 
 
@@ -103,17 +103,12 @@ def vector_part(h: Multivector) -> tuple[Fraction, Fraction, Fraction]:
     return h.coeffs[1], h.coeffs[2], h.coeffs[3]
 
 
-def quaternion_class_points(t, n, v0, count: int) -> list[Multivector]:
-    """Points of the quaternionic class Sphere(t, n) reachable from one of them.
-
-    `v0` must be a rational vector with |v0|^2 = n - t^2/4 (for instance the
-    imaginary part of a known class member); otherwise ValueError.
-    """
-    t, n = Fraction(t), Fraction(n)
-    q = Multivector(QUATERNIONS, (t / 2, *v0))._num
-    if not in_class(q, t, n):
-        raise ValueError(f"{Multivector._wrap(QUATERNIONS, q)} is not in Sphere(t={t}, n={n})")
-    return [Multivector._wrap(QUATERNIONS, w) for w in _reflections(q, count)]
+def quaternion_class_points(x: Multivector, count: int) -> list[Multivector]:
+    """Up to ``count`` points of the class of the quaternion x, x first: its
+    reflections from :func:`_reflections`, so x and its antipode always come
+    back. Raises WrongSignature outside H."""
+    x._require_sig(QUATERNIONS, "quaternion_class_points")
+    return [Multivector._wrap(QUATERNIONS, w) for w in _reflections(x._num, count)]
 
 
 def square_roots_of_minus_one(count: int) -> list[Multivector]:

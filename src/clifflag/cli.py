@@ -149,6 +149,8 @@ def _load_problem(path: str) -> InterpolationProblem:
 
 
 def cmd_interpolate(args) -> int:
+    if args.max_degree is not None and not args.oracle:
+        raise ParseError("--max-degree bounds only the oracle; pass it with --oracle")
     problem = _load_problem(args.file)
     poly = interpolate(problem)
     print(poly)

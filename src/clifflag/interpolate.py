@@ -50,9 +50,6 @@ The package attribute ``clifflag.interpolate`` is the function
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from .errors import (
     CollinearityViolated,
     DuplicatePoint,
@@ -63,7 +60,7 @@ from .errors import (
     SignatureMismatch,
     UnsupportedSignature,
 )
-from ._quaternion import NewtonFrame, class_numerators, join_rows, solve_left, split
+from ._quaternion import NewtonFrame, class_key, join_rows, solve_left, split
 from .linsolve import solve_exact
 from .multivector import (
     QUATERNIONS,
@@ -72,6 +69,7 @@ from .multivector import (
     Multivector,
     Signature,
     _Value,
+    _class_of,
     _set,
 )
 from .poly import MAX_DEGREE, Polynomial
@@ -163,8 +161,6 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
     if problem.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
     _check_signatures(problem)
-    # classes are keyed by trace and norm in lowest terms, read off the
-    # kernel tuple: (t_n, t_d, n_n, n_d)
     seen = set()
     ordered: dict[tuple, list[tuple[Multivector, Multivector]]] = {}
     for x, w in problem.pairs:
@@ -172,18 +168,11 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
         if a in seen:
             raise DuplicatePoint(f"point {x} appears twice")
         seen.add(a)
-        trace_norm = class_numerators(a)
-        if trace_norm is None:
+        key = class_key(a)
+        if key is None:
             raise PointNotInCone(f"point {x} is outside the quadratic cone")
-        t, n = trace_norm
-        d = a[-1]
-        dd = d * d
-        g, h = gcd(t, d), gcd(n, dd)
-        ordered.setdefault((t // g, d // g, n // h, dd // h), []).append((x, w))
-    groups = [
-        ClassGroup(ConjugacyClassId(Fraction(tn, td), Fraction(nn, nd)), *map(tuple, zip(*pairs)))
-        for (tn, td, nn, nd), pairs in ordered.items()
-    ]
+        ordered.setdefault(key, []).append((x, w))
+    groups = [ClassGroup(_class_of(key), *map(tuple, zip(*pairs))) for key, pairs in ordered.items()]
     if problem.sig == R03:
         for g in groups:
             if g.size > 1:
@@ -310,14 +299,18 @@ def brute_force_interpolate(
     signature solves one real system in the 2^m (max_degree + 1) blade
     coordinates (:func:`_coordinate_oracle`). The signature alone picks
     the route, for every kind. ``max_degree`` defaults to the
-    construction's degree bound and must lie in 0..MAX_DEGREE, the CLI's
-    ``--max-degree`` cap; each degree costs one power per point.
+    construction's degree bound, which exists only in H and R_{0,3}: every
+    other signature requires it, and raises UnsupportedSignature without
+    it. It must lie in 0..MAX_DEGREE, the CLI's ``--max-degree`` cap; each
+    degree costs one power per point.
     """
     sig = problem.sig
     _check_signatures(problem)
     if not problem.pairs:
         return OracleResult("affine_family", Polynomial.zero(sig))
     if max_degree is None:
+        if sig not in (QUATERNIONS, R03):
+            raise UnsupportedSignature(f"max_degree is required in {sig}, outside H and R(0,3)")
         max_degree = group_by_class(problem).degree_bound
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")

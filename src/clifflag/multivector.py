@@ -593,15 +593,11 @@ class Multivector(_Frozen):
     def _class_id(self) -> ConjugacyClassId | None:
         # The one place that forms trace and norm for the cone test; None
         # outside the cone. A real x has 4n = t^2 and the id of real(x). In
-        # H and R_{0,3} they come from the kernel, which grouping reads too.
+        # H and R_{0,3} they come from the class key, which grouping reads too.
         sig = self.sig
         if sig in (QUATERNIONS, R03):
-            trace_norm = qk.class_numerators(self._num)
-            if trace_norm is None:
-                return None
-            t, n = trace_norm
-            d = self._num[-1]
-            return ConjugacyClassId(Fraction(t, d), Fraction(n, d * d))
+            key = qk.class_key(self._num)
+            return None if key is None else _class_of(key)
         conj = self.conjugate()
         t = self + conj
         if not t.is_scalar():
@@ -629,6 +625,12 @@ class Multivector(_Frozen):
         if cls_id is None:
             raise NotInCone(str(self))
         return cls_id
+
+
+def _class_of(key: tuple) -> ConjugacyClassId:
+    """The class of a key from :func:`clifflag._quaternion.class_key`."""
+    tn, td, nn, nd = key
+    return ConjugacyClassId(Fraction(tn, td), Fraction(nn, nd))
 
 
 def same_class(x: Multivector, y: Multivector) -> bool:

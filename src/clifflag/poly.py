@@ -447,15 +447,15 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
 
     # R_{0,3}, one half pinned, the other free over its whole sphere: sample
     # the family, the paravector candidate (free half = pinned one with k
-    # negated) first. The pinned half, shared by all, is evaluated once.
-    # Candidates are compared as tuples, so the pinned half, the first one's
-    # start, is reduced like the sampled ones, and once for every join.
+    # negated) first, then the class points reflected from the pinned half.
+    # The pinned half, shared by all, is evaluated once. Candidates are
+    # compared as tuples, so it is reduced like them, and once for every join.
     free = solved.index(None)
     pinned = solved[1 - free] = qk._reduce(*solved[1 - free])
     pinned_vanishes = not any(qk._horner(halves[1 - free], den, pinned)[:4])
     c0, c1, c2, c3, d = pinned
-    v0 = (Fraction(c1, d), Fraction(c2, d), Fraction(c3, d))
-    frees = [(c0, c1, c2, -c3, d)] + [f._num for f in quaternion_class_points(t, n, v0, 12)]
+    member = Multivector._wrap(QUATERNIONS, pinned)
+    frees = [(c0, c1, c2, -c3, d)] + [f._num for f in quaternion_class_points(member, 12)]
     reps = []
     for candidate in dict.fromkeys(frees):
         solved[free] = candidate

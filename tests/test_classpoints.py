@@ -2,7 +2,8 @@
 
 The reflections run on integer numerators; the Fraction form they replaced
 stays below as the reference, and a derandomized property pins the integer
-routine to it list for list.
+routine to it list for list. Class points start from a member of the class,
+a quaternion, so they never leave its class.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clifflag import ConjugacyClassId, Multivector, QUATERNIONS, R03
+from clifflag import ConjugacyClassId, Multivector, QUATERNIONS, R03, Signature, WrongSignature
 from clifflag.classpoints import (
     _REFLECT_DIRS,
     quaternion_class_points,
@@ -64,18 +65,24 @@ def test_r03_square_roots_live_in_the_standard_sphere_class():
 def test_quaternion_class_points_share_trace_and_norm():
     t, n = Fraction(1), Fraction(5, 2)  # beta^2 = 5/2 - 1/4 = 9/4
     v0 = (Fraction(3, 2), Fraction(0), Fraction(0))
-    for h in quaternion_class_points(t, n, v0, 8):
+    for h in quaternion_class_points(quaternion_from_parts(t / 2, v0), 8):
         assert h.trace() == t
         assert h.norm() == n
 
 
-@pytest.mark.parametrize("t, n", [(0, 1), (0, 5), (1, 4), (Fraction(1, 3), 4)])
-def test_quaternion_class_points_refuse_a_start_outside_the_class(t, n):
-    # 2 e1 lies in Sphere(t=0, n=4) only: a wrong norm or trace is an error,
-    # not points of another class
-    assert quaternion_class_points(0, 4, (2, 0, 0), 3)[0] == quaternion_from_parts(0, (2, 0, 0))
-    with pytest.raises(ValueError, match="not in Sphere"):
-        quaternion_class_points(t, n, (2, 0, 0), 3)
+def test_quaternion_class_points_keep_the_start_and_its_antipode():
+    x = Multivector.parse("1/2 + 3/2 e1", QUATERNIONS)
+    for count in (0, 1, 2):
+        assert quaternion_class_points(x, count) == [x, Multivector.parse("1/2 - 3/2 e1", QUATERNIONS)]
+    # a real start is its whole class
+    two = Multivector.scalar(QUATERNIONS, 2)
+    assert quaternion_class_points(two, 5) == [two]
+
+
+@pytest.mark.parametrize("sig", [R03, Signature(1, 1)], ids=["R03", "R11"])
+def test_quaternion_class_points_take_a_quaternion(sig):
+    with pytest.raises(WrongSignature, match="quaternion_class_points requires"):
+        quaternion_class_points(Multivector.basis(sig, 1), 3)
 
 
 def test_r03_cone_point_class():
@@ -137,6 +144,5 @@ def test_integer_reflections_equal_the_fraction_reference(v0, t):
         assert got == want
         assert all(type(c) is Fraction for w in got for c in w)
         if limit is not None:
-            n = t * t / 4 + sum(c * c for c in v0)
-            points = quaternion_class_points(t, n, v0, limit)
+            points = quaternion_class_points(quaternion_from_parts(t / 2, v0), limit)
             assert points == [quaternion_from_parts(t / 2, w) for w in want]

@@ -421,6 +421,16 @@ def test_interpolate_bad_count_flag_rejected_before_work(tmp_path, capsys, flag,
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("name", ["r03_three_point.json", "missing.json"])
+def test_max_degree_without_oracle_rejected_before_work(name, capsys):
+    # the flag bounds only the oracle; the file is not even read
+    path = Path(__file__).parent / "data" / name
+    assert main(["interpolate", str(path), "--max-degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err and "--oracle" in captured.err
+
+
 def test_max_degree_above_cap_rejected_before_work(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(

@@ -3,7 +3,8 @@
 Two points, 0 and u = 1 + e with e^2 = +1, so u is a zero divisor. The
 oracle's kind is pinned at degrees 1 to 3, and the particular polynomial
 of the one family at degree 1. These are witnesses only: nothing here
-classifies the problems of any signature.
+classifies the problems of any signature. Outside H and R(0,3) the oracle
+has no default degree bound, so every call here passes one.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from clifflag import (
     Multivector,
     Polynomial,
     Signature,
+    UnsupportedSignature,
     brute_force_interpolate,
     verify_interpolant,
 )
@@ -51,3 +53,16 @@ def test_value_in_the_zero_divisors_ideal_gives_a_family(degree):
     if degree == 1:
         assert result.polynomial == Polynomial.parse("X^1*(1)", sig)
         assert str(result.polynomial) == "X^1*(1)"
+
+
+def test_oracle_needs_a_degree_bound_outside_h_and_r03():
+    # the default bound is the construction's, which these signatures lack;
+    # with a bound the same problem is solved
+    sig = Signature(1, 1)
+    pair = (Multivector.parse("e1", sig), Multivector.parse("e2", sig))
+    problem = InterpolationProblem.from_pairs(sig, [pair])
+    with pytest.raises(UnsupportedSignature, match=r"required in R\(1,1\), outside H and R\(0,3\)"):
+        brute_force_interpolate(problem)
+    result = brute_force_interpolate(problem, max_degree=0)
+    assert result.kind == "unique"
+    assert result.polynomial == Polynomial.parse("(e2)", sig)

@@ -297,7 +297,7 @@ def roots_in_class_reference(p, cls_id):
         return RootSet("whole_class", cls_id)
     pinned_plus = plus.kind == "points"
     (pinned,) = plus.points or minus.points
-    frees = quaternion_class_points(cls_id.t, cls_id.n, vector_part(pinned), count=12)
+    frees = quaternion_class_points(quaternion_from_parts(cls_id.t / 2, vector_part(pinned)), count=12)
     c = pinned.coeffs
     reps = []
     for free in [Multivector(H, (c[0], c[1], c[2], -c[3]))] + frees:
@@ -471,10 +471,9 @@ def test_sphere_probe_stops_at_its_first_empty_half(monkeypatch):
 
 def test_empty_sphere_probe_reduces_nothing(monkeypatch):
     # the class is decided on the remainder's unreduced numerators: a probe
-    # without a root takes no gcd, inverse, product or class test, and a
-    # root found is one product per half, reduced once, where join puts its
-    # halves together
-    names = ("_reduce", "_product", "inverse", "in_class", "join")
+    # without a root takes no gcd, inverse or product, and a root found is
+    # one product per half, reduced once, where join puts its halves together
+    names = ("_reduce", "_product", "inverse", "join")
     p = Polynomial.x_minus(Multivector.basis(R03, 1))  # both halves X - i
     q = Polynomial.x_minus(I)
     _split(p), _split(q)  # the rows are formed before counting
@@ -780,6 +779,9 @@ ONE_R03 = Multivector.one(R03)
         (lambda: P_FIVE.divide_left_linear(ONE_R03), SignatureMismatch, "point in"),
         (lambda: Polynomial.one(H).divide_left_linear(I), ValueError, "degree at least 1"),
         (lambda: Polynomial.zero(H).divide_left_linear(I), ValueError, "degree at least 1"),
+        (lambda: P_FIVE + Polynomial.one(R03), SignatureMismatch, " vs "),
+        (lambda: Polynomial.zero(H).leading, ValueError, "no leading coefficient"),
+        (lambda: I / 0, ZeroDivisionError, "by zero scalar"),
     ],
     ids=[
         "roots_in_class-R01",
@@ -792,11 +794,32 @@ ONE_R03 = Multivector.one(R03)
         "divide-other-signature",
         "divide-constant",
         "divide-zero",
+        "add-other-signature",
+        "leading-of-zero",
+        "multivector-over-zero",
     ],
 )
 def test_refusals_are_named(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+P_OPS = Polynomial.parse("X^2*(e1) + (1)", H)
+Q_OPS = Polynomial.parse("X^1*(e2) + (3)", H)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (P_OPS - Q_OPS, "X^2*(e1) + X^1*(-e2) + (-2)"),
+        (-P_OPS, "X^2*(-e1) + (-1)"),
+        (2 * P_OPS, "X^2*(2 e1) + (2)"),
+        (1 - I, "1 - e1"),
+    ],
+    ids=["polynomial-sub", "polynomial-neg", "polynomial-rmul", "multivector-rsub"],
+)
+def test_operators_give_known_values(value, text):
+    assert str(value) == text
 
 
 def test_census_constructed_equality_case():
