@@ -31,7 +31,8 @@ the lcm of its denominators; neither takes a gcd. Inside, every result
 stays unreduced: Horner's rule on the rows (:func:`_horner`), the
 remainder modulo a class quadratic (:func:`_remainder_numerators`), the
 root of a sphere class (:func:`sphere_root`, which decides the class on
-the remainder's numerators), :func:`inverse`, the oracle's elimination
+the remainder's numerators), the quotients of the root multiplicities
+(:func:`divide_rows`), :func:`inverse`, the oracle's elimination
 (:func:`solve_left`) and the Lagrange construction of
 :mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
 are such rows, with one content gcd per step and one gcd for the root
@@ -40,7 +41,8 @@ or constant a step finds. Out, :func:`join` gives one value and
 over one lcm of the halves' denominators. The storage helpers above
 keep their results in lowest terms, since that storage is canonical.
 Conjugacy classes are read off the halves too, as one integer key in
-lowest terms (:func:`class_key`).
+lowest terms (:func:`class_key`); every class id keeps such a key, and
+the root search passes it in.
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -235,15 +237,17 @@ def _horner(rows: list, den: int, x: tuple) -> tuple:
     return a0, a1, a2, a3, den * power
 
 
-def _remainder_numerators(rows: list, t, n) -> tuple[tuple, tuple, int]:
+def _remainder_numerators(rows: list, key: tuple) -> tuple[tuple, tuple, int]:
     """(B, A, L^k): the integer numerators of P's remainder b + X a modulo
     X^2 - t X + n, for P's rows over the denominator den: b = B / (den L^k)
     and a = A / (den L^k).
 
-    Horner's rule from the top keeps b + X a congruent to the part of P
-    read so far, since (b + X a) X + c = X (b + t a) + (c - n a) modulo the
-    divisor. With L the lcm of the denominators of t and n, T = t L and
-    N = n L, the step runs on integers A, B over den L^k:
+    The class is its key (t_n, t_d, n_n, n_d) from :func:`class_key`, with
+    t = t_n / t_d and n = n_n / n_d in lowest terms. Horner's rule from the
+    top keeps b + X a congruent to the part of P read so far, since
+    (b + X a) X + c = X (b + t a) + (c - n a) modulo the divisor. With L
+    the lcm of t_d and n_d, T = t L and N = n L, the step runs on integers
+    A, B over den L^k:
 
         A' = L B + T A,    B' = L^(k+1) C - N A    (over den L^(k+1)),
 
@@ -251,10 +255,10 @@ def _remainder_numerators(rows: list, t, n) -> tuple[tuple, tuple, int]:
     """
     if not rows:
         return _ZERO4, _ZERO4, 1
-    td, nd = t.denominator, n.denominator
+    tn, td, nn, nd = key
     L = lcm(td, nd)
-    T = t.numerator * (L // td)
-    N = n.numerator * (L // nd)
+    T = tn * (L // td)
+    N = nn * (L // nd)
     a0 = a1 = a2 = a3 = 0
     b0, b1, b2, b3 = rows[-1]
     power = 1  # L^k
@@ -273,11 +277,11 @@ def _remainder_numerators(rows: list, t, n) -> tuple[tuple, tuple, int]:
     return (b0, b1, b2, b3), (a0, a1, a2, a3), power
 
 
-def sphere_root(rows: list, t, n):
-    """The root in the class (t, n) of P, a polynomial over H given by
-    integer rows over any positive denominator: a quaternion, not
-    reduced, ``None`` when the whole class is roots, or ``False`` when it
-    holds none.
+def sphere_root(rows: list, key: tuple):
+    """The root in the class with key (t_n, t_d, n_n, n_d) of P, a
+    polynomial over H given by integer rows over any positive denominator:
+    a quaternion, not reduced, ``None`` when the whole class is roots, or
+    ``False`` when it holds none.
 
     P agrees on the class with its remainder b + X a modulo X^2 - t X + n,
     so a root solves x a + b = 0. b and a share one denominator, which
@@ -293,17 +297,43 @@ def sphere_root(rows: list, t, n):
     B (-a_0, a_1, a_2, a_3) = -B conj(A) over N(A) > 0, which reduces to
     -b a^-1 in lowest terms.
     """
-    (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, t, n)
+    (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, key)
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     if not norm:
         return None if not (b0 or b1 or b2 or b3) else False
+    tn, td, nn, nd = key
     dot = b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3
-    if (
-        -2 * dot * t.denominator != t.numerator * norm
-        or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * n.denominator != n.numerator * norm
-    ):
+    if -2 * dot * td != tn * norm or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * nd != nn * norm:
         return False
     return (*_product((b0, b1, b2, b3), (-a0, a1, a2, a3)), norm)
+
+
+def divide_rows(halves, lower: tuple):
+    """The quotients of each half's integer rows, a_0 first, by the monic
+    integer polynomial Y^m + sum_k lower[k] Y^k of degree m = len(lower),
+    as lists of integer 4-tuples; ``None`` as soon as one half leaves a
+    nonzero remainder, so no later half is divided.
+
+    Synthetic division from the top: the quotient's next coefficient is
+    the top working row q, and lower[k] q is taken off the row m - k
+    below it. A monic divisor keeps every step on integers, with no gcd.
+    """
+    m = len(lower)
+    quotients = []
+    for rows in halves:
+        work = list(rows)
+        quotient = work[m:]
+        for i in range(len(work) - 1, m - 1, -1):
+            q0, q1, q2, q3 = quotient[i - m] = work[i]
+            if q0 or q1 or q2 or q3:
+                for k, e in enumerate(lower, i - m):
+                    if e:
+                        w0, w1, w2, w3 = work[k]
+                        work[k] = (w0 - e * q0, w1 - e * q1, w2 - e * q2, w3 - e * q3)
+        if any(map(any, work[:m])):
+            return None
+        quotients.append(quotient)
+    return quotients
 
 
 def _product(a: tuple, b: tuple) -> tuple:

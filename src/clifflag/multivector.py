@@ -78,20 +78,25 @@ class _Frozen:
 
 
 class _Value(_Frozen):
-    """Base of the small immutable records: fields are the subclass's ``__slots__``.
+    """Base of the small immutable records: fields are the subclass's public ``__slots__``.
 
     A subclass names two or more fields in ``__slots__`` and sets each once
     in ``__init__`` with ``_set``; this base derives the rest from the
     fields, in order. Instances are equal only to instances of the same
     class with equal fields, hash like the tuple of their fields, print as
     ``Name(field=value, ...)``, refuse assignment and deletion, and copy
-    and pickle through their constructor.
+    and pickle through their constructor. A slot whose name starts with
+    ``_`` is private, not a field: ``__init__`` derives it from the fields,
+    and it takes no part in equality, hashing, the repr or the constructor
+    arguments of a copy or pickle, unless the subclass reads it in its own
+    ``__eq__`` and ``__hash__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._values = property(attrgetter(*cls.__slots__))
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = property(attrgetter(*cls._fields))
 
     def __eq__(self, other):
         if other is self:  # cheap for the common case of the shared QUATERNIONS and R03
@@ -104,7 +109,7 @@ class _Value(_Frozen):
         return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -438,7 +443,9 @@ class Multivector(_Frozen):
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
 
     def __neg__(self) -> Multivector:
         return Multivector._wrap(self.sig, qk.neg(self._num))
@@ -628,7 +635,9 @@ class Multivector(_Frozen):
 
 
 def _class_of(key: tuple) -> ConjugacyClassId:
-    """The class of a key from :func:`clifflag._quaternion.class_key`."""
+    """The class of a key from :func:`clifflag._quaternion.class_key`: the
+    id's ``t`` and ``n`` are its two fractions, and its key is the same
+    four integers."""
     tn, td, nn, nd = key
     return ConjugacyClassId(Fraction(tn, td), Fraction(nn, nd))
 
@@ -641,20 +650,36 @@ class ConjugacyClassId(_Value):
     """A conjugacy class, identified by the shared (trace, norm) pair.
 
     Real singletons have 4n = t^2 (alpha = t/2); genuine spheres satisfy
-    4n > t^2 strictly.
+    4n > t^2 strictly. The fields are ``t`` and ``n``, as ``Fraction``s.
+    Beside them the id keeps the private ``_key`` (t_n, t_d, n_n, n_d),
+    t = t_n / t_d and n = n_n / n_d in lowest terms, as
+    :func:`clifflag._quaternion.class_key` gives it, set once in
+    ``__init__``. Equality, hashing and :attr:`is_real` read the key, and
+    the root search and census hand it to the kernel; the repr, copies and
+    pickles use (t, n) alone.
     """
 
-    __slots__ = ("t", "n")
+    __slots__ = ("t", "n", "_key")
 
     def __init__(self, t: Fraction, n: Fraction):
         # exact like Multivector's coordinates: ints and floats become
-        # Fractions; Fractions, as _class_id passes them, are kept as they are
+        # Fractions; Fractions, as _class_of passes them, are kept as they are
         if type(t) is not Fraction or type(n) is not Fraction:
             t, n = Fraction(t), Fraction(n)
-        if 4 * n.numerator * t.denominator**2 < t.numerator**2 * n.denominator:
+        key = tn, td, nn, nd = t.numerator, t.denominator, n.numerator, n.denominator
+        if 4 * nn * td * td < tn * tn * nd:
             raise ValueError(f"no class has 4n < t^2 (t={t}, n={n})")
         _set(self, "t", t)
         _set(self, "n", n)
+        _set(self, "_key", key)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
     @classmethod
     def real(cls, alpha) -> ConjugacyClassId:
@@ -671,8 +696,8 @@ class ConjugacyClassId(_Value):
     @property
     def is_real(self) -> bool:
         # 4n = t^2, on integer cross-products
-        t, n = self.t, self.n
-        return 4 * n.numerator * t.denominator**2 == t.numerator**2 * n.denominator
+        tn, td, nn, nd = self._key
+        return 4 * nn * td * td == tn * tn * nd
 
     @property
     def alpha(self) -> Fraction:

@@ -19,6 +19,7 @@ coefficients omitted, the constant term written without a power.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import _quaternion as qk
 from .classpoints import quaternion_class_points
@@ -366,7 +367,7 @@ def affine_restriction(p: Polynomial, cls_id: ConjugacyClassId) -> AffineRestric
     halves, den = _split(p)
     b, a = [], []
     for half in halves:
-        b_num, a_num, power = qk._remainder_numerators(half, cls_id.t, cls_id.n)
+        b_num, a_num, power = qk._remainder_numerators(half, cls_id._key)
         b.append((*b_num, den * power))
         a.append((*a_num, den * power))
     return AffineRestriction(cls_id, _from_halves(a), _from_halves(b))
@@ -420,12 +421,13 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
 
     A real class {alpha} holds a root exactly when P(alpha) = 0. On a sphere
     class each half of P's rows (:func:`_split`), reduced modulo Delta to
-    b + X a, solves x a + b = 0 with :func:`_quaternion.sphere_root`: one
-    point, no point, or (a = b = 0) its whole sphere, since both halves lie
-    in classes with the same (t, n). The class is decided on the remainder's
-    unreduced numerators, and a root found is reduced once, when its halves
-    are joined. The first half without a root ends the search, so no later
-    half is reduced modulo Delta.
+    b + X a, solves x a + b = 0 with :func:`_quaternion.sphere_root`, which
+    reads the class's integer key: one point, no point, or (a = b = 0) its
+    whole sphere, since both halves lie in classes with the same (t, n).
+    The class is decided on the remainder's unreduced numerators, and a
+    root found is reduced once, when its halves are joined. The first half
+    without a root ends the search, so no later half is reduced modulo
+    Delta.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
@@ -433,10 +435,10 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
         alpha = Multivector.scalar(p.sig, cls_id.alpha)
         return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
     halves, den = _split(p)
-    t, n = cls_id.t, cls_id.n
+    key = cls_id._key
     solved = []  # per half: an unreduced kernel point, None for the whole sphere
     for half in halves:
-        x = qk.sphere_root(half, t, n)
+        x = qk.sphere_root(half, key)
         if x is False:
             return RootSet("empty", cls_id)
         solved.append(x)
@@ -497,27 +499,67 @@ def factor_out_characteristic(
     """
     if cls_id.is_real:
         raise ValueError("expected a sphere class")
-    return _divide_out(p, characteristic_poly(cls_id, p.sig))
+    tn, td, nn, nd = cls_id._key
+    return _divide_out(p, ((nn, nd), (-tn, td)))
 
 
 def real_root_multiplicity(p: Polynomial, alpha) -> int:
     """Multiplicity of the real root alpha (0 when it is not a root)."""
-    return _divide_out(p, Polynomial.from_scalars(p.sig, (-Fraction(alpha), 1)))[0]
+    alpha = Fraction(alpha)
+    return _divide_out(p, ((-alpha.numerator, alpha.denominator),))[0]
 
 
-def _divide_out(p: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]:
-    """Largest s with factor^s dividing P, by repeated division, plus the cofactor.
+def _divide_out(p: Polynomial, lower: tuple) -> tuple[int, Polynomial]:
+    """Largest s with D^s dividing P, plus the cofactor, for the monic real
+    D = X^m + sum_k c_k X^k whose lower coefficients c_k = u_k / v_k are
+    the pairs ``lower`` = ((u_0, v_0), ...): X - alpha or X^2 - t X + n.
 
-    Every power of the factor divides P = 0, so it has no finite s.
+    In H and R_{0,3} the division runs on P's kernel rows (:func:`_split`).
+    With L the lcm of the v_k, substituting X = Y / L turns L^m D into the
+    monic integer polynomial Y^m + sum_k c_k L^(m-k) Y^k, and L^d P, for P
+    of degree d, into the rows a_h L^(d-h): repeated synthetic division
+    (:func:`_quaternion.divide_rows`) is then exact on integers, one pass
+    over all halves per power of D and one more to find that D divides no
+    further. s is the smallest multiplicity over the halves; the cofactor,
+    of degree e = d - m s, has the rows q_h L^h over den L^e and is joined
+    once. Other signatures divide by :func:`divide_by_real` as often.
+
+    Every power of D divides P = 0, so it has no finite s.
     """
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")
-    s = 0
-    quotient, remainder = divide_by_real(p, factor)
-    while not remainder:
-        s, p = s + 1, quotient
+    if p.sig not in (QUATERNIONS, R03):
+        factor = Polynomial.from_scalars(p.sig, [Fraction(u, v) for u, v in lower] + [1])
+        s = 0
         quotient, remainder = divide_by_real(p, factor)
-    return s, p
+        while not remainder:
+            s, p = s + 1, quotient
+            quotient, remainder = divide_by_real(p, factor)
+        return s, p
+    halves, den = _split(p)
+    m = len(lower)
+    L = lcm(*(v for _, v in lower))
+    divisor = tuple(u * (L // v) * L ** (m - 1 - k) for k, (u, v) in enumerate(lower))
+    powers = [L**h for h in range(len(halves[0]))] if L > 1 else None
+    if powers:
+        halves = [_times(half, reversed(powers)) for half in halves]
+    s = 0
+    quotients = qk.divide_rows(halves, divisor)
+    while quotients is not None:
+        s, halves = s + 1, quotients
+        quotients = qk.divide_rows(halves, divisor)
+    if not s:
+        return 0, p
+    e = len(halves[0]) - 1
+    if powers:
+        halves = [_times(half, powers) for half in halves]
+    joined = qk.join_rows([(half, den * L**e) for half in halves])
+    return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in joined])
+
+
+def _times(rows, factors) -> list:
+    """Each integer row times its factor, the rows and factors zipped."""
+    return [(r0 * f, r1 * f, r2 * f, r3 * f) for (r0, r1, r2, r3), f in zip(rows, factors)]
 
 
 def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, int]:
@@ -525,10 +567,12 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     characteristic powers of spherical classes, and remaining non-real
     non-spherical paravector roots found class by class.
 
-    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. Every class runs
+    Only meaningful in R_{0,3}, where r + 2s + k <= deg P. Repeated classes
+    count once, told apart by their integer keys. Every class runs
     :func:`roots_in_class` first and counts nothing without a root; only
     then does a real class divide for :func:`real_root_multiplicity` and a
-    whole sphere, where Delta divides P, for :func:`factor_out_characteristic`.
+    whole sphere, where Delta divides P, for :func:`factor_out_characteristic`,
+    both on P's kernel rows (:func:`_divide_out`).
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")

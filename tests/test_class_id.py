@@ -10,6 +10,8 @@ grouping and membership make no geometric product in H and R(0,3), and
 one per test in other signatures.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -31,7 +33,9 @@ from clifflag import (
     roots_in_class,
     same_class,
 )
+from clifflag import _quaternion as qk
 from clifflag.classpoints import r03_cone_point
+from clifflag.multivector import _class_of
 from util import UNITS, count_products, random_h_problem, random_r03_problem
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -212,3 +216,48 @@ def test_is_real_and_the_class_bound_on_cross_products(t, n):
             ConjugacyClassId(t, n)
         return
     assert ConjugacyClassId(t, n).is_real == (4 * n == t * t)
+
+
+def ids_of(x):
+    """Every way to build the class id of the cone element x: from its
+    trace and norm as Fractions, ints and floats where they are exact,
+    .real or .sphere, conjugacy_class() and the kernel's class key."""
+    t, n = x.trace().scalar_part(), x.norm().scalar_part()
+    ids = [ConjugacyClassId(t, n), x.conjugacy_class(), _class_of(qk.class_key(x._num))]
+    ids.append(ConjugacyClassId.real(t / 2) if x.is_scalar() else ConjugacyClassId.sphere(t, n))
+    if t.denominator == n.denominator == 1:
+        ids.append(ConjugacyClassId(int(t), int(n)))
+    if all(q.denominator & (q.denominator - 1) == 0 for q in (t, n)):  # dyadic: floats are exact
+        ids.append(ConjugacyClassId(float(t), float(n)))
+    return (t, n), ids
+
+
+cone_elements = st.one_of(multivectors(QUATERNIONS), r03_cone_points)
+
+
+@PROPERTY_SETTINGS
+@given(cone_elements, cone_elements)
+@example(Multivector.parse("1/2 + e1", QUATERNIONS), Multivector.parse("1/2 + e2", QUATERNIONS))
+@example(Multivector.parse("2", QUATERNIONS), Multivector.parse("1 + e1", QUATERNIONS))  # t = 2 both
+def test_class_ids_are_equal_and_hash_equal_exactly_when_trace_and_norm_are(x, y):
+    pair_x, ids_x = ids_of(x)
+    pair_y, ids_y = ids_of(y)
+    for a in ids_x + ids_y:
+        assert (a.t, a.n) in (pair_x, pair_y)
+        for b in ids_x + ids_y:
+            same = (a.t, a.n) == (b.t, b.n)
+            assert (a == b) == same and (a != b) != same
+            assert (hash(a) == hash(b)) == same
+            assert ({a: 1}.get(b) == 1) == same
+
+
+@PROPERTY_SETTINGS
+@given(cone_elements)
+def test_copies_and_pickles_keep_the_class_key(x):
+    cls_id = x.conjugacy_class()
+    copies = [copy.copy(cls_id), copy.deepcopy(cls_id)]
+    copies += [pickle.loads(pickle.dumps(cls_id, proto)) for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other._key == cls_id._key == qk.class_key(x._num)
+        assert other == cls_id and hash(other) == hash(cls_id) and repr(other) == repr(cls_id)
+        assert other.is_real == cls_id.is_real

@@ -67,6 +67,19 @@ def test_signature_mismatch_raises():
         Multivector.one(H) * Multivector.one(R03)
 
 
+@pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
+def test_subtraction_takes_exact_scalars_on_either_side(sig):
+    # ints and Fractions subtract from either side; a float is refused
+    # with the operator and the operands in the order they were written
+    x = Multivector.basis(sig, 1)
+    for scalar in (1, Fraction(1, 2)):
+        assert scalar - x == Multivector.scalar(sig, scalar) - x == -(x - scalar)
+    with pytest.raises(TypeError, match=r"for -: 'float' and 'Multivector'"):
+        0.5 - x
+    with pytest.raises(TypeError, match=r"for -: 'Multivector' and 'float'"):
+        x - 0.5
+
+
 def test_conjugation_known_values():
     assert Multivector.scalar(H, 5).conjugate() == 5
     e1 = Multivector.basis(R03, 1)

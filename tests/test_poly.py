@@ -308,12 +308,24 @@ def roots_in_class_reference(p, cls_id):
     return RootSet("points", cls_id, tuple(reps), exhaustive=False)
 
 
+def multiplicity_reference(p, divisor):
+    # reference: (s, cofactor) by repeated Multivector long division
+    if not p:
+        raise ValueError("zero polynomial has no finite multiplicity")
+    s = 0
+    quotient, remainder = divide_by_real(p, divisor)
+    while not remainder:
+        s, p = s + 1, quotient
+        quotient, remainder = divide_by_real(p, divisor)
+    return s, p
+
+
 def census_reference(p, witnessed_classes):
-    # reference: multiplicities by _divide_out for every class, then the
-    # reference root search on the spheres Delta does not divide
+    # reference: multiplicities by repeated long division for every class,
+    # then the reference root search on the spheres Delta does not divide
     r = s = k = 0
     for cls_id in dict.fromkeys(witnessed_classes):
-        m, _ = _divide_out(p, characteristic_poly(cls_id, p.sig))
+        m, _ = multiplicity_reference(p, characteristic_poly(cls_id, p.sig))
         if cls_id.is_real:
             r += m
         elif m:
@@ -397,49 +409,119 @@ def test_census_equals_reference(seed):
         assert paravector_root_census(p, probes) == census_reference(p, probes)
 
 
+def _multiplicities(p, cls_id):
+    # (s, cofactor) from the public names, the cofactor of a real class
+    # from _divide_out, which real_root_multiplicity reads s from
+    if not cls_id.is_real:
+        return factor_out_characteristic(p, cls_id)
+    alpha = cls_id.alpha
+    s, cofactor = _divide_out(p, ((-alpha.numerator, alpha.denominator),))
+    assert real_root_multiplicity(p, alpha) == s
+    return s, cofactor
+
+
+@pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_multiplicities_equal_repeated_long_division(sig, seed):
+    # division on the kernel rows against repeated Multivector long
+    # division, s and cofactor, on every probe of the seeded polynomials,
+    # each also times (X - 2/3)^2: a double real root with denominator 3
+    alpha = Fraction(2, 3)
+    linear = Polynomial.from_scalars(sig, (-alpha, 1))
+    found = set()
+    for p, probes in _root_search_cases(sig, seed):
+        if not p:
+            continue
+        for q in (p, p * linear * linear):
+            for cls_id in probes + [ConjugacyClassId.real(alpha)]:
+                want = multiplicity_reference(q, characteristic_poly(cls_id, sig))
+                assert _multiplicities(q, cls_id) == want
+                found.add((cls_id.is_real, want[0]))
+    assert {(True, 0), (True, 1), (True, 2), (False, 0), (False, 1)} <= found
+
+
+def test_halves_holding_delta_to_different_powers():
+    # in R(0,3) the plus half holds Delta once and the minus half twice:
+    # s is the smaller power, and the cofactor keeps the minus half's Delta
+    cls_id = _sphere(Fraction(1, 2), Fraction(3, 2))
+    delta = characteristic_poly(cls_id, R03)
+    one, e123 = Multivector.one(R03), Multivector.basis(R03, 1, 2, 3)
+    plus, minus = (one + e123) / 2, (one - e123) / 2
+    base = Polynomial.x_minus(Multivector.parse("1/3 + 2 e2 - e13", R03))
+    p = base * delta * plus + base * delta * delta * minus
+    want = (1, base * plus + base * delta * minus)
+    assert factor_out_characteristic(p, cls_id) == want == multiplicity_reference(p, delta)
+
+
+def test_multiplicities_outside_the_kernel_signatures():
+    # R(1,1) has no kernel rows and divides Multivector coefficients
+    sig = Signature(1, 1)
+    cls_id = ConjugacyClassId.sphere(1, 2)
+    alpha = Fraction(-1, 3)
+    linear = Polynomial.from_scalars(sig, (-alpha, 1))
+    delta = characteristic_poly(cls_id, sig)
+    p = Polynomial.x_minus(Multivector.parse("1/2 e1 + e2", sig)) * linear * linear * delta
+    got = factor_out_characteristic(p, cls_id)
+    assert got == multiplicity_reference(p, delta) and got[0] == 1
+    assert real_root_multiplicity(p, alpha) == multiplicity_reference(p, linear)[0] == 2
+
+
+@pytest.mark.parametrize("sig", [H, Signature(1, 1)], ids=["H", "R11"])
+def test_zero_polynomial_refused_on_both_division_routes(sig):
+    # H divides kernel rows, R(1,1) Multivector coefficients; R(0,3) is
+    # test_zero_polynomial_has_no_finite_multiplicity
+    zero = Polynomial.zero(sig)
+    with pytest.raises(ValueError, match="no finite multiplicity"):
+        factor_out_characteristic(zero, S)
+    with pytest.raises(ValueError, match="no finite multiplicity"):
+        real_root_multiplicity(zero, Fraction(1, 3))
+
+
 def _count_divisions(monkeypatch):
-    module = sys.modules["clifflag.poly"]
-    original = module.divide_by_real
-    divisions = []
+    # one kernel division pass divides every half of P's rows once
+    kernel = sys.modules["clifflag.poly"].qk
+    original = kernel.divide_rows
+    passes = []
 
-    def counting(p, divisor):
-        divisions.append(divisor)
-        return original(p, divisor)
+    def counting(halves, divisor):
+        passes.append(divisor)
+        return original(halves, divisor)
 
-    monkeypatch.setattr(module, "divide_by_real", counting)
-    return divisions
+    monkeypatch.setattr(kernel, "divide_rows", counting)
+    return passes
 
 
 def test_census_divides_only_where_delta_divides(monkeypatch):
-    # a sphere that Delta does not divide costs no Multivector division; one
-    # that it divides costs s + 1 divisions to find the multiplicity s
-    divisions = _count_divisions(monkeypatch)
+    # a sphere that Delta does not divide costs no division; one that it
+    # divides costs s + 1 division passes to find the multiplicity s
+    passes = _count_divisions(monkeypatch)
     rng = random.Random(34)
     (a0, b0), (a1, b1) = rand_class_params(rng, 2)
     y = Multivector.scalar(R03, a0) + Multivector.basis(R03, 1) * b0  # a paravector
     p = Polynomial.x_minus(y)
     assert paravector_root_census(p, [_sphere(a0, b0), _sphere(a1, b1)]) == (0, 0, 1)
-    assert divisions == []
+    assert passes == []
     delta = characteristic_poly(_sphere(a1, b1), R03)
     assert paravector_root_census(p * delta, [_sphere(a1, b1)]) == (0, 1, 0)
-    assert divisions == [delta, delta]
+    assert len(passes) == 2 and passes[0] == passes[1]
 
 
 def test_census_searches_a_real_class_before_dividing(monkeypatch):
-    # a real class whose alpha is not a root costs no Multivector division;
-    # a real root of multiplicity r costs r + 1 divisions to find r
-    divisions = _count_divisions(monkeypatch)
+    # a real class whose alpha is not a root costs no division; a real root
+    # of multiplicity r costs r + 1 division passes to find r
+    passes = _count_divisions(monkeypatch)
     rng = random.Random(35)
     [(a0, b0)] = rand_class_params(rng, 1)
     y = Multivector.scalar(R03, a0) + Multivector.basis(R03, 1) * b0
     alpha = Fraction(1, 3)
     p = Polynomial.x_minus(y)
     assert paravector_root_census(p, [ConjugacyClassId.real(alpha)]) == (0, 0, 0)
-    assert divisions == []
+    assert passes == []
     linear = Polynomial.from_scalars(R03, (-alpha, 1))
     p = p * linear * linear
     assert paravector_root_census(p, [ConjugacyClassId.real(alpha), _sphere(a0, b0)]) == (2, 0, 1)
-    assert divisions == [linear] * 3
+    # Y - 1 over Y = 3 X: the integer divisor of X - 1/3
+    assert passes == [(-1,)] * 3
 
 
 def _count_reductions(monkeypatch):
@@ -449,9 +531,9 @@ def _count_reductions(monkeypatch):
     original = kernel._remainder_numerators
     calls = []
 
-    def counting(rows, t, n):
-        calls.append((t, n))
-        return original(rows, t, n)
+    def counting(rows, key):
+        calls.append(key)
+        return original(rows, key)
 
     monkeypatch.setattr(kernel, "_remainder_numerators", counting)
     return calls

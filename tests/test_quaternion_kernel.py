@@ -361,7 +361,7 @@ def test_sphere_root_matches_the_reduced_candidate(p, t, n):
     # root found is left unreduced
     halves, _ = kernel_rows(p)
     for rows, want in zip(halves, sphere_root_reference(p, t, n), strict=True):
-        got = hk.sphere_root(rows, t, n)
+        got = hk.sphere_root(rows, (t.numerator, t.denominator, n.numerator, n.denominator))
         assert type(got) is type(want)
         assert (hk._reduce(*got) if want else got) == want
 

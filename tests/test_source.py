@@ -87,8 +87,9 @@ def test_bench_tracer_finds_every_name_it_wraps():
     # a moved or renamed one would otherwise break only traced benchmark
     # runs. In a fresh interpreter: install the wrappers, check that each
     # listed name was wrapped where it is defined, that a sampled family's
-    # search still reaches the traced classpoints layer (the r03-roots
-    # benchmark reads its count), and remove the wrappers again.
+    # search still reaches the traced classpoints layer and a census with a
+    # real root and a whole sphere the traced poly.divide layer (the
+    # r03-roots benchmark reads both counts), and remove the wrappers again.
     bench = Path(__file__).resolve().parents[1] / "bench"
     code = textwrap.dedent(
         """
@@ -106,12 +107,18 @@ def test_bench_tracer_finds_every_name_it_wraps():
         p = cl.Polynomial(cl.R03, (cl.Multivector.one(cl.R03) - basis(cl.R03, 1, 2, 3),
                                    basis(cl.R03, 1) + basis(cl.R03, 2, 3)))
         family = cl.roots_in_class(p, cl.ConjugacyClassId.sphere(0, 1))
+        # (X - 1)(X^2 + 1): a real root and a whole sphere, counted by division
+        whole = cl.ConjugacyClassId.sphere(0, 1)
+        q = cl.Polynomial.from_scalars(cl.R03, (-1, 1)) * cl.characteristic_poly(whole, cl.R03)
+        census = cl.paravector_root_census(q, [cl.ConjugacyClassId.real(1), whole])
         instrumentation.remove()
         print(json.dumps({
             "missing": [a for owner, a in listed if (owner, a) not in wrapped],
             "restored": all(vars(owner)[a] is original for owner, a, original in saved),
             "family": not family.exhaustive and len(family.points) > 1,
             "sampled": sum(span[0] == "classpoints.sample" for span in tracer.spans),
+            "census": census,
+            "divided": sum(span[0] == "poly.divide" for span in tracer.spans),
         }))
         """
     )
@@ -122,3 +129,4 @@ def test_bench_tracer_finds_every_name_it_wraps():
     report = json.loads(out)
     assert report["missing"] == [] and report["restored"] and report["family"], report
     assert report["sampled"] >= 1, report
+    assert report["census"] == [1, 1, 0] and report["divided"] >= 1, report

@@ -3,7 +3,9 @@
 Each of the eight classes is built from a table of sample field values and
 checked for equality (only with an instance of the same class), hashing,
 its exact repr, refused assignment and deletion, and copy and pickle round
-trips. The tests state the behaviour alone, not how the classes get it.
+trips. A slot whose name starts with `_` is private and takes no part in
+any of these. The tests state the behaviour alone, not how the classes
+get it.
 """
 
 import copy
@@ -27,6 +29,7 @@ from clifflag import (
     Signature,
     roots_in_class,
 )
+from clifflag.multivector import _set, _Value
 
 H = QUATERNIONS
 X = Multivector.parse("1 + e1", H)
@@ -221,3 +224,29 @@ def test_multivectors_and_polynomials_copy_and_pickle(value):
     for b in copies:
         assert type(b) is type(value)
         assert b == value and hash(b) == hash(value) and repr(b) == repr(value)
+
+
+class Tagged(_Value):
+    """A record with a private slot beside its two fields."""
+
+    __slots__ = ("a", "b", "_note")
+
+    def __init__(self, a, b, note=None):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "_note", note)
+
+
+def test_a_private_slot_is_not_a_field():
+    # equality, hashing, the repr and the constructor arguments of a copy
+    # or pickle all leave the private slot out, which __init__ sets afresh
+    x, y = Tagged(1, 2, "x"), Tagged(1, 2, "y")
+    assert x == y and hash(x) == hash(y) and x != Tagged(1, 3, "x")
+    assert repr(x) == "Tagged(a=1, b=2)"
+    assert x.__reduce__() == (Tagged, (1, 2))
+    assert copy.copy(x)._note is None and pickle.loads(pickle.dumps(x))._note is None
+    with pytest.raises(AttributeError):
+        x._note = "z"
+    cls_id = ConjugacyClassId(Fraction(1, 2), Fraction(3, 4))
+    assert repr(cls_id) == "ConjugacyClassId(t=Fraction(1, 2), n=Fraction(3, 4))"
+    assert cls_id.__reduce__() == (ConjugacyClassId, (Fraction(1, 2), Fraction(3, 4)))
