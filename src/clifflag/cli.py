@@ -35,7 +35,15 @@ from .interpolate import (
     interpolate,
     verify_interpolant,
 )
-from .multivector import QUATERNIONS, R03, Multivector, Signature, _literal_int, _tokens
+from .multivector import (
+    MAX_LITERAL_DIGITS,
+    QUATERNIONS,
+    R03,
+    Multivector,
+    Signature,
+    _literal_int,
+    _tokens,
+)
 from .poly import MAX_DEGREE, Polynomial
 
 # Largest number of points in a problem file or a diagnose call. A problem's
@@ -108,10 +116,22 @@ def _check_point_count(count: int) -> None:
         raise ParseError(f"problem has {count} points; at most {MAX_POINTS} allowed")
 
 
+def _json_int(text: str) -> int:
+    # json's parse_int: a JSON integer takes the literals' digit cap instead
+    # of the interpreter's, whose error advises sys.set_int_max_str_digits()
+    digits = text.lstrip("-")
+    try:
+        value = _literal_int(digits)
+    except ValueError:
+        message = f"JSON integer of {len(digits)} digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        raise ParseError(message) from None
+    return -value if text.startswith("-") else value
+
+
 def _load_problem(path: str) -> InterpolationProblem:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

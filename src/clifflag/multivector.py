@@ -126,8 +126,10 @@ class Signature(_Value):
             raise ValueError(f"signature parts must be ints, got p={p!r}, q={q!r}")
         if p < 0 or q < 0:
             raise ValueError(f"signature parts must be non-negative, got R({p},{q})")
+        # a problem file's p may have 4300 digits, and p + q one more: printed
+        # as a Decimal, it passes the interpreter's cap on int-to-text digits
         if p + q > HARD_DIM_LIMIT:
-            raise ValueError(f"p+q = {p + q} exceeds the dimension cap {HARD_DIM_LIMIT}")
+            raise ValueError(f"p+q = {Decimal(p + q)} exceeds the dimension cap {HARD_DIM_LIMIT}")
         _set(self, "p", p)
         _set(self, "q", q)
 

@@ -416,32 +416,54 @@ def _split(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
     return p._rows
 
 
+def _real_root(p: Polynomial, key: tuple) -> bool:
+    """True when alpha = t / 2 of the real class with key (t_n, t_d, n_n, n_d)
+    is a root of P: each half of P's rows (:func:`_split`) is evaluated at
+    (t_n, 0, 0, 0, 2 t_d) on integers, stopping at the first nonzero value,
+    and nothing is reduced."""
+    halves, den = _split(p)
+    alpha = (key[0], 0, 0, 0, 2 * key[1])
+    return not any(any(qk._horner(half, den, alpha)[:4]) for half in halves)
+
+
+def _sphere_roots(p: Polynomial, key: tuple):
+    """Per half of P's rows (:func:`_split`), the root in the sphere class
+    with key (t_n, t_d, n_n, n_d) that :func:`_quaternion.sphere_root`
+    finds: an unreduced kernel point, or ``None`` for the whole sphere; or
+    ``False`` at the first half without a root, so no later half is
+    reduced modulo Delta."""
+    solved = []
+    for half in _split(p)[0]:
+        x = qk.sphere_root(half, key)
+        if x is False:
+            return False
+        solved.append(x)
+    return solved
+
+
 def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     """Solve P = 0 inside one conjugacy class of R_{0,2} or R_{0,3}.
 
-    A real class {alpha} holds a root exactly when P(alpha) = 0. On a sphere
-    class each half of P's rows (:func:`_split`), reduced modulo Delta to
-    b + X a, solves x a + b = 0 with :func:`_quaternion.sphere_root`, which
-    reads the class's integer key: one point, no point, or (a = b = 0) its
-    whole sphere, since both halves lie in classes with the same (t, n).
-    The class is decided on the remainder's unreduced numerators, and a
-    root found is reduced once, when its halves are joined. The first half
-    without a root ends the search, so no later half is reduced modulo
-    Delta.
+    A real class {alpha} holds a root exactly when P(alpha) = 0, tested on
+    P's kernel rows (:func:`_real_root`). On a sphere class each half of P's
+    rows (:func:`_split`), reduced modulo Delta to b + X a, solves
+    x a + b = 0 with :func:`_quaternion.sphere_root`, which reads the
+    class's integer key: one point, no point, or (a = b = 0) its whole
+    sphere, since both halves lie in classes with the same (t, n). The
+    class is decided on the remainder's unreduced numerators, and a root
+    found is reduced once, when its halves are joined. The first half
+    without a root ends the search (:func:`_sphere_roots`), so no later
+    half is reduced modulo Delta.
     """
     if p.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"root search not available in {p.sig}")
     if cls_id.is_real:
-        alpha = Multivector.scalar(p.sig, cls_id.alpha)
-        return RootSet("empty", cls_id) if p(alpha) else RootSet("points", cls_id, (alpha,))
-    halves, den = _split(p)
-    key = cls_id._key
-    solved = []  # per half: an unreduced kernel point, None for the whole sphere
-    for half in halves:
-        x = qk.sphere_root(half, key)
-        if x is False:
+        if not _real_root(p, cls_id._key):
             return RootSet("empty", cls_id)
-        solved.append(x)
+        return RootSet("points", cls_id, (Multivector.scalar(p.sig, cls_id.alpha),))
+    solved = _sphere_roots(p, cls_id._key)
+    if solved is False:
+        return RootSet("empty", cls_id)
     if None not in solved:
         return RootSet("points", cls_id, (_from_halves(solved),))
     if all(x is None for x in solved):
@@ -452,6 +474,7 @@ def roots_in_class(p: Polynomial, cls_id: ConjugacyClassId) -> RootSet:
     # negated) first, then the class points reflected from the pinned half.
     # The pinned half, shared by all, is evaluated once. Candidates are
     # compared as tuples, so it is reduced like them, and once for every join.
+    halves, den = _split(p)
     free = solved.index(None)
     pinned = solved[1 - free] = qk._reduce(*solved[1 - free])
     pinned_vanishes = not any(qk._horner(halves[1 - free], den, pinned)[:4])
@@ -504,57 +527,83 @@ def factor_out_characteristic(
 
 
 def real_root_multiplicity(p: Polynomial, alpha) -> int:
-    """Multiplicity of the real root alpha (0 when it is not a root)."""
+    """Multiplicity of the real root alpha (0 when it is not a root).
+
+    Only s is returned, so in H and R_{0,3} it is counted on P's kernel
+    rows (:func:`_multiplicity`) and no cofactor is joined.
+    """
     alpha = Fraction(alpha)
-    return _divide_out(p, ((-alpha.numerator, alpha.denominator),))[0]
+    lower = ((-alpha.numerator, alpha.denominator),)
+    if p.sig in (QUATERNIONS, R03):
+        return _multiplicity(p, lower)[0]
+    return _divide_out(p, lower)[0]
 
 
-def _divide_out(p: Polynomial, lower: tuple) -> tuple[int, Polynomial]:
-    """Largest s with D^s dividing P, plus the cofactor, for the monic real
-    D = X^m + sum_k c_k X^k whose lower coefficients c_k = u_k / v_k are
-    the pairs ``lower`` = ((u_0, v_0), ...): X - alpha or X^2 - t X + n.
+def _multiplicity(p: Polynomial, lower: tuple) -> tuple[int, list, int]:
+    """(s, quotients, L): the largest s with D^s dividing P, for P in H or
+    R_{0,3} and the monic real D = X^m + sum_k c_k X^k whose lower
+    coefficients c_k = u_k / v_k are the pairs ``lower`` =
+    ((u_0, v_0), ...): X - alpha or X^2 - t X + n.
 
-    In H and R_{0,3} the division runs on P's kernel rows (:func:`_split`).
-    With L the lcm of the v_k, substituting X = Y / L turns L^m D into the
-    monic integer polynomial Y^m + sum_k c_k L^(m-k) Y^k, and L^d P, for P
-    of degree d, into the rows a_h L^(d-h): repeated synthetic division
+    The division runs on P's kernel rows (:func:`_split`). With L the lcm
+    of the v_k, substituting X = Y / L turns L^m D into the monic integer
+    polynomial Y^m + sum_k c_k L^(m-k) Y^k, and L^d P, for P of degree d,
+    into the rows a_h L^(d-h): repeated synthetic division
     (:func:`_quaternion.divide_rows`) is then exact on integers, one pass
     over all halves per power of D and one more to find that D divides no
-    further. s is the smallest multiplicity over the halves; the cofactor,
-    of degree e = d - m s, has the rows q_h L^h over den L^e and is joined
-    once. Other signatures divide by :func:`divide_by_real` as often.
+    further. s is the smallest multiplicity over the halves. The quotients
+    are the halves of the cofactor P / D^s, of degree e = d - m s, as the
+    rows q_h L^(e-h) over P's denominator, neither unscaled nor joined.
 
     Every power of D divides P = 0, so it has no finite s.
     """
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")
-    if p.sig not in (QUATERNIONS, R03):
-        factor = Polynomial.from_scalars(p.sig, [Fraction(u, v) for u, v in lower] + [1])
-        s = 0
-        quotient, remainder = divide_by_real(p, factor)
-        while not remainder:
-            s, p = s + 1, quotient
-            quotient, remainder = divide_by_real(p, factor)
-        return s, p
-    halves, den = _split(p)
+    halves, _ = _split(p)
     m = len(lower)
     L = lcm(*(v for _, v in lower))
     divisor = tuple(u * (L // v) * L ** (m - 1 - k) for k, (u, v) in enumerate(lower))
-    powers = [L**h for h in range(len(halves[0]))] if L > 1 else None
-    if powers:
-        halves = [_times(half, reversed(powers)) for half in halves]
+    if L > 1:
+        powers = [L**h for h in reversed(range(len(halves[0])))]
+        halves = [_times(half, powers) for half in halves]
     s = 0
     quotients = qk.divide_rows(halves, divisor)
     while quotients is not None:
         s, halves = s + 1, quotients
         quotients = qk.divide_rows(halves, divisor)
-    if not s:
-        return 0, p
-    e = len(halves[0]) - 1
-    if powers:
-        halves = [_times(half, powers) for half in halves]
-    joined = qk.join_rows([(half, den * L**e) for half in halves])
-    return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in joined])
+    return s, halves, L
+
+
+def _divide_out(p: Polynomial, lower: tuple) -> tuple[int, Polynomial]:
+    """Largest s with D^s dividing P, plus the cofactor, for the monic real
+    D of :func:`_multiplicity` given by ``lower``.
+
+    In H and R_{0,3}, :func:`_multiplicity` counts s on P's kernel rows,
+    and the cofactor, of degree e = d - m s, has the rows q_h L^h over
+    den L^e and is joined once. Other signatures divide by
+    :func:`divide_by_real` as often.
+
+    Every power of D divides P = 0, so it has no finite s.
+    """
+    if p.sig in (QUATERNIONS, R03):
+        s, halves, L = _multiplicity(p, lower)
+        if not s:
+            return 0, p
+        e = len(halves[0]) - 1
+        if L > 1:
+            powers = [L**h for h in range(e + 1)]
+            halves = [_times(half, powers) for half in halves]
+        joined = qk.join_rows([(half, _split(p)[1] * L**e) for half in halves])
+        return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in joined])
+    if not p:
+        raise ValueError("zero polynomial has no finite multiplicity")
+    factor = Polynomial.from_scalars(p.sig, [Fraction(u, v) for u, v in lower] + [1])
+    s = 0
+    quotient, remainder = divide_by_real(p, factor)
+    while not remainder:
+        s, p = s + 1, quotient
+        quotient, remainder = divide_by_real(p, factor)
+    return s, p
 
 
 def _times(rows, factors) -> list:
@@ -568,23 +617,40 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     non-spherical paravector roots found class by class.
 
     Only meaningful in R_{0,3}, where r + 2s + k <= deg P. Repeated classes
-    count once, told apart by their integer keys. Every class runs
-    :func:`roots_in_class` first and counts nothing without a root; only
-    then does a real class divide for :func:`real_root_multiplicity` and a
-    whole sphere, where Delta divides P, for :func:`factor_out_characteristic`,
-    both on P's kernel rows (:func:`_divide_out`).
+    count once, told apart by their integer keys. The census counts on P's
+    kernel rows (:func:`_split`) and builds no root: it probes a real class
+    (:func:`_real_root`) and searches a sphere half by half
+    (:func:`_sphere_roots`) as :func:`roots_in_class` does, and a class
+    without a root counts nothing. Only then does a real root divide for
+    :func:`real_root_multiplicity` and a whole sphere, where Delta divides
+    P, for :func:`factor_out_characteristic`. A single root counts when it
+    is a paravector, and a sampled family counts its one paravector.
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
     r = s = k = 0
     for cls_id in dict.fromkeys(witnessed_classes):
-        roots = roots_in_class(p, cls_id)
-        if roots.is_empty:
-            continue
         if cls_id.is_real:
-            r += real_root_multiplicity(p, cls_id.alpha)
-        elif roots.kind == "whole_class":
+            if _real_root(p, cls_id._key):
+                r += real_root_multiplicity(p, cls_id.alpha)
+            continue
+        solved = _sphere_roots(p, cls_id._key)
+        if solved is False:
+            continue
+        plus, minus = solved
+        if plus is None and minus is None:
             s += factor_out_characteristic(p, cls_id)[0]
+        elif plus is None or minus is None:
+            # One half pinned at c, the other free over the sphere. By
+            # _quaternion._blades the joined root is a paravector exactly
+            # when the free half is c with k negated, a point of the same
+            # sphere and so a root. roots_in_class samples that candidate
+            # first and drops its repeats, and every other candidate differs
+            # from it: the family holds exactly one paravector.
+            k += 1
         else:
-            k += sum(x.is_paravector() for x in roots.points)
+            # by _blades, a paravector exactly when minus = (p0, p1, p2, -p3)
+            # for plus = (p0, p1, p2, p3), each over its own denominator
+            (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = plus, minus
+            k += (m0 * pd, m1 * pd, m2 * pd, m3 * pd) == (p0 * md, p1 * md, p2 * md, -p3 * md)
     return r, s, k

@@ -540,6 +540,53 @@ def test_deeply_nested_problem_file_exits_2(tmp_path, capsys, where):
     assert "too deeply" in captured.err
 
 
+@pytest.mark.parametrize("where", ["point", "p", "negative-p"])
+def test_long_json_integer_exits_2_naming_the_cap(tmp_path, capsys, where):
+    # json.load's int() refuses more digits than the interpreter's cap with
+    # advice to call sys.set_int_max_str_digits(), which no CLI user can
+    big = ("-" if where == "negative-p" else "") + "9" * 5000
+    signature = '{"p": 0, "q": 2}' if where == "point" else '{"p": %s, "q": 2}' % big
+    point = big if where == "point" else '"1"'
+    path = tmp_path / "big.json"
+    path.write_text('{"signature": %s, "points": [%s], "values": ["1"]}' % (signature, point))
+    assert main(["interpolate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: JSON integer of 5000 digits exceeds the cap of 4300 digits\n")
+
+
+@pytest.mark.parametrize("limit", [0, 640])
+def test_json_integer_cap_does_not_follow_the_int_digit_setting(tmp_path, capsys, limit):
+    # a problem file's integers take the literals' fixed cap of 4300 digits,
+    # with the interpreter's cap on int-to-text conversion off (0) or at its
+    # least (640); past the JSON step, a point must be a string and p + q of
+    # 4301 digits is refused by name
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    nines = "9" * 4300
+    docs = [
+        '{"signature": {"p": 0, "q": 2}, "points": [%s], "values": ["1"]}' % nines,
+        '{"signature": {"p": %s, "q": 2}, "points": ["1"], "values": ["1"]}' % nines,
+        '{"signature": {"p": 0, "q": 2}, "points": [%s9], "values": ["1"]}' % nines,
+    ]
+    set_cap(limit)
+    try:
+        codes = []
+        for doc in docs:
+            path = tmp_path / "problem.json"
+            path.write_text(doc)
+            codes.append(main(["interpolate", str(path)]))
+    finally:
+        set_cap(cap)
+    assert codes == [2, 2, 2]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: points and values must be arrays of strings",
+        f"error: bad signature: p+q = 1{'0' * 4299}1 exceeds the dimension cap 6",
+        "error: JSON integer of 4301 digits exceeds the cap of 4300 digits",
+    ]
+
+
 def test_decimal_digits_cap(tmp_path, capsys):
     eval_third = ["eval", "-s", "0,2", "X^1*(1/3)", "1"]
     for command in (eval_third, ["interpolate", write(tmp_path, FIVE_POINT_DOC)]):

@@ -399,14 +399,109 @@ def test_roots_in_class_equals_multivector_reference(sig, seed):
     assert kinds == expected
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
 def test_census_equals_reference(seed):
+    # the witnessed list names some classes twice; each counts once
     for p, probes in _root_search_cases(R03, seed):
+        witnessed = probes + probes[::-2]
         if not p:
             with pytest.raises(ValueError, match="no finite multiplicity"):
-                paravector_root_census(p, probes)
+                paravector_root_census(p, witnessed)
             continue
-        assert paravector_root_census(p, probes) == census_reference(p, probes)
+        assert paravector_root_census(p, witnessed) == census_reference(p, witnessed)
+
+
+def _family_cases(seed):
+    # (polynomial, probe classes) as the r03-roots benchmark builds its
+    # families: products of root factors at cone points of degree 1 to 5,
+    # times (1 + e123)/2, probed at their own classes
+    rng = random.Random(seed)
+    idempotent = (Multivector.one(R03) + Multivector.basis(R03, 1, 2, 3)) / 2
+    cases = []
+    for degree in range(1, 6):
+        params = rand_class_params(rng, degree)
+        p = Polynomial.one(R03)
+        for a, b in params:
+            p = append_root(p, r03_cone_point(a, b, *rng.sample(_UNITS, 2)))
+        cases.append((p * idempotent, [_sphere(a, b) for a, b in params]))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampled_families_hold_one_paravector(seed):
+    # the census counts a sampled family as one paravector root without
+    # looking at its points: every family the root search samples holds
+    # exactly one
+    families = 0
+    for p, probes in _root_search_cases(R03, seed) + _family_cases(seed):
+        for cls_id in probes:
+            found = roots_in_class(p, cls_id)
+            if not found.exhaustive:
+                families += 1
+                assert sum(x.is_paravector() for x in found.points) == 1
+    assert families >= 15
+
+
+def _count_calls(monkeypatch, owner, names):
+    # calls of each named attribute of owner, by name
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_census_builds_no_roots(seed, monkeypatch):
+    # the census counts on the kernel rows: no root search, no sampled
+    # class points, no joined root, no RootSet, and no evaluation through
+    # Polynomial.__call__ for a real class
+    cases = [(p, probes) for p, probes in _root_search_cases(R03, seed) if p]
+    cases += _family_cases(seed)
+    want = [census_reference(p, probes) for p, probes in cases]
+    names = ("roots_in_class", "quaternion_class_points", "_from_halves", "RootSet")
+    calls = _count_calls(monkeypatch, sys.modules["clifflag.poly"], names)
+    evaluations = _count_calls(monkeypatch, Polynomial, ("__call__",))
+    assert [paravector_root_census(p, probes) for p, probes in cases] == want
+    assert calls == dict.fromkeys(names, 0)
+    assert evaluations == {"__call__": 0}
+
+
+def test_real_probe_evaluates_on_the_kernel_rows(monkeypatch):
+    # a real class is probed on the kept rows, not through Polynomial.__call__
+    alpha = Fraction(-2, 3)
+    for sig in (H, R03):
+        y = Multivector.parse("1/2 + e1 - 3 e2", sig)
+        p = Polynomial.x_minus(y) * Polynomial.from_scalars(sig, (-alpha, 1))
+        evaluations = _count_calls(monkeypatch, Polynomial, ("__call__",))
+        assert roots_in_class(p, ConjugacyClassId.real(alpha)).points == (Multivector.scalar(sig, alpha),)
+        assert roots_in_class(p, ConjugacyClassId.real(alpha + 1)).is_empty
+        assert evaluations == {"__call__": 0}
+        monkeypatch.undo()
+
+
+def test_only_the_cofactor_is_joined(monkeypatch):
+    # real_root_multiplicity returns s alone and joins no cofactor;
+    # factor_out_characteristic joins its cofactor Q once
+    cls_id = _sphere(Fraction(1, 2), Fraction(3, 2))
+    alpha = Fraction(2, 3)
+    for sig in (H, R03):
+        linear = Polynomial.from_scalars(sig, (-alpha, 1))
+        p = Polynomial.x_minus(Multivector.parse("1/3 + 2 e2", sig)) * linear * linear
+        p = p * characteristic_poly(cls_id, sig)
+        joins = _count_calls(monkeypatch, sys.modules["clifflag.poly"].qk, ("join_rows",))
+        assert real_root_multiplicity(p, alpha) == 2
+        assert joins == {"join_rows": 0}
+        assert factor_out_characteristic(p, cls_id)[0] == 1
+        assert joins == {"join_rows": 1}
+        monkeypatch.undo()
 
 
 def _multiplicities(p, cls_id):
@@ -559,18 +654,7 @@ def test_empty_sphere_probe_reduces_nothing(monkeypatch):
     p = Polynomial.x_minus(Multivector.basis(R03, 1))  # both halves X - i
     q = Polynomial.x_minus(I)
     _split(p), _split(q)  # the rows are formed before counting
-    kernel = sys.modules["clifflag.poly"].qk
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(kernel, name, counting(name, getattr(kernel, name)))
+    calls = _count_calls(monkeypatch, sys.modules["clifflag.poly"].qk, names)
     # i has norm 1, not 4; and trace 0, not 2
     for cls_id in (_sphere(0, 2), ConjugacyClassId.sphere(2, 2)):
         assert roots_in_class(p, cls_id).is_empty
@@ -585,7 +669,7 @@ def test_empty_sphere_probe_reduces_nothing(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_census_reduces_as_the_root_search_does(seed, monkeypatch):
-    # the census searches each class with roots_in_class: over the same
+    # the census searches each class as roots_in_class does: over the same
     # classes it makes exactly the root search's reductions, and a real
     # class makes none in either
     calls = _count_reductions(monkeypatch)
