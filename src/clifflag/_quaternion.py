@@ -32,9 +32,8 @@ stays unreduced: Horner's rule on the rows (:func:`_horner`), the
 remainder modulo a class quadratic (:func:`_remainder_numerators`), the
 root of a sphere class (:func:`sphere_root`, which decides the class on
 the remainder's numerators), the quotients of the root multiplicities
-(:func:`divide_rows`), :func:`inverse`, the oracle's elimination
-(:func:`solve_left`) and the Lagrange construction of
-:mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
+(:func:`divide_rows`), :func:`inverse` and the Lagrange construction
+of :mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
 are such rows, with one content gcd per step and one gcd for the root
 or constant a step finds. Out, :func:`join` gives one value and
 :func:`join_rows` a polynomial's coefficients, each reduced by one gcd
@@ -53,7 +52,8 @@ with their conjugates. It gives the kind and the particular solution that
 The oracle's rows hold unreduced integer powers of each point, with a
 real positive column 0, and every row is divided by its content first;
 a real pivot or a real multiplier then takes a path without quaternion
-products that gives the same integers as the products would.
+products that gives the same integers as the products would. Rows are
+eliminated as tails; back-substitution divides by gcd(pivot, new numerators).
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ def solve_left(rows: list) -> tuple:
     :func:`clifflag.linsolve.solve_exact` does: kind is ``"unique"``,
     ``"none"`` or ``"many"``, and a consistent system gives the n unknowns
     as ``(rows, den)``, integer 4-tuples over one positive denominator
-    and not reduced, with every free unknown zero (``None`` for
-    ``"none"``).
+    with gcd(den, all numerators) = 1, every free unknown zero (``None``
+    for ``"none"``).
 
     Fraction-free elimination over the skew field H, after Bareiss:
     the pivot row is multiplied on the left by conj(p), so its pivot
@@ -383,10 +383,13 @@ def solve_left(rows: list) -> tuple:
     content |p|, with no product and no gcd; a real multiplier f gives
     N x - f_0 v per entry, the same integers as the Hamilton product with
     four multiplications instead of sixteen. Every intermediate row is
-    therefore the one the products would give. A real pivot is central,
-    so back-substitution keeps integer numerators over one shared
-    denominator, as ``solve_exact`` does, divided by their common gcd at
-    each step; :func:`join_rows` reduces each unknown once.
+    therefore the one the products would give, kept as its tail: at
+    column c a row holds only columns c..n. A real pivot is central, so
+    back-substitution keeps integer numerators over one shared denominator
+    in lowest terms, as ``solve_exact`` does: unknown c is s / (N den)
+    over the num_j / den solved before it, and gcd(N den, N num_j..., s)
+    = gcd(N, s) = g, so the step stores s / g and multiplies den and the
+    num_j by N / g.
 
     The result equals ``solve_exact`` on the real expansion (each r_h
     its 4x4 matrix of b -> r_h b). The span of that matrix's columns for
@@ -396,44 +399,37 @@ def solve_left(rows: list) -> tuple:
     blocks, one per quaternionic pivot, and zero real free variables are
     zero free quaternion unknowns: same kind, same particular solution.
     """
-    m = len(rows)
-    n = len(rows[0]) - 1 if m else 0
-    a = [_primitive(row)[0] for row in rows]
-
-    pivot_cols = []
-    r = 0
+    n = len(rows[0]) - 1 if rows else 0
+    # the rows not yet pivoted, each holding only its columns c..n at step c
+    rest = [_primitive(row)[0] for row in rows]
+    pivots = []  # (c, the pivot row on its columns c..n)
     for c in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if a[i][c] != _ZERO4), None)
+        pivot = next((i for i, row in enumerate(rest) if row[0] != _ZERO4), None)
         if pivot is None:
+            rest = [row[1:] for row in rest]
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        top = a[r]
-        p0, p1, p2, p3 = top[c]
-        # entries left of c are zero in every row from r on and stay zero
+        top = rest.pop(pivot)
+        p0, p1, p2, p3 = top[0]
         if p1 or p2 or p3:
-            top = a[r] = _primitive(
-                top[:c]
-                + [
+            top = _primitive(
+                [
                     (
                         p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3,
                         p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2,
                         p0 * v2 + p1 * v3 - p2 * v0 - p3 * v1,
                         p0 * v3 - p1 * v2 + p2 * v1 - p3 * v0,
                     )
-                    for v0, v1, v2, v3 in top[c:]
+                    for v0, v1, v2, v3 in top
                 ]
             )[0]
         elif p0 < 0:
             # the row is primitive, so conj(p) row over its content is -row
-            top = a[r] = top[:c] + [(-v0, -v1, -v2, -v3) for v0, v1, v2, v3 in top[c:]]
-        norm = top[c][0]
-        tail = top[c + 1 :]
-        for i in range(r + 1, m):
-            row = a[i]
-            f0, f1, f2, f3 = row[c]
-            entries = zip(row[c + 1 :], tail)
+            top = [(-v0, -v1, -v2, -v3) for v0, v1, v2, v3 in top]
+        norm = top[0][0]
+        tail = top[1:]
+        for i, row in enumerate(rest):
+            f0, f1, f2, f3 = row[0]
+            entries = zip(row[1:], tail)
             if f1 or f2 or f3:
                 new = [
                     (
@@ -450,35 +446,33 @@ def solve_left(rows: list) -> tuple:
                     for (x0, x1, x2, x3), (v0, v1, v2, v3) in entries
                 ]
             else:
+                rest[i] = row[1:]
                 continue
-            a[i] = _primitive([_ZERO4] * (c + 1) + new)[0]
-        pivot_cols.append(c)
-        r += 1
+            rest[i] = _primitive(new)[0]
+        pivots.append((c, top))
 
-    if any(a[i][n] != _ZERO4 for i in range(r, m)):
+    if any(row[-1] != _ZERO4 for row in rest):
         return "none", None
 
-    # a_c = num[c] / den, the free unknowns zero, reduced at each step
+    # a_c = num[c] / den, the free unknowns zero
     num = [_ZERO4] * n
     den = 1
-    for k in range(r - 1, -1, -1):
-        row = a[k]
-        c = pivot_cols[k]
-        norm = row[c][0]
-        later = pivot_cols[k + 1 :]
-        s0, s1, s2, s3 = map(den.__mul__, row[n])
-        for j in later:
-            y0, y1, y2, y3 = _product(row[j], num[j])
+    solved = []
+    for c, row in reversed(pivots):
+        s0, s1, s2, s3 = map(den.__mul__, row[-1])
+        for j in solved:
+            y0, y1, y2, y3 = _product(row[j - c], num[j])
             s0, s1, s2, s3 = s0 - y0, s1 - y1, s2 - y2, s3 - y3
-            num[j] = tuple(map(norm.__mul__, num[j]))
-        num[c] = (s0, s1, s2, s3)
-        den *= norm
-        g = gcd(den, *chain.from_iterable(num[j] for j in pivot_cols[k:]))
-        if g > 1:
-            den //= g
-            for j in pivot_cols[k:]:
-                num[j] = tuple(map(g.__rfloordiv__, num[j]))
-    return "unique" if r == n else "many", (num, den)
+        norm = row[0][0]
+        g = gcd(norm, s0, s1, s2, s3)
+        f = norm // g
+        if f != 1:
+            den *= f
+            for j in solved:
+                num[j] = tuple(map(f.__mul__, num[j]))
+        num[c] = (s0 // g, s1 // g, s2 // g, s3 // g)
+        solved.append(c)
+    return "unique" if len(pivots) == n else "many", (num, den)
 
 
 class NewtonFrame:

@@ -134,6 +134,8 @@ def _load_problem(path: str) -> InterpolationProblem:
             doc = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: the file must be UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:

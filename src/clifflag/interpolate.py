@@ -119,10 +119,6 @@ class ClassGroup(_Value):
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def capped_size(self) -> int:
-        return min(self.size, 2)
-
 
 class ClassGrouping(_Value):
     """Class groups of a problem, singleton classes first."""
@@ -136,7 +132,12 @@ class ClassGrouping(_Value):
     @property
     def degree_bound(self) -> int:
         """Target degree: -1 + sum of capped group sizes."""
-        return -1 + sum(g.capped_size for g in self.groups)
+        return _degree_bound(g.size for g in self.groups)
+
+
+def _degree_bound(sizes) -> int:
+    """The construction's degree bound for classes of these sizes."""
+    return -1 + sum(min(size, 2) for size in sizes)
 
 
 def _check_signatures(problem: InterpolationProblem) -> None:
@@ -149,6 +150,31 @@ def _check_signatures(problem: InterpolationProblem) -> None:
             )
 
 
+def _class_layout(problem: InterpolationProblem) -> dict[tuple, list]:
+    """The checks of :func:`group_by_class`; the pairs filed by class key."""
+    if problem.sig not in (QUATERNIONS, R03):
+        raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
+    _check_signatures(problem)
+    seen = set()
+    layout: dict[tuple, list[tuple[Multivector, Multivector]]] = {}
+    for x, w in problem.pairs:
+        a = x._num
+        if a in seen:
+            raise DuplicatePoint(f"point {x} appears twice")
+        seen.add(a)
+        key = class_key(a)
+        if key is None:
+            raise PointNotInCone(f"point {x} is outside the quadratic cone")
+        layout.setdefault(key, []).append((x, w))
+    if problem.sig == R03:
+        for key, pairs in layout.items():
+            if len(pairs) > 1:
+                raise MultiPointClassInR03(
+                    f"class {_class_of(key)} holds {len(pairs)} points; R(0,3) allows one"
+                )
+    return layout
+
+
 def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
     """Validate a problem and group its pairs by conjugacy class.
 
@@ -158,27 +184,8 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
     first, then multi-point classes, preserving first appearance within
     each block.
     """
-    if problem.sig not in (QUATERNIONS, R03):
-        raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
-    _check_signatures(problem)
-    seen = set()
-    ordered: dict[tuple, list[tuple[Multivector, Multivector]]] = {}
-    for x, w in problem.pairs:
-        a = x._num
-        if a in seen:
-            raise DuplicatePoint(f"point {x} appears twice")
-        seen.add(a)
-        key = class_key(a)
-        if key is None:
-            raise PointNotInCone(f"point {x} is outside the quadratic cone")
-        ordered.setdefault(key, []).append((x, w))
-    groups = [ClassGroup(_class_of(key), *map(tuple, zip(*pairs))) for key, pairs in ordered.items()]
-    if problem.sig == R03:
-        for g in groups:
-            if g.size > 1:
-                raise MultiPointClassInR03(
-                    f"class {g.cls_id} holds {g.size} points; R(0,3) allows one"
-                )
+    layout = _class_layout(problem).items()
+    groups = [ClassGroup(_class_of(key), *map(tuple, zip(*pairs))) for key, pairs in layout]
     groups.sort(key=lambda g: g.size > 1)  # stable: singletons first
     return ClassGrouping(problem.sig, tuple(groups))
 
@@ -311,7 +318,7 @@ def brute_force_interpolate(
     if max_degree is None:
         if sig not in (QUATERNIONS, R03):
             raise UnsupportedSignature(f"max_degree is required in {sig}, outside H and R(0,3)")
-        max_degree = group_by_class(problem).degree_bound
+        max_degree = _degree_bound(map(len, _class_layout(problem).values()))
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if max_degree > MAX_DEGREE:

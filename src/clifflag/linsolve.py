@@ -4,8 +4,8 @@ Each row is scaled to integers once. Elimination then runs on integers:
 a row is updated by cross-multiplication with the pivot row and divided
 by the gcd of its entries, as in Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22 (1968).
-Back-substitution keeps integer numerators over one shared denominator,
-so fractions are formed only for the returned solution.
+Back-substitution keeps integer numerators over one shared denominator
+in lowest terms, so fractions are formed only for the returned solution.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def solve_exact(rows, rhs):
         return "none", None
 
     # Back-substitution with the free variables zero, on integer numerators
-    # over one shared denominator: x_c = num[c] / den, reduced at each step.
+    # over one shared denominator: x_c = num[c] / den, in lowest terms.
     num = [0] * n
     den = 1
     for k in range(r - 1, -1, -1):
@@ -84,14 +84,13 @@ def solve_exact(rows, rhs):
         p = row[c]
         later = pivot_cols[k + 1 :]
         s = row[n] * den - sum(row[j] * num[j] for j in later)
-        for j in later:
-            num[j] *= p
-        num[c] = s
-        den *= p
-        g = gcd(den, s, *(num[j] for j in later))
-        if g > 1:
-            den //= g
-            for j in pivot_cols[k:]:
-                num[j] //= g
+        # gcd(p den, p num_j..., s) = gcd(p, s), as gcd(den, num_j...) = 1
+        g = gcd(p, s)
+        f = p // g
+        if f != 1:
+            den *= f
+            for j in later:
+                num[j] *= f
+        num[c] = s // g
     kind = "unique" if r == n else "many"
     return kind, [Fraction(v, den) for v in num]

@@ -554,6 +554,17 @@ def test_long_json_integer_exits_2_naming_the_cap(tmp_path, capsys, where):
     assert (out, err) == ("", "error: JSON integer of 5000 digits exceeds the cap of 4300 digits\n")
 
 
+def test_problem_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    # a UTF-16 file opens with the byte-order mark FF FE, which UTF-8 refuses
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(FIVE_POINT_DOC).encode("utf-16"))
+    assert main(["interpolate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: the file must be UTF-8 (")
+    assert "byte 0xff in position 0" in err
+
+
 @pytest.mark.parametrize("limit", [0, 640])
 def test_json_integer_cap_does_not_follow_the_int_digit_setting(tmp_path, capsys, limit):
     # a problem file's integers take the literals' fixed cap of 4300 digits,

@@ -21,6 +21,7 @@ from clifflag import (
     Polynomial,
     QUATERNIONS,
     R03,
+    Signature,
     SignatureMismatch,
     UnsupportedSignature,
     affine_restriction,
@@ -79,28 +80,26 @@ def test_grouping_single_point():
     assert grouping.degree_bound == 0
 
 
-def test_grouping_errors():
-    with pytest.raises(MultiPointClassInR03):
-        group_by_class(
-            InterpolationProblem.from_pairs(
-                R03, [(E1, Multivector.one(R03)), (Multivector.basis(R03, 2, 3), E1)]
-            )
-        )
-    with pytest.raises(PointNotInCone):
-        group_by_class(
-            InterpolationProblem.from_pairs(R03, [(Multivector.basis(R03, 1, 2, 3), E1)])
-        )
-    with pytest.raises(DuplicatePoint):
-        group_by_class(InterpolationProblem.from_pairs(H, [(I, ONE), (I, K)]))
-    with pytest.raises(UnsupportedSignature):
-        from clifflag import Signature
+def assert_refused_alike(error, problem):
+    """group_by_class and the oracle's default bound raise the same error;
+    the oracle names its own reason for a signature outside H and R(0,3)."""
+    messages = []
+    for run in (group_by_class, brute_force_interpolate):
+        with pytest.raises(error) as exc:
+            run(problem)
+        messages.append(str(exc.value))
+    assert error is UnsupportedSignature or messages[0] == messages[1]
 
-        group_by_class(
-            InterpolationProblem.from_pairs(
-                Signature(0, 4),
-                [(Multivector.basis(Signature(0, 4), 4), Multivector.one(Signature(0, 4)))],
-            )
-        )
+
+def test_grouping_errors():
+    r04 = Signature(0, 4)
+    for error, sig, pairs in (
+        (MultiPointClassInR03, R03, [(E1, Multivector.one(R03)), (Multivector.basis(R03, 2, 3), E1)]),
+        (PointNotInCone, R03, [(Multivector.basis(R03, 1, 2, 3), E1)]),
+        (DuplicatePoint, H, [(I, ONE), (I, K)]),
+        (UnsupportedSignature, r04, [(Multivector.basis(r04, 4), Multivector.one(r04))]),
+    ):
+        assert_refused_alike(error, InterpolationProblem.from_pairs(sig, pairs))
 
 
 # one class, trace 1 and norm 1/2, over the reduced denominators 2 and 10
@@ -129,10 +128,10 @@ def test_grouping_keys_classes_on_trace_and_norm_in_lowest_terms(tmp_path, capsy
 
 def test_duplicate_point_is_refused_before_a_later_point_off_the_cone():
     off_cone = Multivector.basis(R03, 1, 2, 3)
-    with pytest.raises(DuplicatePoint):
-        group_by_class(InterpolationProblem.from_pairs(R03, [(E1, E1), (E1, E1), (off_cone, E1)]))
-    with pytest.raises(PointNotInCone):
-        group_by_class(InterpolationProblem.from_pairs(R03, [(E1, E1), (off_cone, E1), (E1, E1)]))
+    duplicate_first = InterpolationProblem.from_pairs(R03, [(E1, E1), (E1, E1), (off_cone, E1)])
+    assert_refused_alike(DuplicatePoint, duplicate_first)
+    off_cone_first = InterpolationProblem.from_pairs(R03, [(E1, E1), (off_cone, E1), (E1, E1)])
+    assert_refused_alike(PointNotInCone, off_cone_first)
 
 
 def test_collinearity_of_five_point_group():
@@ -288,6 +287,19 @@ def test_oracle_unique_on_five_points():
     oracle = brute_force_interpolate(FIVE_POINTS)
     assert oracle.kind == "unique"
     assert oracle.polynomial == FIVE_POINTS_P
+
+
+def test_oracle_default_bound_builds_no_class_groups(monkeypatch):
+    # the bound comes from the class layout, with no ClassGroup records
+    module = importlib.import_module("clifflag.interpolate")
+
+    def refuse(*args):
+        raise AssertionError("the default bound built class groups")
+
+    monkeypatch.setattr(module, "group_by_class", refuse)
+    monkeypatch.setattr(module, "ClassGroup", refuse)
+    assert brute_force_interpolate(FIVE_POINTS) == brute_force_interpolate(FIVE_POINTS, max_degree=3)
+    assert brute_force_interpolate(THREE_POINTS).kind == "unique"
 
 
 def test_oracle_affine_family_above_bound():

@@ -210,6 +210,8 @@ def power_rows(points, coeffs, scales):
 @example([[R2, I, R1], [R3, (1, 1, 0, 0), J]])  # a real positive pivot over a real multiplier
 @example([[(-4, 0, 0, 0), (0, 2, 0, 0), (6, 0, 0, 2)], [I, K, J]])  # a real negative pivot, content 2
 @example([[(1, 1, 0, 0), J, R1], [R3, K, I], [(-2, 0, 0, 0), R1, Q0]])  # real multipliers, non-real pivot
+# a row twice another, then a zero column skipped before a non-real pivot in a later row
+@example([[R1, I, Q0, R1], [R2, (0, 2, 0, 0), Q0, R2], [R1, I, (0, 1, 1, 0), K]])
 # column 0 real and positive, then powers of each row's point: unique with
 # m = n, and with m > n on data from one polynomial
 @example(power_rows([(1, 1, 0, 0), (0, 0, 2, -1), (3, 0, 0, 0)], [R1, I, J], [1, 3, 2]))
@@ -221,10 +223,10 @@ def test_solve_left_equals_solve_exact_on_the_real_expansion(rows):
     if kind == "none":
         assert got is None
         return
-    # the unknowns as integer rows over one denominator, which join_rows
-    # reduces one by one
+    # the unknowns as integer rows over one denominator in lowest terms,
+    # which join_rows reduces one by one
     num, den = got
-    assert den > 0
+    assert den > 0 and gcd(den, *(v for q in num for v in q)) == 1
     assert [Fraction(v, den) for q in num for v in q] == solution
     for q in hk.join_rows([got]):
         assert_reduced(q)
