@@ -39,9 +39,10 @@ or constant a step finds. Out, :func:`join` gives one value and
 :func:`join_rows` a polynomial's coefficients, each reduced by one gcd
 over one lcm of the halves' denominators. The storage helpers above
 keep their results in lowest terms, since that storage is canonical.
-Conjugacy classes are read off the halves too, as one integer key in
-lowest terms (:func:`class_key`); every class id keeps such a key, and
-the root search passes it in.
+Conjugacy classes are read off the halves too, each as one integer key:
+its quadratic L (X^2 - t X + n), primitive (:func:`class_key`). Every
+class id keeps such a key, and the root search, the remainder and the
+multiplicities read it as it is.
 
 The linear-system oracle of :mod:`clifflag.interpolate` solves its
 systems over H with :func:`solve_left`: fraction-free elimination on rows
@@ -91,13 +92,14 @@ def _halves(a: tuple) -> tuple:
 
 
 def class_key(a: tuple):
-    """(t_n, t_d, n_n, n_d): a's trace t_n / t_d and norm n_n / n_d in lowest
-    terms when a lies in the cone, else None; one key per class.
+    """(N, M, L): the class quadratic L (X^2 - t X + n) of a, constant term
+    first, primitive with L > 0, when a lies in the cone, else None; one key
+    per class.
 
     Every quaternion lies in the cone, and the split keeps trace and norm,
     so an R_{0,3} element lies in it when its halves, over d = a[-1], share
-    their real numerator h_0 and their squared norm N: trace 2 h_0 / d and
-    norm N / d^2.
+    their real numerator h_0 and their squared norm n: trace 2 h_0 / d and
+    norm n / d^2, so the key is (n, -2 h_0 d, d^2) over its gcd.
     """
     halves = _halves(a)
     h0, h1, h2, h3 = halves[0]
@@ -106,10 +108,10 @@ def class_key(a: tuple):
         m0, m1, m2, m3 = halves[1]
         if m0 != h0 or m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 != n:
             return None
-    t, d = 2 * h0, a[-1]
-    dd = d * d
-    g, h = gcd(t, d), gcd(n, dd)
-    return t // g, d // g, n // h, dd // h
+    d = a[-1]
+    m, dd = -2 * h0 * d, d * d
+    g = gcd(n, m, dd)
+    return n // g, m // g, dd // g
 
 
 def split(a: tuple) -> tuple:
@@ -242,33 +244,29 @@ def _remainder_numerators(rows: list, key: tuple) -> tuple[tuple, tuple, int]:
     X^2 - t X + n, for P's rows over the denominator den: b = B / (den L^k)
     and a = A / (den L^k).
 
-    The class is its key (t_n, t_d, n_n, n_d) from :func:`class_key`, with
-    t = t_n / t_d and n = n_n / n_d in lowest terms. Horner's rule from the
-    top keeps b + X a congruent to the part of P read so far, since
-    (b + X a) X + c = X (b + t a) + (c - n a) modulo the divisor. With L
-    the lcm of t_d and n_d, T = t L and N = n L, the step runs on integers
-    A, B over den L^k:
+    The class is its key (N, M, L) from :func:`class_key`, the primitive
+    L X^2 + M X + N = L (X^2 - t X + n). Horner's rule from the top keeps
+    b + X a congruent to the part of P read so far, since
+    (b + X a) X + c = X (b + t a) + (c - n a) modulo the divisor, so the
+    step runs on integers A, B over den L^k:
 
-        A' = L B + T A,    B' = L^(k+1) C - N A    (over den L^(k+1)),
+        A' = L B - M A,    B' = L^(k+1) C - N A    (over den L^(k+1)),
 
-    so no gcd runs at all.
+    and no gcd runs at all.
     """
     if not rows:
         return _ZERO4, _ZERO4, 1
-    tn, td, nn, nd = key
-    L = lcm(td, nd)
-    T = tn * (L // td)
-    N = nn * (L // nd)
+    N, M, L = key
     a0 = a1 = a2 = a3 = 0
     b0, b1, b2, b3 = rows[-1]
     power = 1  # L^k
     for c0, c1, c2, c3 in reversed(rows[:-1]):
         power *= L
         a0, a1, a2, a3, b0, b1, b2, b3 = (
-            L * b0 + T * a0,
-            L * b1 + T * a1,
-            L * b2 + T * a2,
-            L * b3 + T * a3,
+            L * b0 - M * a0,
+            L * b1 - M * a1,
+            L * b2 - M * a2,
+            L * b3 - M * a3,
             power * c0 - N * a0,
             power * c1 - N * a1,
             power * c2 - N * a2,
@@ -278,10 +276,10 @@ def _remainder_numerators(rows: list, key: tuple) -> tuple[tuple, tuple, int]:
 
 
 def sphere_root(rows: list, key: tuple):
-    """The root in the class with key (t_n, t_d, n_n, n_d) of P, a
-    polynomial over H given by integer rows over any positive denominator:
-    a quaternion, not reduced, ``None`` when the whole class is roots, or
-    ``False`` when it holds none.
+    """The root in the class with key (N, M, L) of P, a polynomial over H
+    given by integer rows over any positive denominator: a quaternion, not
+    reduced, ``None`` when the whole class is roots, or ``False`` when it
+    holds none.
 
     P agrees on the class with its remainder b + X a modulo X^2 - t X + n,
     so a root solves x a + b = 0. b and a share one denominator, which
@@ -290,41 +288,49 @@ def sphere_root(rows: list, key: tuple):
 
         x = -b a^-1 = -B conj(A) / N(A),
 
-    with trace -2 <B, A> / N(A) and norm N(B) / N(A). So x lies in the
-    class exactly when -2 <B, A> t_d = t_n N(A) and N(B) n_d = n_n N(A),
-    and a probe without a root takes no gcd, inverse or product; A = 0
-    leaves the whole class (B = 0) or nothing. A found root is the product
-    B (-a_0, a_1, a_2, a_3) = -B conj(A) over N(A) > 0, which reduces to
-    -b a^-1 in lowest terms.
+    with trace -2 <B, A> / N(A) and norm N(B) / N(A). As t = -M / L and
+    n = N / L, x lies in the class exactly when 2 <B, A> L = M N(A) and
+    N(B) L = N N(A), and a probe without a root takes no gcd, inverse or
+    product; A = 0 leaves the whole class (B = 0) or nothing. A found root
+    is the product B (-a_0, a_1, a_2, a_3) = -B conj(A) over N(A) > 0,
+    which reduces to -b a^-1 in lowest terms.
     """
     (b0, b1, b2, b3), (a0, a1, a2, a3), _ = _remainder_numerators(rows, key)
     norm = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     if not norm:
         return None if not (b0 or b1 or b2 or b3) else False
-    tn, td, nn, nd = key
+    N, M, L = key
     dot = b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3
-    if -2 * dot * td != tn * norm or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * nd != nn * norm:
+    if 2 * dot * L != M * norm or (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) * L != N * norm:
         return False
     return (*_product((b0, b1, b2, b3), (-a0, a1, a2, a3)), norm)
 
 
-def divide_rows(halves, lower: tuple):
-    """The quotients of each half's integer rows, a_0 first, by the monic
-    integer polynomial Y^m + sum_k lower[k] Y^k of degree m = len(lower),
-    as lists of integer 4-tuples; ``None`` as soon as one half leaves a
-    nonzero remainder, so no later half is divided.
+def divide_rows(halves, divisor: tuple):
+    """The quotients of each half's integer rows, a_0 first, by the
+    primitive integer polynomial sum_k divisor[k] X^k of degree
+    m = len(divisor) - 1, whose leading coefficient l = divisor[m] is
+    positive, as lists of integer 4-tuples; ``None`` as soon as one half
+    leaves a nonzero remainder, so no later half is divided.
 
     Synthetic division from the top: the quotient's next coefficient is
-    the top working row q, and lower[k] q is taken off the row m - k
-    below it. A monic divisor keeps every step on integers, with no gcd.
+    the top working row over l, and divisor[k] times it is taken off the
+    row m - k below. By Gauss's lemma a primitive divisor of an integer
+    polynomial leaves an integer quotient, so the first top row that l
+    does not divide shows that the divisor does not divide the half; no
+    gcd runs at all.
     """
-    m = len(lower)
+    m = len(divisor) - 1
+    lead, lower = divisor[m], divisor[:m]
     quotients = []
     for rows in halves:
         work = list(rows)
         quotient = work[m:]
         for i in range(len(work) - 1, m - 1, -1):
-            q0, q1, q2, q3 = quotient[i - m] = work[i]
+            w0, w1, w2, w3 = work[i]
+            if w0 % lead or w1 % lead or w2 % lead or w3 % lead:
+                return None
+            q0, q1, q2, q3 = quotient[i - m] = w0 // lead, w1 // lead, w2 // lead, w3 // lead
             if q0 or q1 or q2 or q3:
                 for k, e in enumerate(lower, i - m):
                     if e:

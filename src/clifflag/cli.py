@@ -30,8 +30,8 @@ from .errors import (
 )
 from .interpolate import (
     InterpolationProblem,
+    _problem_degree_bound,
     brute_force_interpolate,
-    group_by_class,
     interpolate,
     verify_interpolant,
 )
@@ -183,11 +183,7 @@ def cmd_interpolate(args) -> int:
         for x, w in problem.pairs:
             print(f"residual at {x}: {poly(x) - w}")
     if args.oracle:
-        bound = (
-            args.max_degree
-            if args.max_degree is not None
-            else group_by_class(problem).degree_bound
-        )
+        bound = args.max_degree if args.max_degree is not None else _problem_degree_bound(problem)
         result = brute_force_interpolate(problem, bound)
         if result.kind == "unique":
             print("oracle: AGREE" if result.polynomial == poly else "oracle: DISAGREE")

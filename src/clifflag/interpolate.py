@@ -140,6 +140,12 @@ def _degree_bound(sizes) -> int:
     return -1 + sum(min(size, 2) for size in sizes)
 
 
+def _problem_degree_bound(problem: InterpolationProblem) -> int:
+    """The construction's degree bound of a problem in H or R_{0,3}, read
+    off its class layout without building a class group."""
+    return _degree_bound(map(len, _class_layout(problem).values()))
+
+
 def _check_signatures(problem: InterpolationProblem) -> None:
     """Raise SignatureMismatch for the first pair not wholly in ``problem.sig``."""
     for x, w in problem.pairs:
@@ -318,7 +324,7 @@ def brute_force_interpolate(
     if max_degree is None:
         if sig not in (QUATERNIONS, R03):
             raise UnsupportedSignature(f"max_degree is required in {sig}, outside H and R(0,3)")
-        max_degree = _degree_bound(map(len, _class_layout(problem).values()))
+        max_degree = _problem_degree_bound(problem)
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if max_degree > MAX_DEGREE:

@@ -637,11 +637,11 @@ class Multivector(_Frozen):
 
 
 def _class_of(key: tuple) -> ConjugacyClassId:
-    """The class of a key from :func:`clifflag._quaternion.class_key`: the
-    id's ``t`` and ``n`` are its two fractions, and its key is the same
-    four integers."""
-    tn, td, nn, nd = key
-    return ConjugacyClassId(Fraction(tn, td), Fraction(nn, nd))
+    """The class of a key (N, M, L) from
+    :func:`clifflag._quaternion.class_key`: the id's ``t`` and ``n`` are
+    -M / L and N / L, and its key is the same three integers."""
+    N, M, L = key
+    return ConjugacyClassId(Fraction(-M, L), Fraction(N, L))
 
 
 def same_class(x: Multivector, y: Multivector) -> bool:
@@ -653,12 +653,13 @@ class ConjugacyClassId(_Value):
 
     Real singletons have 4n = t^2 (alpha = t/2); genuine spheres satisfy
     4n > t^2 strictly. The fields are ``t`` and ``n``, as ``Fraction``s.
-    Beside them the id keeps the private ``_key`` (t_n, t_d, n_n, n_d),
-    t = t_n / t_d and n = n_n / n_d in lowest terms, as
-    :func:`clifflag._quaternion.class_key` gives it, set once in
-    ``__init__``. Equality, hashing and :attr:`is_real` read the key, and
-    the root search and census hand it to the kernel; the repr, copies and
-    pickles use (t, n) alone.
+    Beside them the id keeps the private ``_key`` (N, M, L), the class's
+    quadratic L X^2 + M X + N = L (X^2 - t X + n), primitive with L > 0,
+    so L is the lcm of the denominators of t and n. It is what
+    :func:`clifflag._quaternion.class_key` gives, set once in ``__init__``.
+    Equality, hashing and :attr:`is_real` read the key, and the root search
+    and census hand it to the kernel; the repr, copies and pickles use
+    (t, n) alone.
     """
 
     __slots__ = ("t", "n", "_key")
@@ -668,8 +669,9 @@ class ConjugacyClassId(_Value):
         # Fractions; Fractions, as _class_of passes them, are kept as they are
         if type(t) is not Fraction or type(n) is not Fraction:
             t, n = Fraction(t), Fraction(n)
-        key = tn, td, nn, nd = t.numerator, t.denominator, n.numerator, n.denominator
-        if 4 * nn * td * td < tn * tn * nd:
+        L = lcm(t.denominator, n.denominator)
+        key = N, M, L = n.numerator * (L // n.denominator), -t.numerator * (L // t.denominator), L
+        if 4 * N * L < M * M:
             raise ValueError(f"no class has 4n < t^2 (t={t}, n={n})")
         _set(self, "t", t)
         _set(self, "n", n)
@@ -697,9 +699,9 @@ class ConjugacyClassId(_Value):
 
     @property
     def is_real(self) -> bool:
-        # 4n = t^2, on integer cross-products
-        tn, td, nn, nd = self._key
-        return 4 * nn * td * td == tn * tn * nd
+        # 4n = t^2, on the key's integers
+        N, M, L = self._key
+        return 4 * N * L == M * M
 
     @property
     def alpha(self) -> Fraction:

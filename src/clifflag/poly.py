@@ -19,7 +19,6 @@ coefficients omitted, the constant term written without a power.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import _quaternion as qk
 from .classpoints import quaternion_class_points
@@ -417,18 +416,18 @@ def _split(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
 
 
 def _real_root(p: Polynomial, key: tuple) -> bool:
-    """True when alpha = t / 2 of the real class with key (t_n, t_d, n_n, n_d)
-    is a root of P: each half of P's rows (:func:`_split`) is evaluated at
-    (t_n, 0, 0, 0, 2 t_d) on integers, stopping at the first nonzero value,
-    and nothing is reduced."""
+    """True when alpha = t / 2 = -M / (2 L) of the real class with key
+    (N, M, L) is a root of P: each half of P's rows (:func:`_split`) is
+    evaluated at (-M, 0, 0, 0, 2 L) on integers, stopping at the first
+    nonzero value, and nothing is reduced."""
     halves, den = _split(p)
-    alpha = (key[0], 0, 0, 0, 2 * key[1])
+    alpha = (-key[1], 0, 0, 0, 2 * key[2])
     return not any(any(qk._horner(half, den, alpha)[:4]) for half in halves)
 
 
 def _sphere_roots(p: Polynomial, key: tuple):
     """Per half of P's rows (:func:`_split`), the root in the sphere class
-    with key (t_n, t_d, n_n, n_d) that :func:`_quaternion.sphere_root`
+    with key (N, M, L) that :func:`_quaternion.sphere_root`
     finds: an unreduced kernel point, or ``None`` for the whole sphere; or
     ``False`` at the first half without a root, so no later half is
     reduced modulo Delta."""
@@ -518,97 +517,85 @@ def factor_out_characteristic(
     """Largest s with Delta^s dividing P, plus the cofactor Q.
 
     Delta is the degree-two characteristic polynomial of a sphere class;
-    being real it divides two-sidedly and unambiguously.
+    being real it divides two-sidedly and unambiguously. P is divided by
+    the class's key, the primitive integer multiple L Delta.
     """
     if cls_id.is_real:
         raise ValueError("expected a sphere class")
-    tn, td, nn, nd = cls_id._key
-    return _divide_out(p, ((nn, nd), (-tn, td)))
+    return _divide_out(p, cls_id._key)
 
 
 def real_root_multiplicity(p: Polynomial, alpha) -> int:
     """Multiplicity of the real root alpha (0 when it is not a root).
 
     Only s is returned, so in H and R_{0,3} it is counted on P's kernel
-    rows (:func:`_multiplicity`) and no cofactor is joined.
+    rows (:func:`_multiplicity`) and no cofactor is joined. P is divided
+    by v X - u for alpha = u / v in lowest terms.
     """
     alpha = Fraction(alpha)
-    lower = ((-alpha.numerator, alpha.denominator),)
+    divisor = (-alpha.numerator, alpha.denominator)
     if p.sig in (QUATERNIONS, R03):
-        return _multiplicity(p, lower)[0]
-    return _divide_out(p, lower)[0]
+        return _multiplicity(p, divisor)[0]
+    return _divide_out(p, divisor)[0]
 
 
-def _multiplicity(p: Polynomial, lower: tuple) -> tuple[int, list, int]:
-    """(s, quotients, L): the largest s with D^s dividing P, for P in H or
-    R_{0,3} and the monic real D = X^m + sum_k c_k X^k whose lower
-    coefficients c_k = u_k / v_k are the pairs ``lower`` =
-    ((u_0, v_0), ...): X - alpha or X^2 - t X + n.
+def _multiplicity(p: Polynomial, divisor: tuple) -> tuple[int, list]:
+    """(s, quotients): the largest s with D^s dividing P, for P in H or
+    R_{0,3} and D = sum_k divisor[k] X^k, a primitive integer polynomial
+    with leading coefficient l > 0: l (X - alpha) or a class key
+    l (X^2 - t X + n).
 
-    The division runs on P's kernel rows (:func:`_split`). With L the lcm
-    of the v_k, substituting X = Y / L turns L^m D into the monic integer
-    polynomial Y^m + sum_k c_k L^(m-k) Y^k, and L^d P, for P of degree d,
-    into the rows a_h L^(d-h): repeated synthetic division
-    (:func:`_quaternion.divide_rows`) is then exact on integers, one pass
-    over all halves per power of D and one more to find that D divides no
-    further. s is the smallest multiplicity over the halves. The quotients
-    are the halves of the cofactor P / D^s, of degree e = d - m s, as the
-    rows q_h L^(e-h) over P's denominator, neither unscaled nor joined.
+    The division runs on P's kernel rows as :func:`_split` keeps them:
+    by Gauss's lemma a primitive D that divides P leaves integer rows, so
+    repeated synthetic division (:func:`_quaternion.divide_rows`) is exact
+    on integers, one pass over all halves per power of D and one more to
+    find that D divides no further. s is the smallest multiplicity over
+    the halves. The quotients are the halves of P / D^s as rows over P's
+    denominator, not joined.
 
     Every power of D divides P = 0, so it has no finite s.
     """
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")
-    halves, _ = _split(p)
-    m = len(lower)
-    L = lcm(*(v for _, v in lower))
-    divisor = tuple(u * (L // v) * L ** (m - 1 - k) for k, (u, v) in enumerate(lower))
-    if L > 1:
-        powers = [L**h for h in reversed(range(len(halves[0])))]
-        halves = [_times(half, powers) for half in halves]
+    halves = _split(p)[0]
     s = 0
     quotients = qk.divide_rows(halves, divisor)
     while quotients is not None:
         s, halves = s + 1, quotients
         quotients = qk.divide_rows(halves, divisor)
-    return s, halves, L
+    return s, halves
 
 
-def _divide_out(p: Polynomial, lower: tuple) -> tuple[int, Polynomial]:
-    """Largest s with D^s dividing P, plus the cofactor, for the monic real
-    D of :func:`_multiplicity` given by ``lower``.
+def _divide_out(p: Polynomial, divisor: tuple) -> tuple[int, Polynomial]:
+    """Largest s with D^s dividing P, plus the cofactor P / (D / l)^s, for
+    the primitive integer D of :func:`_multiplicity` given by ``divisor``,
+    with leading coefficient l: D / l is X - alpha or X^2 - t X + n.
 
-    In H and R_{0,3}, :func:`_multiplicity` counts s on P's kernel rows,
-    and the cofactor, of degree e = d - m s, has the rows q_h L^h over
-    den L^e and is joined once. Other signatures divide by
-    :func:`divide_by_real` as often.
+    In H and R_{0,3}, :func:`_multiplicity` counts s on P's kernel rows.
+    Its quotients are P / D^s, so the cofactor is their rows times l^s
+    over P's denominator, joined once. Other signatures divide by the
+    monic D / l with :func:`divide_by_real` as often.
 
     Every power of D divides P = 0, so it has no finite s.
     """
+    lead = divisor[-1]
     if p.sig in (QUATERNIONS, R03):
-        s, halves, L = _multiplicity(p, lower)
+        s, halves = _multiplicity(p, divisor)
         if not s:
             return 0, p
-        e = len(halves[0]) - 1
-        if L > 1:
-            powers = [L**h for h in range(e + 1)]
-            halves = [_times(half, powers) for half in halves]
-        joined = qk.join_rows([(half, _split(p)[1] * L**e) for half in halves])
+        f = lead**s
+        halves = [[(r0 * f, r1 * f, r2 * f, r3 * f) for r0, r1, r2, r3 in half] for half in halves]
+        joined = qk.join_rows([(half, _split(p)[1]) for half in halves])
         return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in joined])
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")
-    factor = Polynomial.from_scalars(p.sig, [Fraction(u, v) for u, v in lower] + [1])
+    factor = Polynomial.from_scalars(p.sig, [Fraction(c, lead) for c in divisor])
     s = 0
     quotient, remainder = divide_by_real(p, factor)
     while not remainder:
         s, p = s + 1, quotient
         quotient, remainder = divide_by_real(p, factor)
     return s, p
-
-
-def _times(rows, factors) -> list:
-    """Each integer row times its factor, the rows and factors zipped."""
-    return [(r0 * f, r1 * f, r2 * f, r3 * f) for (r0, r1, r2, r3), f in zip(rows, factors)]
 
 
 def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, int]:

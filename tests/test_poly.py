@@ -510,7 +510,7 @@ def _multiplicities(p, cls_id):
     if not cls_id.is_real:
         return factor_out_characteristic(p, cls_id)
     alpha = cls_id.alpha
-    s, cofactor = _divide_out(p, ((-alpha.numerator, alpha.denominator),))
+    s, cofactor = _divide_out(p, (-alpha.numerator, alpha.denominator))
     assert real_root_multiplicity(p, alpha) == s
     return s, cofactor
 
@@ -546,6 +546,39 @@ def test_halves_holding_delta_to_different_powers():
     p = base * delta * plus + base * delta * delta * minus
     want = (1, base * plus + base * delta * minus)
     assert factor_out_characteristic(p, cls_id) == want == multiplicity_reference(p, delta)
+
+
+@pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
+@pytest.mark.parametrize(
+    "t, n",
+    [(Fraction(1, 2), Fraction(5, 3)), (Fraction(-2, 3), Fraction(7, 4)), (Fraction(3, 4), Fraction(2, 9))],
+)
+def test_powers_of_a_class_quadratic_with_denominators(sig, t, n):
+    # Delta^s for s = 2 and 3 on spheres whose t and n have different
+    # denominators, so the key's leading coefficient L is above 1 and the
+    # cofactor is scaled by L^s; in R(0,3) also with halves holding Delta
+    # twice and three times; each also times (X + 1/3)^3, a real root whose
+    # divisor 3 X + 1 leads with 3
+    cls_id = ConjugacyClassId.sphere(t, n)
+    assert cls_id._key[2] > 1
+    delta = characteristic_poly(cls_id, sig)
+    alpha = Fraction(-1, 3)
+    linear = Polynomial.from_scalars(sig, (-alpha, 1))
+    base = Polynomial.x_minus(Multivector.parse("1/2 + 2/3 e1 - e2 + 1/5 e12", sig))
+    cases = [base * delta * delta, base * delta * delta * delta]
+    if sig == R03:
+        one, e123 = Multivector.one(R03), Multivector.basis(R03, 1, 2, 3)
+        plus, minus = (one + e123) / 2, (one - e123) / 2
+        cases.append(base * delta * delta * plus + base * delta * delta * delta * minus)
+    for p in cases + [q * linear * linear * linear for q in cases]:
+        want = multiplicity_reference(p, delta)
+        assert want[0] in (2, 3)
+        assert factor_out_characteristic(p, cls_id) == want
+        r, cofactor = multiplicity_reference(p, linear)
+        assert _multiplicities(p, ConjugacyClassId.real(alpha)) == (r, cofactor)
+        if sig == R03:
+            probes = [cls_id, ConjugacyClassId.real(alpha)]
+            assert paravector_root_census(p, probes) == (r, want[0], 0)
 
 
 def test_multiplicities_outside_the_kernel_signatures():
@@ -615,8 +648,8 @@ def test_census_searches_a_real_class_before_dividing(monkeypatch):
     linear = Polynomial.from_scalars(R03, (-alpha, 1))
     p = p * linear * linear
     assert paravector_root_census(p, [ConjugacyClassId.real(alpha), _sphere(a0, b0)]) == (2, 0, 1)
-    # Y - 1 over Y = 3 X: the integer divisor of X - 1/3
-    assert passes == [(-1,)] * 3
+    # 3 X - 1: the primitive integer divisor of X - 1/3
+    assert passes == [(-1, 3)] * 3
 
 
 def _count_reductions(monkeypatch):

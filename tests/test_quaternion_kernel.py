@@ -35,6 +35,7 @@ from clifflag import (
     append_root,
     brute_force_interpolate,
     divide_by_real,
+    from_quaternion_pair,
     interpolate,
     to_quaternion_pair,
 )
@@ -277,16 +278,26 @@ def test_oracle_rows_are_the_reduced_power_rows_up_to_content(monkeypatch):
                 assert hk._primitive(row)[0] == hk._primitive(reduced_power_row(x, w, max_degree))[0]
 
 
+def class_quadratic(t, n):
+    """(N, M, L): L (X^2 - t X + n), constant term first, for L the lcm of
+    the denominators of t and n."""
+    L = lcm(t.denominator, n.denominator)
+    return int(n * L), int(-t * L), L
+
+
 @PROPERTY_SETTINGS
 @given(quaternions)
 def test_class_test_matches_trace_and_norm(x):
-    # the class key is the element's own (trace, norm) in lowest terms, also
-    # read off a tuple that is not
+    # the class key is the quadratic L (X^2 - t X + n) of the element's own
+    # trace t and norm n, also read off a tuple that is not in lowest terms;
+    # an R(0,3) cone point with halves x and x with its vector part rotated
+    # has the same trace and norm, so the same key
     t, n = 2 * x.scalar_part(), x.norm().scalar_part()
-    a = as_kernel(x)
-    key = (t.numerator, t.denominator, n.numerator, n.denominator)
-    assert hk.class_key(a) == key
-    assert hk.class_key(tuple(6 * c for c in a)) == key
+    x0, x1, x2, x3 = x.coeffs
+    cone_point = from_quaternion_pair(x, Multivector(QUATERNIONS, (x0, x2, x3, x1)))
+    for a in (as_kernel(x), cone_point._num):
+        assert hk.class_key(a) == class_quadratic(t, n)
+        assert hk.class_key(tuple(6 * c for c in a)) == class_quadratic(t, n)
 
 
 def halves_of(x):
@@ -363,7 +374,7 @@ def test_sphere_root_matches_the_reduced_candidate(p, t, n):
     # root found is left unreduced
     halves, _ = kernel_rows(p)
     for rows, want in zip(halves, sphere_root_reference(p, t, n), strict=True):
-        got = hk.sphere_root(rows, (t.numerator, t.denominator, n.numerator, n.denominator))
+        got = hk.sphere_root(rows, class_quadratic(t, n))
         assert type(got) is type(want)
         assert (hk._reduce(*got) if want else got) == want
 
