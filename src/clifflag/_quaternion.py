@@ -35,7 +35,8 @@ the remainder's numerators), the quotients of the root multiplicities
 (:func:`divide_rows`), :func:`inverse` and the Lagrange construction
 of :mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
 are such rows, with one content gcd per step and one gcd for the root
-or constant a step finds. Out, :func:`join` gives one value and
+or constant a step finds; its append and its Newton step are one row
+combination (:func:`_row_step`). Out, :func:`join` gives one value and
 :func:`join_rows` a polynomial's coefficients, each reduced by one gcd
 over one lcm of the halves' denominators. The storage helpers above
 keep their results in lowest terms, since that storage is canonical.
@@ -344,8 +345,10 @@ def divide_rows(halves, divisor: tuple):
 
 def _product(a: tuple, b: tuple) -> tuple:
     """The Hamilton product of two integer 4-tuples, with ij = k, jk = i
-    and ki = j, not reduced; the steps of :class:`NewtonFrame` write the
-    same sums out on their own, since they run on every hot path."""
+    and ki = j, not reduced. The constants that run once per node or per
+    solved unknown come from here; the loops that run once per coefficient
+    (:func:`_row_step`, :func:`_horner`, the elimination of
+    :func:`solve_left`) write the same sums out, saving a call each."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (
@@ -353,6 +356,27 @@ def _product(a: tuple, b: tuple) -> tuple:
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def _row_step(f: int, us, vs, c: tuple, den: int) -> tuple[list, int]:
+    """The rows f u_h + v_h c over den, divided by their content: the one
+    row step of :class:`NewtonFrame`, both for an append (u the rows of T
+    shifted up one degree, v those of T and c = -r for the root r) and for
+    a Newton step (u those of P, v those of T and c the step's constant),
+    one row per pair that ``zip(us, vs)`` gives."""
+    c0, c1, c2, c3 = c
+    return _primitive(
+        [
+            (
+                f * u0 + v0 * c0 - v1 * c1 - v2 * c2 - v3 * c3,
+                f * u1 + v0 * c1 + v1 * c0 + v2 * c3 - v3 * c2,
+                f * u2 + v0 * c2 - v1 * c3 + v2 * c0 + v3 * c1,
+                f * u3 + v0 * c3 + v1 * c2 - v2 * c1 + v3 * c0,
+            )
+            for (u0, u1, u2, u3), (v0, v1, v2, v3) in zip(us, vs)
+        ],
+        den,
     )
 
 
@@ -498,7 +522,10 @@ class NewtonFrame:
     it, integer numerators A over a denominator D, with N(A) = A conj(A):
     its inverse is D conj(A) / N(A), so neither step inverts or reduces
     T_i(x_i), and each reduces once, the root of an append or the
-    constant of a Newton step.
+    constant of a Newton step. Both steps then combine rows the same way,
+    f U + V c over a denominator (:func:`_row_step`): an append with
+    U = X T, V = T and c = -r, a Newton step with U = P, V = T and c its
+    constant.
     """
 
     def __init__(self):
@@ -507,32 +534,12 @@ class NewtonFrame:
     def add_node(self, x: tuple):
         """Append node x; raises NotInvertible when T(x) is zero."""
         if self.nodes:
-            (y0, y1, y2, y3, yd), t, den, (a0, a1, a2, a3, _), norm = self.nodes[-1]
-            # the root T(y)^-1 y T(y) is conj(A) y A / (N(A) y_d): u = conj(A) y, then u A
-            u0 = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3
-            u1 = a0 * y1 - a1 * y0 - a2 * y3 + a3 * y2
-            u2 = a0 * y2 + a1 * y3 - a2 * y0 - a3 * y1
-            u3 = a0 * y3 - a1 * y2 + a2 * y1 - a3 * y0
-            r0, r1, r2, r3, rd = _reduce(
-                u0 * a0 - u1 * a1 - u2 * a2 - u3 * a3,
-                u0 * a1 + u1 * a0 + u2 * a3 - u3 * a2,
-                u0 * a2 - u1 * a3 + u2 * a0 + u3 * a1,
-                u0 * a3 + u1 * a2 - u2 * a1 + u3 * a0,
-                norm * yd,
-            )
+            y, t, den, (a0, a1, a2, a3, _), norm = self.nodes[-1]
+            # the root T(y)^-1 y T(y) is conj(A) y A / (N(A) y_d)
+            u = _product((a0, -a1, -a2, -a3), y[:4])
+            r0, r1, r2, r3, rd = _reduce(*_product(u, (a0, a1, a2, a3)), norm * y[4])
             # T (X - r / rd) over den rd: coefficient h is rd t_(h-1) - t_h r
-            t, den = _primitive(
-                [
-                    (
-                        rd * p0 - (c0 * r0 - c1 * r1 - c2 * r2 - c3 * r3),
-                        rd * p1 - (c0 * r1 + c1 * r0 + c2 * r3 - c3 * r2),
-                        rd * p2 - (c0 * r2 - c1 * r3 + c2 * r0 + c3 * r1),
-                        rd * p3 - (c0 * r3 + c1 * r2 - c2 * r1 + c3 * r0),
-                    )
-                    for (p0, p1, p2, p3), (c0, c1, c2, c3) in zip(chain((_ZERO4,), t), chain(t, (_ZERO4,)))
-                ],
-                den * rd,
-            )
+            t, den = _row_step(rd, chain((_ZERO4,), t), chain(t, (_ZERO4,)), (-r0, -r1, -r2, -r3), den * rd)
         else:
             t, den = [(1, 0, 0, 0)], 1
         tx = _horner(t, den, x)
@@ -556,32 +563,14 @@ class NewtonFrame:
         den = 1
         for (x, t, tden, (a0, a1, a2, a3, ad), norm), (w0, w1, w2, w3, wd) in zip(self.nodes, values):
             b0, b1, b2, b3, bd = _horner(rows, den, x)
-            r0, r1, r2, r3 = w0 * bd - wd * b0, w1 * bd - wd * b1, w2 * bd - wd * b2, w3 * bd - wd * b3
-            if not (r0 or r1 or r2 or r3):
+            r = w0 * bd - wd * b0, w1 * bd - wd * b1, w2 * bd - wd * b2, w3 * bd - wd * b3
+            if not any(r):
                 continue
             # c = D_T conj(A) R / (N(A) w_d D)
-            c0, c1, c2, c3, cd = _reduce(
-                ad * (a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3),
-                ad * (a0 * r1 - a1 * r0 - a2 * r3 + a3 * r2),
-                ad * (a0 * r2 + a1 * r3 - a2 * r0 - a3 * r1),
-                ad * (a0 * r3 - a1 * r2 + a2 * r1 - a3 * r0),
-                norm * wd * bd,
-            )
+            c0, c1, c2, c3, cd = _reduce(*map(ad.__mul__, _product((a0, -a1, -a2, -a3), r)), norm * wd * bd)
             # T c is t_h c over tden cd; bring P and T c over their lcm
             common = lcm(den, tden * cd)
             f, g = common // den, common // (tden * cd)
-            c0, c1, c2, c3 = g * c0, g * c1, g * c2, g * c3
-            rows, den = _primitive(
-                [
-                    (
-                        f * p0 + e0 * c0 - e1 * c1 - e2 * c2 - e3 * c3,
-                        f * p1 + e0 * c1 + e1 * c0 + e2 * c3 - e3 * c2,
-                        f * p2 + e0 * c2 - e1 * c3 + e2 * c0 + e3 * c1,
-                        f * p3 + e0 * c3 + e1 * c2 - e2 * c1 + e3 * c0,
-                    )
-                    # P is shorter than T, so its missing rows are zero
-                    for (p0, p1, p2, p3), (e0, e1, e2, e3) in zip(chain(rows, repeat(_ZERO4)), t)
-                ],
-                common,
-            )
+            # P is shorter than T, so its missing rows are zero
+            rows, den = _row_step(f, chain(rows, repeat(_ZERO4)), t, (g * c0, g * c1, g * c2, g * c3), common)
         return rows, den

@@ -18,9 +18,11 @@ coefficient over one common denominator. The frame works on the integer
 numerators that ``Multivector`` stores (see ``clifflag._quaternion``):
 each node and value enters as its halves over its own denominator, with
 no gcd, and each coefficient of the result is reduced once, so nothing
-is converted on the way in or out. Nodes are grouped by conjugacy class,
-on the caller's problem, keyed by the class's trace and norm in lowest
-terms as integers read off the same halves:
+is converted on the way in or out. Nodes are filed by conjugacy class,
+on the caller's problem, keyed by the class's primitive integer quadratic
+read off the same halves (``clifflag._quaternion.class_key``); no class
+id is built, and :func:`group_by_class` wraps the same layout into
+``ClassGroup`` records for its callers alone:
 
 * quaternions: every class may carry any number of points, but from the
   third one on the data must satisfy the collinearity condition
@@ -143,7 +145,7 @@ def _degree_bound(sizes) -> int:
 def _problem_degree_bound(problem: InterpolationProblem) -> int:
     """The construction's degree bound of a problem in H or R_{0,3}, read
     off its class layout without building a class group."""
-    return _degree_bound(map(len, _class_layout(problem).values()))
+    return _degree_bound(len(pairs) for _, pairs in _class_layout(problem))
 
 
 def _check_signatures(problem: InterpolationProblem) -> None:
@@ -156,8 +158,9 @@ def _check_signatures(problem: InterpolationProblem) -> None:
             )
 
 
-def _class_layout(problem: InterpolationProblem) -> dict[tuple, list]:
-    """The checks of :func:`group_by_class`; the pairs filed by class key."""
+def _class_layout(problem: InterpolationProblem) -> list[tuple[tuple, list]]:
+    """The checks of :func:`group_by_class`; (class key, pairs) per class,
+    singleton classes first, each block and each class in input order."""
     if problem.sig not in (QUATERNIONS, R03):
         raise UnsupportedSignature(f"interpolation not available in {problem.sig}")
     _check_signatures(problem)
@@ -178,7 +181,7 @@ def _class_layout(problem: InterpolationProblem) -> dict[tuple, list]:
                 raise MultiPointClassInR03(
                     f"class {_class_of(key)} holds {len(pairs)} points; R(0,3) allows one"
                 )
-    return layout
+    return sorted(layout.items(), key=lambda item: len(item[1]) > 1)  # stable
 
 
 def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
@@ -190,43 +193,49 @@ def group_by_class(problem: InterpolationProblem) -> ClassGrouping:
     first, then multi-point classes, preserving first appearance within
     each block.
     """
-    layout = _class_layout(problem).items()
-    groups = [ClassGroup(_class_of(key), *map(tuple, zip(*pairs))) for key, pairs in layout]
-    groups.sort(key=lambda g: g.size > 1)  # stable: singletons first
-    return ClassGrouping(problem.sig, tuple(groups))
+    layout = _class_layout(problem)
+    groups = tuple(ClassGroup(_class_of(key), *map(tuple, zip(*pairs))) for key, pairs in layout)
+    return ClassGrouping(problem.sig, groups)
+
+
+def _collinearity_violation(pairs):
+    """:func:`first_collinearity_violation` on one class's (point, value) pairs."""
+    if len(pairs) <= 2:
+        return None
+    (x1, w1), (x2, w2) = pairs[:2]
+    slope = (x2 - x1).inverse() * (w2 - w1)
+    for h, (x, w) in enumerate(pairs[2:], start=3):
+        if (x - x1).inverse() * (w - w1) != slope:
+            return h
+    return None
 
 
 def first_collinearity_violation(group: ClassGroup):
     """Index h (1-based, h >= 3) of the first point whose value breaks the
     common-slope condition of its class, or None. Groups of size <= 2 are
     vacuously consistent."""
-    if group.size <= 2:
-        return None
-    x1, w1 = group.points[0], group.values[0]
-    slope = (group.points[1] - x1).inverse() * (group.values[1] - w1)
-    for h in range(2, group.size):
-        if (group.points[h] - x1).inverse() * (group.values[h] - w1) != slope:
-            return h + 1
-    return None
+    return _collinearity_violation(tuple(zip(group.points, group.values)))
 
 
 def _frames(problem: InterpolationProblem):
     """The construction's nodes, their values, and one quaternion Newton
     frame per component over those nodes.
 
-    Singleton classes come first, then the first two points of each
-    multi-point class (there are none in R_{0,3}). Every group passes the
-    collinearity check before any frame is built.
+    The classes come from :func:`_class_layout`, so no class id is built:
+    singleton classes first, then the first two points of each multi-point
+    class (there are none in R_{0,3}). Every class passes the collinearity
+    check before any frame is built.
     """
-    grouping = group_by_class(problem)
-    for j, g in enumerate(grouping.groups, start=1):
-        h = first_collinearity_violation(g)
+    layout = _class_layout(problem)
+    for j, (_, pairs) in enumerate(layout, start=1):
+        h = _collinearity_violation(pairs)
         if h is not None:
-            raise CollinearityViolated(j, h, g.points[0])
+            raise CollinearityViolated(j, h, pairs[0][0])
     nodes, values = [], []
-    for g in grouping.groups:
-        nodes.extend(g.points[:2])
-        values.extend(g.values[:2])
+    for _, pairs in layout:
+        for x, w in pairs[:2]:
+            nodes.append(x)
+            values.append(w)
     frames = [NewtonFrame() for _ in range(2 if problem.sig == R03 else 1)]
     for node in nodes:
         try:
@@ -314,9 +323,11 @@ def brute_force_interpolate(
     the route, for every kind. ``max_degree`` defaults to the
     construction's degree bound, which exists only in H and R_{0,3}: every
     other signature requires it, and raises UnsupportedSignature without
-    it. It must lie in 0..MAX_DEGREE, the CLI's ``--max-degree`` cap; each
-    degree costs one power per point.
+    it. It must be an ``int`` (not a ``bool``) in 0..MAX_DEGREE, the CLI's
+    ``--max-degree`` cap; each degree costs one power per point.
     """
+    if max_degree is not None and type(max_degree) is not int:  # bool is an int subclass
+        raise ValueError(f"max_degree must be an int or None, got {max_degree!r}")
     sig = problem.sig
     _check_signatures(problem)
     if not problem.pairs:

@@ -199,26 +199,6 @@ class Polynomial(_Frozen):
             return self * other
         return NotImplemented
 
-    # ---- division by a linear factor on the left ---------------------------------
-
-    def divide_left_linear(self, y: Multivector) -> tuple[Polynomial, Multivector]:
-        """Write P = (X - y) * Q + r; returns (Q, r) with r = P(y).
-
-        Backward recursion on the coefficients: c_{d-1} = a_d and
-        c_{k-1} = a_k + y c_k.
-        """
-        if y.sig != self.sig:
-            raise SignatureMismatch(f"point in {y.sig}, polynomial in {self.sig}")
-        d = self.degree
-        if d is None or d < 1:
-            raise ValueError("division needs a polynomial of degree at least 1")
-        q = [Multivector.zero(self.sig)] * d
-        q[d - 1] = self.coeffs[d]
-        for k in range(d - 1, 0, -1):
-            q[k - 1] = self.coeffs[k] + y * q[k]
-        r = self.coeffs[0] + y * q[0]
-        return Polynomial(self.sig, q), r
-
     # ---- text form -------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -110,18 +110,18 @@ def test_interpolate_oracle_without_solution_at_the_bound(tmp_path, capsys, monk
 
 
 def test_interpolate_oracle_groups_at_most_twice(tmp_path, capsys, monkeypatch):
-    # once, for the construction: the oracle's bound when no --max-degree
-    # is given is read off the class layout, and the AFFINE-FAMILY line
-    # reuses that bound
+    # once for the construction, and once more for the oracle's bound when
+    # no --max-degree is given, read off the class layout; the
+    # AFFINE-FAMILY line reuses that bound
     module = importlib.import_module("clifflag.interpolate")
-    real, calls = module.group_by_class, []
+    real, calls = module._class_layout, []
     counting = lambda problem: calls.append(problem) or real(problem)  # noqa: E731
     # the CLI need not hold the name; if it does, its calls count too
     for name in ("clifflag.interpolate", "clifflag.cli"):
-        monkeypatch.setattr(importlib.import_module(name), "group_by_class", counting, raising=False)
+        monkeypatch.setattr(importlib.import_module(name), "_class_layout", counting, raising=False)
     for doc, extra, expected in (
-        (FIVE_POINT_DOC, [], 1),
-        (THREE_POINT_DOC, [], 1),
+        (FIVE_POINT_DOC, [], 2),
+        (THREE_POINT_DOC, [], 2),
         (FIVE_POINT_DOC, ["--max-degree", "5"], 1),
     ):
         calls.clear()

@@ -152,6 +152,22 @@ def test_collinearity_violation_reported_at_first_bad_index():
     assert first_collinearity_violation(group) == 3
 
 
+def test_collinearity_violation_names_the_group_after_singletons_first():
+    # the input lists the class of I (three points, on the slope) before the
+    # singleton 0; the class of 1 + I breaks its slope at its fourth point.
+    # Singletons come first, so the broken class is group 3
+    on_slope = [(x, x * K + J) for x in (I, J, K)]
+    off_slope = [(ONE + x, ONE + x) for x in (I, J, K)] + [(ONE - I, ZERO)]
+    bad = InterpolationProblem.from_pairs(H, [on_slope[0], (ZERO, ONE), *on_slope[1:], *off_slope])
+    for construct in (interpolate, lagrange_basis):
+        with pytest.raises(CollinearityViolated) as info:
+            construct(bad)
+        assert (info.value.group_index, info.value.h, info.value.representative) == (3, 4, ONE + I)
+    groups = group_by_class(bad).groups
+    assert [g.size for g in groups] == [1, 3, 4]
+    assert [first_collinearity_violation(g) for g in groups] == [None, None, 4]
+
+
 def test_collinearity_vacuous_for_small_groups():
     grouping = group_by_class(InterpolationProblem.from_pairs(H, [(I, ONE), (J, K)]))
     assert first_collinearity_violation(grouping.groups[0]) is None
@@ -226,9 +242,9 @@ def test_three_point_r03_interpolation():
 def test_each_construction_groups_once(monkeypatch):
     # R(0,3) runs as two quaternion frames without regrouping the halves
     module = importlib.import_module("clifflag.interpolate")
-    real, calls = module.group_by_class, []
+    real, calls = module._class_layout, []
     monkeypatch.setattr(
-        module, "group_by_class", lambda problem: calls.append(problem) or real(problem)
+        module, "_class_layout", lambda problem: calls.append(problem) or real(problem)
     )
     r03_six = random_r03_problem(random.Random("group once"), n_points=6)
     for problem in (FIVE_POINTS, THREE_POINTS, r03_six):
@@ -236,6 +252,22 @@ def test_each_construction_groups_once(monkeypatch):
             calls.clear()
             construct(problem)
             assert calls == [problem]
+
+
+def test_constructions_build_no_class_records(monkeypatch):
+    # the construction files points by class key: no ClassGroup and no
+    # ConjugacyClassId, which only group_by_class and conjugacy_class build
+    r03_six = random_r03_problem(random.Random("no records"), n_points=6)
+    problems = (FIVE_POINTS, THREE_POINTS, r03_six)
+    want = [(interpolate(problem), lagrange_basis(problem)) for problem in problems]
+
+    def refuse(*args):
+        raise AssertionError("the construction built a class record")
+
+    module = importlib.import_module("clifflag.interpolate")
+    monkeypatch.setattr(module.ClassGroup, "__init__", refuse)
+    monkeypatch.setattr(ConjugacyClassId, "__init__", refuse)
+    assert [(interpolate(problem), lagrange_basis(problem)) for problem in problems] == want
 
 
 def test_interpolate_dispatch_checks_signature():
@@ -318,6 +350,22 @@ def test_oracle_degree_above_cap_rejected_before_work(monkeypatch):
     monkeypatch.setattr(module, "_coordinate_oracle", build_system)
     with pytest.raises(ValueError, match=f"^max_degree {MAX_DEGREE + 1} exceeds {MAX_DEGREE}$"):
         brute_force_interpolate(FIVE_POINTS, max_degree=MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("degree", [True, 1.5, 2.0, "2"], ids=["bool", "float", "whole-float", "str"])
+def test_oracle_degree_of_another_type_rejected_before_work(monkeypatch, degree):
+    # a bool is an int subclass, and a float or a string would fail deep in
+    # the row build; each is refused by name, before the class layout
+    def work(*args):
+        raise AssertionError("the oracle started work")
+
+    module = importlib.import_module("clifflag.interpolate")
+    for name in ("_class_layout", "_split_oracle", "_coordinate_oracle"):
+        monkeypatch.setattr(module, name, work)
+    message = f"^max_degree must be an int or None, got {re.escape(repr(degree))}$"
+    for problem in (FIVE_POINTS, THREE_POINTS, InterpolationProblem.from_pairs(H, [])):
+        with pytest.raises(ValueError, match=message):
+            brute_force_interpolate(problem, degree)
 
 
 def test_oracle_negative_degree_rejected():

@@ -135,32 +135,6 @@ def test_product_evaluation_rejects_zero_divisor_value():
         eval_of_product(p, Polynomial.one(R03), Multivector.zero(R03))
 
 
-def test_divide_left_linear_simple():
-    q, r = Polynomial(H, (ZERO_H, ZERO_H, ONE_H)).divide_left_linear(ONE_H)
-    assert q == Polynomial(H, (ONE_H, ONE_H))
-    assert r == 1
-
-
-def test_divide_left_linear_reassembly():
-    rng = random.Random(24)
-    for _ in range(40):
-        p = Polynomial(R03, [rand_multivector(rng, R03) for _ in range(rng.randint(2, 5))])
-        y = rand_multivector(rng, R03)
-        if p.degree is None or p.degree < 1:
-            continue
-        q, r = p.divide_left_linear(y)
-        assert Polynomial.x_minus(y) * q + Polynomial.constant(r) == p
-        assert r == p(y)
-
-
-def test_divide_left_linear_at_root_is_exact():
-    y = rand_cone_point_r03(random.Random(25))
-    p = Polynomial.x_minus(y) * Polynomial.constant(Multivector.one(R03) + Multivector.basis(R03, 1))
-    q, r = p.divide_left_linear(y)
-    assert not r
-    assert Polynomial.x_minus(y) * q == p
-
-
 def test_append_root_r03_example():
     e1 = Multivector.basis(R03, 1)
     x2 = Multivector.basis(R03, 2) + Multivector.basis(R03, 2, 3)
@@ -975,9 +949,6 @@ ONE_R03 = Multivector.one(R03)
         (lambda: Polynomial(H, (ONE_H, 1)), TypeError, "must be multivectors"),
         (lambda: Polynomial(H, (ONE_H, ONE_R03)), SignatureMismatch, "coefficient in"),
         (lambda: P_FIVE(ONE_R03), SignatureMismatch, "point in"),
-        (lambda: P_FIVE.divide_left_linear(ONE_R03), SignatureMismatch, "point in"),
-        (lambda: Polynomial.one(H).divide_left_linear(I), ValueError, "degree at least 1"),
-        (lambda: Polynomial.zero(H).divide_left_linear(I), ValueError, "degree at least 1"),
         (lambda: P_FIVE + Polynomial.one(R03), SignatureMismatch, " vs "),
         (lambda: Polynomial.zero(H).leading, ValueError, "no leading coefficient"),
         (lambda: I / 0, ZeroDivisionError, "by zero scalar"),
@@ -990,9 +961,6 @@ ONE_R03 = Multivector.one(R03)
         "coefficient-not-multivector",
         "coefficient-other-signature",
         "eval-other-signature",
-        "divide-other-signature",
-        "divide-constant",
-        "divide-zero",
         "add-other-signature",
         "leading-of-zero",
         "multivector-over-zero",
