@@ -54,8 +54,9 @@ with their conjugates. It gives the kind and the particular solution that
 The oracle's rows hold unreduced integer powers of each point, with a
 real positive column 0, and every row is divided by its content first;
 a real pivot or a real multiplier then takes a path without quaternion
-products that gives the same integers as the products would. Rows are
-eliminated as tails; back-substitution divides by gcd(pivot, new numerators).
+products that gives the same integers as the products would. Only the
+width of an entry separates the two routines: both keep rows as tails and
+pivot rows with their column, and back-substitute by gcd(pivot, s).
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from operator import add as _add, neg as _neg
 
 from .errors import NotInvertible
 
-ZERO = (0, 0, 0, 0, 1)
-ONE = (1, 0, 0, 0, 1)
 _ZERO4 = (0, 0, 0, 0)
 
 
@@ -413,13 +412,14 @@ def solve_left(rows: list) -> tuple:
     content |p|, with no product and no gcd; a real multiplier f gives
     N x - f_0 v per entry, the same integers as the Hamilton product with
     four multiplications instead of sixteen. Every intermediate row is
-    therefore the one the products would give, kept as its tail: at
-    column c a row holds only columns c..n. A real pivot is central, so
-    back-substitution keeps integer numerators over one shared denominator
-    in lowest terms, as ``solve_exact`` does: unknown c is s / (N den)
-    over the num_j / den solved before it, and gcd(N den, N num_j..., s)
-    = gcd(N, s) = g, so the step stores s / g and multiplies den and the
-    num_j by N / g.
+    therefore the one the products would give, kept as its tail as
+    ``solve_exact`` keeps its rows: at column c a row holds only columns
+    c..n, and each pivot row is kept as ``(c, row)``. A real pivot is
+    central, so back-substitution keeps integer numerators over one shared
+    denominator in lowest terms, as ``solve_exact`` does: unknown c is
+    s / (N den) over the num_j / den solved before it, and
+    gcd(N den, N num_j..., s) = gcd(N, s) = g, so the step stores s / g
+    and multiplies den and the num_j by N / g.
 
     The result equals ``solve_exact`` on the real expansion (each r_h
     its 4x4 matrix of b -> r_h b). The span of that matrix's columns for

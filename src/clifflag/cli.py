@@ -41,6 +41,7 @@ from .multivector import (
     R03,
     Multivector,
     Signature,
+    _exact_text,
     _literal_int,
     _tokens,
 )
@@ -232,7 +233,8 @@ def cmd_diagnose(args) -> int:
         print(f"point {idx}: {x}")
         print(f"  in quadratic cone: {'no' if cls_id is None else 'yes'}")
         if sig == R03:
-            print(f"  psi+ = {x.psi_plus()}  psi- = {x.psi_minus()}")
+            plus, minus = _exact_text(x.psi_plus()), _exact_text(x.psi_minus())
+            print(f"  psi+ = {plus}  psi- = {minus}")
         print(f"  class: {'-' if cls_id is None else cls_id}")
     for a in range(len(points)):
         for b in range(a + 1, len(points)):

@@ -224,8 +224,10 @@ def _frames(problem: InterpolationProblem):
     The classes come from :func:`_class_layout`, so no class id is built:
     singleton classes first, then the first two points of each multi-point
     class (there are none in R_{0,3}). Every class passes the collinearity
-    check before any frame is built.
+    check before any frame is built. An empty problem is refused first.
     """
+    if not problem.pairs:
+        raise ValueError("cannot interpolate an empty problem")
     layout = _class_layout(problem)
     for j, (_, pairs) in enumerate(layout, start=1):
         h = _collinearity_violation(pairs)
@@ -271,8 +273,6 @@ def lagrange_basis(problem: InterpolationProblem):
 
 def interpolate(problem: InterpolationProblem) -> Polynomial:
     """The unique interpolating polynomial within the construction's degree bound."""
-    if not problem.pairs:
-        raise ValueError("cannot interpolate an empty problem")
     _, values, frames = _frames(problem)
     return _newton(frames, values)
 
@@ -324,22 +324,23 @@ def brute_force_interpolate(
     construction's degree bound, which exists only in H and R_{0,3}: every
     other signature requires it, and raises UnsupportedSignature without
     it. It must be an ``int`` (not a ``bool``) in 0..MAX_DEGREE, the CLI's
-    ``--max-degree`` cap; each degree costs one power per point.
+    ``--max-degree`` cap; each degree costs one power per point. An empty
+    problem passes these checks too, then gives the zero "affine_family".
     """
     if max_degree is not None and type(max_degree) is not int:  # bool is an int subclass
         raise ValueError(f"max_degree must be an int or None, got {max_degree!r}")
     sig = problem.sig
     _check_signatures(problem)
-    if not problem.pairs:
-        return OracleResult("affine_family", Polynomial.zero(sig))
     if max_degree is None:
         if sig not in (QUATERNIONS, R03):
             raise UnsupportedSignature(f"max_degree is required in {sig}, outside H and R(0,3)")
-        max_degree = _problem_degree_bound(problem)
+        max_degree = max(_problem_degree_bound(problem), 0)  # -1 for no points
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if max_degree > MAX_DEGREE:
         raise ValueError(f"max_degree {max_degree} exceeds {MAX_DEGREE}")
+    if not problem.pairs:
+        return OracleResult("affine_family", Polynomial.zero(sig))
     if sig in (QUATERNIONS, R03):
         return _split_oracle(problem, max_degree)
     return _coordinate_oracle(problem, max_degree)

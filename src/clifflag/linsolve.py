@@ -1,9 +1,11 @@
 """Exact linear solves over the rationals by fraction-free elimination.
 
-Each row is scaled to integers once. Elimination then runs on integers:
-a row is updated by cross-multiplication with the pivot row and divided
-by the gcd of its entries, as in Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22 (1968).
+Each row is scaled to integers once. Elimination then runs on integers,
+in the shape of :func:`clifflag._quaternion.solve_left` (rows kept as
+tails, pivot rows with their column): a row is updated by
+cross-multiplication with the pivot row and divided by the gcd of its
+entries, as in Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968).
 Back-substitution keeps integer numerators over one shared denominator
 in lowest terms, so fractions are formed only for the returned solution.
 """
@@ -40,57 +42,50 @@ def solve_exact(rows, rhs):
     ``"unique"``, ``"none"`` or ``"many"``; for consistent systems the
     solution is a particular one with every free variable set to zero.
 
+    At column c each row not yet pivoted holds only its columns c..n, and
+    the first with a nonzero entry there is the pivot, kept as ``(c, row)``.
     The pivot columns are the column rank profile of A, which no row
     operation changes, so the particular solution is the one read off the
     reduced row echelon form.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [_integer_row([*row, rhs[i]]) for i, row in enumerate(rows)]
-
-    pivot_cols = []
-    r = 0
+    n = len(rows[0]) if rows else 0
+    rest = [_integer_row([*row, rhs[i]]) for i, row in enumerate(rows)]
+    pivots = []  # (c, the pivot row on its columns c..n)
     for c in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if a[i][c]), None)
+        pivot = next((i for i, row in enumerate(rest) if row[0]), None)
         if pivot is None:
+            rest = [row[1:] for row in rest]
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        top = a[r]
-        p = top[c]
-        tail = top[c + 1 :]
-        for i in range(r + 1, m):
-            row = a[i]
-            f = row[c]
+        top = rest.pop(pivot)
+        p = top[0]
+        tail = top[1:]
+        for i, row in enumerate(rest):
+            f = row[0]
             if f:
-                # entries left of c are zero in both rows and stay zero
-                a[i] = _primitive(
-                    [0] * (c + 1) + [p * v - f * w for v, w in zip(row[c + 1 :], tail)]
-                )
-        pivot_cols.append(c)
-        r += 1
+                rest[i] = _primitive([p * v - f * w for v, w in zip(row[1:], tail)])
+            else:
+                rest[i] = row[1:]
+        pivots.append((c, top))
 
-    if any(a[i][n] for i in range(r, m)):
+    if any(row[-1] for row in rest):
         return "none", None
 
     # Back-substitution with the free variables zero, on integer numerators
     # over one shared denominator: x_c = num[c] / den, in lowest terms.
     num = [0] * n
     den = 1
-    for k in range(r - 1, -1, -1):
-        row = a[k]
-        c = pivot_cols[k]
-        p = row[c]
-        later = pivot_cols[k + 1 :]
-        s = row[n] * den - sum(row[j] * num[j] for j in later)
+    solved = []
+    for c, row in reversed(pivots):
+        p = row[0]
+        s = row[-1] * den - sum(row[j - c] * num[j] for j in solved)
         # gcd(p den, p num_j..., s) = gcd(p, s), as gcd(den, num_j...) = 1
         g = gcd(p, s)
         f = p // g
         if f != 1:
             den *= f
-            for j in later:
+            for j in solved:
                 num[j] *= f
         num[c] = s // g
-    kind = "unique" if r == n else "many"
+        solved.append(c)
+    kind = "unique" if len(pivots) == n else "many"
     return kind, [Fraction(v, den) for v in num]

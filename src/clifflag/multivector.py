@@ -715,8 +715,8 @@ class ConjugacyClassId(_Value):
 
     def __str__(self) -> str:
         if self.is_real:
-            return f"Real({self.alpha})"
-        return f"Sphere(t={self.t}, n={self.n})"
+            return f"Real({_exact_text(self.alpha)})"
+        return f"Sphere(t={_exact_text(self.t)}, n={_exact_text(self.n)})"
 
 
 # ---- the R_{0,3} ~ H (+) H splitting -----------------------------------------

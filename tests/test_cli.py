@@ -367,6 +367,44 @@ def test_exit_code_multipoint_class(tmp_path, capsys):
     assert main(["interpolate", write(tmp_path, doc)]) == 4
 
 
+SEVENS = "7" * 3000
+
+
+def exact_decimal_text(q):
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def test_exit_code_multipoint_class_past_the_int_digit_cap(tmp_path, capsys):
+    # each literal is within the cap, yet the shared class's norm has about
+    # 6000 digits; the message still names the class in full
+    doc = {
+        "signature": {"p": 0, "q": 3},
+        "points": [f"{SEVENS} e1", f"{SEVENS} e2"],
+        "values": ["1", "2"],
+    }
+    assert main(["interpolate", write(tmp_path, doc)]) == 4
+    norm = exact_decimal_text(Fraction(int(SEVENS) ** 2))
+    assert len(norm) > 5000
+    assert capsys.readouterr().err == (
+        f"error: class Sphere(t=0, n={norm}) holds 2 points; R(0,3) allows one\n"
+    )
+
+
+@pytest.mark.parametrize("sig", [QUATERNIONS, R03], ids=str)
+def test_diagnose_class_past_the_int_digit_cap(sig, capsys):
+    text = f"{SEVENS} e1"
+    assert main(["diagnose", "-s", f"{sig.p},{sig.q}", text]) == 0
+    x = Multivector.parse(text, sig)
+    norm = exact_decimal_text(Fraction(int(SEVENS) ** 2))
+    want = [f"point 1: {text}", "  in quadratic cone: yes"]
+    if sig == R03:
+        plus, minus = (exact_decimal_text(v) for v in (x.psi_plus(), x.psi_minus()))
+        want.append(f"  psi+ = {plus}  psi- = {minus}")
+    want.append(f"  class: Sphere(t=0, n={norm})")
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_exit_code_eval_signature_mismatch(capsys):
     assert main(["eval", "-s", "0,2", "X^1*(e123)", "e1"]) == 2
 

@@ -17,6 +17,7 @@ from clifflag import (
     MAX_DEGREE,
     Multivector,
     MultiPointClassInR03,
+    OracleResult,
     PointNotInCone,
     Polynomial,
     QUATERNIONS,
@@ -309,10 +310,32 @@ def test_mixed_signature_pairs_rejected_before_work(monkeypatch):
 
 
 def test_empty_problem():
-    with pytest.raises(ValueError):
-        interpolate(InterpolationProblem.from_pairs(H, []))
+    # both constructions refuse it, in either signature
+    for sig in (H, R03):
+        for construct in (interpolate, lagrange_basis):
+            with pytest.raises(ValueError, match="^cannot interpolate an empty problem$"):
+                construct(InterpolationProblem.from_pairs(sig, []))
     oracle = brute_force_interpolate(InterpolationProblem.from_pairs(H, []))
     assert oracle.kind == "affine_family"
+
+
+@pytest.mark.parametrize("sig", [H, R03, Signature(0, 1), Signature(1, 1)], ids=str)
+def test_empty_problem_degree_checked_before_the_empty_answer(sig):
+    # the range, and the need for max_degree outside H and R(0,3), hold
+    # for an empty problem as they hold for any other
+    empty = InterpolationProblem.from_pairs(sig, [])
+    with pytest.raises(ValueError, match="^max_degree must be non-negative$"):
+        brute_force_interpolate(empty, max_degree=-3)
+    with pytest.raises(ValueError, match=f"^max_degree 5000 exceeds {MAX_DEGREE}$"):
+        brute_force_interpolate(empty, max_degree=5000)
+    want = OracleResult("affine_family", Polynomial.zero(sig))
+    assert brute_force_interpolate(empty, max_degree=0) == want
+    assert brute_force_interpolate(empty, max_degree=MAX_DEGREE) == want
+    if sig in (H, R03):
+        assert brute_force_interpolate(empty) == want
+    else:
+        with pytest.raises(UnsupportedSignature, match="^max_degree is required in "):
+            brute_force_interpolate(empty)
 
 
 def test_oracle_unique_on_five_points():

@@ -9,7 +9,7 @@ solution, Fraction for Fraction.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clifflag.linsolve import _integer_row, solve_exact
@@ -136,6 +136,12 @@ def systems(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(systems())
+# column 0 is zero, so column 1's pivot is popped from below the first row
+@example(([[0, 0, 1], [0, 2, F(-1, 3)], [0, 1, 3]], [1, 2, F(25, 6)]))
+# the repeated row leaves a zero tail, and its unknown is free
+@example(([[2, -1, F(1, 3)], [0, F(5, 2), 1], [2, -1, F(1, 3)]], [1, -2, 1]))
+# the rows left after the pivot are zero but for the right-hand side
+@example(([[1, 2, 0], [F(1, 2), 1, 0], [3, 6, 0]], [1, 1, 3]))
 def test_solver_matches_gauss_jordan(system):
     assert_matches_reference(*system)
 

@@ -267,8 +267,8 @@ def test_oracle_rows_are_the_reduced_power_rows_up_to_content(monkeypatch):
 
     for max_degree in range(6):
         for _ in range(4):
-            points = [kernel_point() for _ in range(rng.randint(1, 5))] + [hk.ZERO]
-            values = [hk.ZERO] + [kernel_point() for _ in points[1:]]
+            points = [kernel_point() for _ in range(rng.randint(1, 5))] + [(0, 0, 0, 0, 1)]
+            values = [(0, 0, 0, 0, 1)] + [kernel_point() for _ in points[1:]]
             seen.clear()
             oracle._solve_half(points, values, max_degree)
             (rows,) = seen
