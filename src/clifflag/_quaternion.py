@@ -8,7 +8,9 @@ c_h = n_h / d; zero is (0, ..., 0, 1). This is the storage of
 helpers :func:`add`, :func:`neg` and :func:`scale` take tuples
 of any length and serve both. Each works on the integer numerators and
 reduces its result by one gcd, instead of one gcd per ``Fraction``
-operation.
+operation. :func:`divide_columns` divides integer polynomials, one per
+coordinate, by a real integer polynomial with no gcd: the root
+multiplicities of every signature.
 
 A quaternion a0 + a1 i + a2 j + a3 k is such a tuple of length 5. The
 units are i = e1, j = e2, k = e12 of R_{0,2}, so a quaternionic
@@ -31,8 +33,7 @@ the lcm of its denominators; neither takes a gcd. Inside, every result
 stays unreduced: Horner's rule on the rows (:func:`_horner`), the
 remainder modulo a class quadratic (:func:`_remainder_numerators`), the
 root of a sphere class (:func:`sphere_root`, which decides the class on
-the remainder's numerators), the quotients of the root multiplicities
-(:func:`divide_rows`), :func:`inverse` and the Lagrange construction
+the remainder's numerators), :func:`inverse` and the Lagrange construction
 of :mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
 are such rows, with one content gcd per step and one gcd for the root
 or constant a step finds; its append and its Newton step are one row
@@ -306,37 +307,35 @@ def sphere_root(rows: list, key: tuple):
     return (*_product((b0, b1, b2, b3), (-a0, a1, a2, a3)), norm)
 
 
-def divide_rows(halves, divisor: tuple):
-    """The quotients of each half's integer rows, a_0 first, by the
-    primitive integer polynomial sum_k divisor[k] X^k of degree
-    m = len(divisor) - 1, whose leading coefficient l = divisor[m] is
-    positive, as lists of integer 4-tuples; ``None`` as soon as one half
-    leaves a nonzero remainder, so no later half is divided.
+def divide_columns(columns, divisor: tuple):
+    """The quotients of ``columns``, integer polynomials a_0 first, one per
+    coordinate, by the primitive integer polynomial sum_k divisor[k] X^k
+    of degree m = len(divisor) - 1, whose leading coefficient
+    l = divisor[m] is positive, as lists; ``None`` as soon as one column
+    leaves a nonzero remainder, so no later column is divided.
 
     Synthetic division from the top: the quotient's next coefficient is
-    the top working row over l, and divisor[k] times it is taken off the
-    row m - k below. By Gauss's lemma a primitive divisor of an integer
-    polynomial leaves an integer quotient, so the first top row that l
-    does not divide shows that the divisor does not divide the half; no
-    gcd runs at all.
+    the top working entry over l, and divisor[k] times it is taken off the
+    entry m - k below. By Gauss's lemma a primitive divisor of an integer
+    polynomial leaves an integer quotient, so the first top entry that l
+    does not divide shows that the divisor does not divide the polynomial;
+    no gcd runs at all.
     """
     m = len(divisor) - 1
     lead, lower = divisor[m], divisor[:m]
     quotients = []
-    for rows in halves:
-        work = list(rows)
+    for work in columns:
+        work = list(work)
         quotient = work[m:]
         for i in range(len(work) - 1, m - 1, -1):
-            w0, w1, w2, w3 = work[i]
-            if w0 % lead or w1 % lead or w2 % lead or w3 % lead:
+            w = work[i]
+            if w % lead:
                 return None
-            q0, q1, q2, q3 = quotient[i - m] = w0 // lead, w1 // lead, w2 // lead, w3 // lead
-            if q0 or q1 or q2 or q3:
+            q = quotient[i - m] = w // lead
+            if q:
                 for k, e in enumerate(lower, i - m):
-                    if e:
-                        w0, w1, w2, w3 = work[k]
-                        work[k] = (w0 - e * q0, w1 - e * q1, w2 - e * q2, w3 - e * q3)
-        if any(map(any, work[:m])):
+                    work[k] -= e * q
+        if any(work[:m]):
             return None
         quotients.append(quotient)
     return quotients

@@ -19,6 +19,8 @@ coefficients omitted, the constant term written without a power.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import _quaternion as qk
 from .classpoints import quaternion_class_points
@@ -498,84 +500,55 @@ def factor_out_characteristic(
 
     Delta is the degree-two characteristic polynomial of a sphere class;
     being real it divides two-sidedly and unambiguously. P is divided by
-    the class's key, the primitive integer multiple L Delta.
+    the class's key L Delta (:func:`_divide_out`), so Q is the quotient's
+    rows times L^s over P's denominator, each coefficient reduced once.
     """
     if cls_id.is_real:
         raise ValueError("expected a sphere class")
-    return _divide_out(p, cls_id._key)
+    s, rows, den = _divide_out(p, cls_id._key)
+    f = cls_id._key[-1] ** s
+    coeffs = [qk._reduce(*map(f.__mul__, row), den) for row in rows]
+    return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in coeffs])
 
 
 def real_root_multiplicity(p: Polynomial, alpha) -> int:
     """Multiplicity of the real root alpha (0 when it is not a root).
 
-    Only s is returned, so in H and R_{0,3} it is counted on P's kernel
-    rows (:func:`_multiplicity`) and no cofactor is joined. P is divided
-    by v X - u for alpha = u / v in lowest terms.
+    P is divided by v X - u for alpha = u / v in lowest terms
+    (:func:`_divide_out`); only s is returned, so no cofactor is formed.
     """
     alpha = Fraction(alpha)
-    divisor = (-alpha.numerator, alpha.denominator)
-    if p.sig in (QUATERNIONS, R03):
-        return _multiplicity(p, divisor)[0]
-    return _divide_out(p, divisor)[0]
+    return _divide_out(p, (-alpha.numerator, alpha.denominator))[0]
 
 
-def _multiplicity(p: Polynomial, divisor: tuple) -> tuple[int, list]:
-    """(s, quotients): the largest s with D^s dividing P, for P in H or
-    R_{0,3} and D = sum_k divisor[k] X^k, a primitive integer polynomial
-    with leading coefficient l > 0: l (X - alpha) or a class key
-    l (X^2 - t X + n).
+def _divide_out(p: Polynomial, divisor: tuple) -> tuple[int, list, int]:
+    """(s, rows, den): the largest s with D^s dividing P, and P / D^s as
+    integer rows over den, for D = sum_k divisor[k] X^k a primitive
+    integer polynomial with leading coefficient l > 0: l (X - alpha) or a
+    class key l (X^2 - t X + n).
 
-    The division runs on P's kernel rows as :func:`_split` keeps them:
-    by Gauss's lemma a primitive D that divides P leaves integer rows, so
-    repeated synthetic division (:func:`_quaternion.divide_rows`) is exact
-    on integers, one pass over all halves per power of D and one more to
-    find that D divides no further. s is the smallest multiplicity over
-    the halves. The quotients are the halves of P / D^s as rows over P's
-    denominator, not joined.
+    A real divisor is central, so it divides each blade coordinate on its
+    own, in every signature: P's coefficient numerators are put over den,
+    the lcm of their denominators, as one integer polynomial per blade.
+    By Gauss's lemma a primitive D that divides them leaves integer
+    quotients, so repeated synthetic division
+    (:func:`_quaternion.divide_columns`) is exact on integers, one pass
+    per power of D and one more to find that D divides no further.
 
     Every power of D divides P = 0, so it has no finite s.
     """
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")
-    halves = _split(p)[0]
+    *columns, dens = zip(*(c._num for c in p.coeffs))
+    den = lcm(*dens)
+    scales = [den // d for d in dens]
+    columns = [list(map(mul, column, scales)) for column in columns]
     s = 0
-    quotients = qk.divide_rows(halves, divisor)
+    quotients = qk.divide_columns(columns, divisor)
     while quotients is not None:
-        s, halves = s + 1, quotients
-        quotients = qk.divide_rows(halves, divisor)
-    return s, halves
-
-
-def _divide_out(p: Polynomial, divisor: tuple) -> tuple[int, Polynomial]:
-    """Largest s with D^s dividing P, plus the cofactor P / (D / l)^s, for
-    the primitive integer D of :func:`_multiplicity` given by ``divisor``,
-    with leading coefficient l: D / l is X - alpha or X^2 - t X + n.
-
-    In H and R_{0,3}, :func:`_multiplicity` counts s on P's kernel rows.
-    Its quotients are P / D^s, so the cofactor is their rows times l^s
-    over P's denominator, joined once. Other signatures divide by the
-    monic D / l with :func:`divide_by_real` as often.
-
-    Every power of D divides P = 0, so it has no finite s.
-    """
-    lead = divisor[-1]
-    if p.sig in (QUATERNIONS, R03):
-        s, halves = _multiplicity(p, divisor)
-        if not s:
-            return 0, p
-        f = lead**s
-        halves = [[(r0 * f, r1 * f, r2 * f, r3 * f) for r0, r1, r2, r3 in half] for half in halves]
-        joined = qk.join_rows([(half, _split(p)[1]) for half in halves])
-        return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in joined])
-    if not p:
-        raise ValueError("zero polynomial has no finite multiplicity")
-    factor = Polynomial.from_scalars(p.sig, [Fraction(c, lead) for c in divisor])
-    s = 0
-    quotient, remainder = divide_by_real(p, factor)
-    while not remainder:
-        s, p = s + 1, quotient
-        quotient, remainder = divide_by_real(p, factor)
-    return s, p
+        s, columns = s + 1, quotients
+        quotients = qk.divide_columns(columns, divisor)
+    return s, list(zip(*columns)), den
 
 
 def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, int]:
@@ -589,9 +562,10 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
     (:func:`_real_root`) and searches a sphere half by half
     (:func:`_sphere_roots`) as :func:`roots_in_class` does, and a class
     without a root counts nothing. Only then does a real root divide for
-    :func:`real_root_multiplicity` and a whole sphere, where Delta divides
-    P, for :func:`factor_out_characteristic`. A single root counts when it
-    is a paravector, and a sampled family counts its one paravector.
+    :func:`real_root_multiplicity`, and a whole sphere, where Delta divides
+    P, counts s by :func:`_divide_out` and forms no cofactor. A single root
+    counts when it is a paravector, and a sampled family counts its one
+    paravector.
     """
     if p.sig != R03:
         raise WrongSignature(f"root census requires {R03}, got {p.sig}")
@@ -606,7 +580,7 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
             continue
         plus, minus = solved
         if plus is None and minus is None:
-            s += factor_out_characteristic(p, cls_id)[0]
+            s += _divide_out(p, cls_id._key)[0]
         elif plus is None or minus is None:
             # One half pinned at c, the other free over the sphere. By
             # _quaternion._blades the joined root is a paravector exactly

@@ -462,39 +462,44 @@ def test_real_probe_evaluates_on_the_kernel_rows(monkeypatch):
 
 
 def test_only_the_cofactor_is_joined(monkeypatch):
-    # real_root_multiplicity returns s alone and joins no cofactor;
-    # factor_out_characteristic joins its cofactor Q once
+    # real_root_multiplicity returns s alone and reduces nothing;
+    # factor_out_characteristic reduces each coefficient of its cofactor Q
+    # once
     cls_id = _sphere(Fraction(1, 2), Fraction(3, 2))
     alpha = Fraction(2, 3)
     for sig in (H, R03):
         linear = Polynomial.from_scalars(sig, (-alpha, 1))
         p = Polynomial.x_minus(Multivector.parse("1/3 + 2 e2", sig)) * linear * linear
         p = p * characteristic_poly(cls_id, sig)
-        joins = _count_calls(monkeypatch, sys.modules["clifflag.poly"].qk, ("join_rows",))
+        reductions = _count_calls(monkeypatch, sys.modules["clifflag.poly"].qk, ("_reduce",))
         assert real_root_multiplicity(p, alpha) == 2
-        assert joins == {"join_rows": 0}
-        assert factor_out_characteristic(p, cls_id)[0] == 1
-        assert joins == {"join_rows": 1}
+        assert reductions == {"_reduce": 0}
+        s, cofactor = factor_out_characteristic(p, cls_id)
+        assert s == 1 and cofactor.degree == 3
+        assert reductions == {"_reduce": 4}
         monkeypatch.undo()
 
 
 def _multiplicities(p, cls_id):
     # (s, cofactor) from the public names, the cofactor of a real class
-    # from _divide_out, which real_root_multiplicity reads s from
+    # alpha = u / v from _divide_out, which real_root_multiplicity reads s
+    # from: its rows divided by (v X - u)^s, times v^s over den
     if not cls_id.is_real:
         return factor_out_characteristic(p, cls_id)
     alpha = cls_id.alpha
-    s, cofactor = _divide_out(p, (-alpha.numerator, alpha.denominator))
+    s, rows, den = _divide_out(p, (-alpha.numerator, alpha.denominator))
     assert real_root_multiplicity(p, alpha) == s
-    return s, cofactor
+    f = Fraction(alpha.denominator**s, den)
+    return s, Polynomial(p.sig, [Multivector(p.sig, [f * n for n in row]) for row in rows])
 
 
 @pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_multiplicities_equal_repeated_long_division(sig, seed):
-    # division on the kernel rows against repeated Multivector long
-    # division, s and cofactor, on every probe of the seeded polynomials,
-    # each also times (X - 2/3)^2: a double real root with denominator 3
+    # division of each blade coordinate on integers against repeated
+    # Multivector long division, s and cofactor, on every probe of the
+    # seeded polynomials, each also times (X - 2/3)^2: a double real root
+    # with denominator 3
     alpha = Fraction(2, 3)
     linear = Polynomial.from_scalars(sig, (-alpha, 1))
     found = set()
@@ -555,23 +560,33 @@ def test_powers_of_a_class_quadratic_with_denominators(sig, t, n):
             assert paravector_root_census(p, probes) == (r, want[0], 0)
 
 
-def test_multiplicities_outside_the_kernel_signatures():
-    # R(1,1) has no kernel rows and divides Multivector coefficients
-    sig = Signature(1, 1)
-    cls_id = ConjugacyClassId.sphere(1, 2)
+@pytest.mark.parametrize(
+    "sig",
+    [Signature(0, 0), Signature(0, 1), Signature(1, 1), Signature(1, 2), Signature(0, 4)],
+    ids=["R00", "R01", "R11", "R12", "R04"],
+)
+def test_multiplicities_outside_the_kernel_signatures(sig):
+    # 1, 2, 4, 8 and 16 blade coordinates, R(1,2)'s 9-tuples as long as
+    # R(0,3)'s; s and cofactor against repeated Multivector long division,
+    # for Delta^2 on a sphere whose key leads with L = 6 and (X + 1/3)^2
+    cls_id = ConjugacyClassId.sphere(Fraction(1, 2), Fraction(5, 3))
+    assert cls_id._key[2] == 6
     alpha = Fraction(-1, 3)
     linear = Polynomial.from_scalars(sig, (-alpha, 1))
     delta = characteristic_poly(cls_id, sig)
-    p = Polynomial.x_minus(Multivector.parse("1/2 e1 + e2", sig)) * linear * linear * delta
+    y = Multivector(sig, [Fraction((-1) ** h * (h + 1), h + 2) for h in range(sig.dim)])
+    p = Polynomial.x_minus(y) * linear * linear * delta * delta
     got = factor_out_characteristic(p, cls_id)
-    assert got == multiplicity_reference(p, delta) and got[0] == 1
-    assert real_root_multiplicity(p, alpha) == multiplicity_reference(p, linear)[0] == 2
+    assert got == multiplicity_reference(p, delta) and got[0] == 2
+    assert _multiplicities(p, ConjugacyClassId.real(alpha)) == multiplicity_reference(p, linear)
+    assert real_root_multiplicity(p, alpha) == 2
 
 
 @pytest.mark.parametrize("sig", [H, Signature(1, 1)], ids=["H", "R11"])
 def test_zero_polynomial_refused_on_both_division_routes(sig):
-    # H divides kernel rows, R(1,1) Multivector coefficients; R(0,3) is
-    # test_zero_polynomial_has_no_finite_multiplicity
+    # the one division route refuses the zero polynomial for a sphere and
+    # for a real root, whatever the signature: 4 coordinates here in both;
+    # R(0,3) is test_zero_polynomial_has_no_finite_multiplicity
     zero = Polynomial.zero(sig)
     with pytest.raises(ValueError, match="no finite multiplicity"):
         factor_out_characteristic(zero, S)
@@ -580,16 +595,16 @@ def test_zero_polynomial_refused_on_both_division_routes(sig):
 
 
 def _count_divisions(monkeypatch):
-    # one kernel division pass divides every half of P's rows once
+    # one division pass divides each blade coordinate of P once
     kernel = sys.modules["clifflag.poly"].qk
-    original = kernel.divide_rows
+    original = kernel.divide_columns
     passes = []
 
-    def counting(halves, divisor):
+    def counting(columns, divisor):
         passes.append(divisor)
-        return original(halves, divisor)
+        return original(columns, divisor)
 
-    monkeypatch.setattr(kernel, "divide_rows", counting)
+    monkeypatch.setattr(kernel, "divide_columns", counting)
     return passes
 
 
