@@ -1,16 +1,26 @@
 """Command-line front end: interpolate, eval and diagnose subcommands.
 
-Problem files are JSON with an explicit signature (blade tokens such as
-``e1`` do not determine one):
+Problem files are UTF-8 JSON with an explicit signature (blade tokens such
+as ``e1`` do not determine one):
 
     {"signature": {"p": 0, "q": 2},
      "points": ["0", "1 + e1", "e1", "e2", "e12"],
      "values": ["1", "-1", "1", "e12", "-e2"]}
 
+``p`` and ``q`` are JSON integers, and every point and value is a JSON
+string. A file in another encoding (UTF-16 with its byte-order mark, say)
+exits 2 with ``cannot read PATH: the file must be UTF-8 (...)``; so does a
+file nested too deeply for the JSON reader, or one with a number, ``true``
+or ``null`` where a literal belongs.
+
 All output is exact; ``--decimal N`` appends one clearly marked line in the
 same layout with every coefficient rounded to N significant digits. Count
-flags are checked while the arguments are parsed. Exit codes: 0 success,
-2 parse/input error, 3 collinearity violation, 4 repeated conjugacy class
+flags are checked while the arguments are parsed. ``--max-degree`` bounds
+only the oracle, so without ``--oracle`` it is refused, with a message
+naming both flags, before the problem file is read. The caps on points
+(``MAX_POINTS``) and on the work of ``diagnose`` (``MAX_DIAGNOSE_WORK``)
+are checked before any point is read. Exit codes: 0 success, 2
+parse/input error, 3 collinearity violation, 4 repeated conjugacy class
 in R(0,3).
 """
 

@@ -8,13 +8,19 @@ before it, together with T_i(x_i)^-1. Evaluation is right-linear,
 node as P += T_i T_i(x_i)^-1 (w_i - P(x_i)). The basis polynomial of a
 node is the same sum over indicator data (1 at that node, 0 elsewhere).
 The interpolant is unique within the degree bound, so both equal the
-paper's product construction, which the tests keep as their reference.
+paper's product construction, in which each basis polynomial is its own
+chain of root appends times the other classes' characteristic
+polynomials; ``tests/test_lagrange_reference.py`` keeps that form as the
+reference and checks the Newton frame, the product form and the oracle
+against each other.
 
 R_{0,3} is H (+) H through the central idempotents (1 +- e123)/2. The
 projections are ring homomorphisms and keep a cone point's trace and
-norm, so an R_{0,3} problem runs as two quaternion frames over the split
-nodes and values, and the two solved halves are joined coefficient by
-coefficient over one common denominator. The frame works on the integer
+norm, so distinct R_{0,3} classes stay distinct in each half, and an
+R_{0,3} problem runs as two quaternion frames over the split nodes and
+values; grouping and its errors run once, on the R_{0,3} problem. The two
+solved halves are joined coefficient by coefficient over one common
+denominator. The frame works on the integer
 numerators that ``Multivector`` stores (see ``clifflag._quaternion``):
 each node and value enters as its halves over its own denominator, with
 no gcd, and each coefficient of the result is reduced once, so nothing
@@ -363,7 +369,11 @@ def _split_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResul
     the polynomial agrees with that route for all three kinds. An R_{0,3}
     family joins the two halves' particular solutions; that is the
     coordinate route's too wherever both halves leave the same unknowns
-    free, and may differ where they do not. Points and values enter as
+    free, and may differ where they do not: where one half repeats a node
+    at an equal half-value, the halves leave different unknowns free, and
+    the two routes may return different members of the same family. The
+    tests keep the coordinate route as the referee of the split
+    (``tests/test_split_oracle.py``). Points and values enter as
     their halves over their own denominators (:func:`split`), and the
     solved halves leave as the construction's do, one gcd per
     coefficient (:func:`join_rows`).
@@ -392,6 +402,8 @@ def _solve_half(points, values, max_degree: int):
     no gcd and no lcm. The row is a positive multiple of the row of
     reduced powers over their lcm, and ``solve_left`` opens by dividing
     each row by its content, which gives both the same primitive row.
+    Column 0 holds the real positive w_d x_d^D, so the first and largest
+    elimination step takes ``solve_left``'s path for a real pivot.
     """
     rows = []
     for (n0, n1, n2, n3, xd), (m0, m1, m2, m3, wd) in zip(points, values):
@@ -415,7 +427,16 @@ def _solve_half(points, values, max_degree: int):
 
 
 def _coordinate_oracle(problem: InterpolationProblem, max_degree: int) -> OracleResult:
-    """The oracle as one system in the blade coordinates of any signature."""
+    """The oracle as one system in the blade coordinates of any signature.
+
+    The unknowns are the 2^m (max_degree + 1) blade coordinates of a_0..a_D.
+    Evaluation sum_h x^h a_h is linear in them: the block of a_h is the
+    matrix of y -> x^h y, :meth:`Multivector.left_multiplication_matrix`,
+    whose entry [k][j] is +-x^h[k xor j] with the sign from the signature's
+    product table. A pair costs max_degree products for its powers and
+    gives 2^m rows, one per output coordinate, solved by
+    :func:`clifflag.linsolve.solve_exact`.
+    """
     sig = problem.sig
     dim = sig.dim
     rows, rhs = [], []

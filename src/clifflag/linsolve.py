@@ -46,7 +46,10 @@ def solve_exact(rows, rhs):
     the first with a nonzero entry there is the pivot, kept as ``(c, row)``.
     The pivot columns are the column rank profile of A, which no row
     operation changes, so the particular solution is the one read off the
-    reduced row echelon form.
+    reduced row echelon form. Back-substitution walks the kept pivots in
+    reverse and reduces each step by gcd(p, s) for the pivot p. Unlike
+    ``solve_left``'s real pivot, p may be negative here, and den with it;
+    the returned ``Fraction``s normalise the sign.
     """
     n = len(rows[0]) if rows else 0
     rest = [_integer_row([*row, rhs[i]]) for i, row in enumerate(rows)]

@@ -11,7 +11,10 @@ A value is stored as the integer tuple (n_0, ..., n_{2^m-1}, d) with
 d > 0 and gcd(n_0, ..., d) = 1, coordinate h being n_h / d: the layout of
 the private kernel ``clifflag._quaternion``, whose helpers do the sums and
 scalings here. The storage is canonical, so equal values have equal
-tuples, and a quaternion's tuple is the kernel's quaternion itself.
+tuples, and a quaternion's tuple is the kernel's quaternion itself. A
+geometric product multiplies the numerators through the signature's sign
+table and reduces the result by one gcd, not one gcd per ``Fraction``
+operation.
 ``.coeffs`` is a computed, read-only view of the coordinates as
 ``fractions.Fraction``s. All arithmetic is exact. Every value is immutable
 and every operation is a pure function; results may be shared freely.
@@ -21,7 +24,12 @@ Text syntax, accepted by :meth:`Multivector.parse` and produced by
 by an optional blade token (``e`` plus strictly ascending digits), e.g.
 ``3/2 + e1 - 2 e23 + 1/5 e123``. Printing orders blades by bitmask;
 :meth:`Multivector.format` writes the same layout with another text form
-for the coefficients.
+for the coefficients. A literal's numerator and denominator have at most
+``MAX_LITERAL_DIGITS`` digits each, leading zeros counted. That cap is
+fixed: it does not follow the interpreter's limit on int-to-text
+conversion (``PYTHONINTMAXSTRDIGITS``, ``sys.set_int_max_str_digits``),
+whose default is also 4300. Printing has no cap, so a printed value may be
+longer than a literal may be, and cannot always be read back.
 """
 
 from __future__ import annotations
@@ -565,12 +573,19 @@ class Multivector(_Frozen):
         """Two-sided inverse; raises NotInvertible for zero and zero divisors.
 
         H and R_{0,3} invert on the quaternion kernel, each half of the split
-        as d conj(n) / |n|^2 on its numerators, reduced once by the join.
-        Other signatures run Faddeev-LeVerrier in the
-        algebra (D. S. Shirokov, Comput. Appl. Math. 40, 173 (2021),
-        arXiv:2005.04015): with N = 2^ceil(m/2), A_0 = 1, U_k = x A_{k-1} and
+        as d conj(n) / |n|^2 on its numerators, reduced once by the join. A
+        nonzero R_{0,3} element is a zero divisor exactly when one half is
+        zero, that is when psi+(x) psi-(x) = 0.
+        Other signatures run Faddeev-LeVerrier in the algebra (D. S. Shirokov,
+        "On computing the determinant, other characteristic polynomial
+        coefficients, and inverse in Clifford algebras of arbitrary
+        dimension", Comput. Appl. Math. 40, 173 (2021), arXiv:2005.04015):
+        with N = 2^ceil(m/2), A_0 = 1, U_k = x A_{k-1} and
         A_k = U_k - (N/k) <U_k>_0, x A_{N-1} is real (-Det(x) once N > 1),
-        zero just for zero divisors, and x^-1 = A_{N-1} / (x A_{N-1}).
+        zero just for zero divisors, and x^-1 = A_{N-1} / (x A_{N-1}): N
+        geometric products and no linear system. The tests compare it with
+        ``solve_exact`` on :meth:`left_multiplication_matrix`
+        (``tests/test_general_inverse.py``).
         """
         sig = self.sig
         if sig in (QUATERNIONS, R03):
@@ -600,9 +615,12 @@ class Multivector(_Frozen):
     # ---- quadratic cone and conjugacy classes -------------------------------
 
     def _class_id(self) -> ConjugacyClassId | None:
-        # The one place that forms trace and norm for the cone test; None
-        # outside the cone. A real x has 4n = t^2 and the id of real(x). In
-        # H and R_{0,3} they come from the class key, which grouping reads too.
+        """The class id, or None outside the cone: the one place that forms
+        trace and norm, once per point, for the cone test and the class
+        together. A real x has 4n = t^2 and the id of real(x). In H and
+        R_{0,3} they come from the class key, which grouping reads too: the
+        halves of the split must share trace and norm, and no product runs.
+        """
         sig = self.sig
         if sig in (QUATERNIONS, R03):
             key = qk.class_key(self._num)

@@ -535,7 +535,8 @@ def _divide_out(p: Polynomial, divisor: tuple) -> tuple[int, list, int]:
     (:func:`_quaternion.divide_columns`) is exact on integers, one pass
     per power of D and one more to find that D divides no further.
 
-    Every power of D divides P = 0, so it has no finite s.
+    Every power of D divides P = 0, so it has no finite s, and ValueError
+    is raised: the multiplicities of the zero polynomial are refused.
     """
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")

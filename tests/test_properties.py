@@ -1,15 +1,32 @@
-"""Property tests for the text grammars and for division by real polynomials.
+"""Property tests for the text grammars, for division by real polynomials,
+and for the Lagrange construction against the linear-system oracle.
 
 Derandomized with few examples, so the suite stays deterministic and fast.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clifflag import Multivector, ParseError, Polynomial, QUATERNIONS, R03, divide_by_real
+from clifflag import (
+    InterpolationProblem,
+    Multivector,
+    OracleResult,
+    ParseError,
+    Polynomial,
+    QUATERNIONS,
+    R03,
+    brute_force_interpolate,
+    divide_by_real,
+    interpolate,
+    lagrange_basis,
+    verify_interpolant,
+)
+from clifflag.classpoints import quaternion_from_parts, r03_cone_point
+from util import random_h_problem
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -110,3 +127,72 @@ def test_divide_by_real_reassembles(case):
     assert divisor * quotient + remainder == p
     assert quotient * divisor + remainder == p  # a real divisor commutes
     assert remainder.degree is None or remainder.degree < divisor.degree
+
+
+# Class parameters (alpha, beta): the class of alpha + beta u for rational
+# unit vectors u, a sphere for beta > 0 and the real class {alpha} for
+# beta = 0. Distinct parameters give distinct classes.
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+class_parameters = st.tuples(rationals, rationals.map(abs))
+# stereographic parameters of a rational unit vector, one vector each
+stereographic = st.tuples(rationals, rationals)
+
+
+def unit_vector(s, t):
+    d = 1 + s * s + t * t
+    return (1 - s * s - t * t) / d, 2 * s / d, 2 * t / d
+
+
+@st.composite
+def h_problems(draw):
+    """1-4 classes of 1-4 points (one in a real class); from a class's third
+    point on, the value is w_1 + (x - x_1) s for the slope
+    s = (x_2 - x_1)^-1 (w_2 - w_1), so the collinearity condition holds."""
+    pairs = []
+    for alpha, beta in draw(st.lists(class_parameters, min_size=1, max_size=4, unique=True)):
+        size = draw(st.integers(1, 4)) if beta else 1
+        units = draw(st.lists(stereographic, min_size=size, max_size=size, unique=True))
+        points = [quaternion_from_parts(alpha, [beta * c for c in unit_vector(*u)]) for u in units]
+        values = [draw(multivectors(QUATERNIONS)) for _ in points[:2]]
+        if size >= 3:
+            slope = (points[1] - points[0]).inverse() * (values[1] - values[0])
+            values += [values[0] + (x - points[0]) * slope for x in points[2:]]
+        pairs += zip(points, values)
+    return InterpolationProblem.from_pairs(QUATERNIONS, draw(st.permutations(pairs)))
+
+
+@st.composite
+def r03_problems(draw):
+    """1-5 points of R(0,3), one per class."""
+    pairs = []
+    for alpha, beta in draw(st.lists(class_parameters, min_size=1, max_size=5, unique=True)):
+        plus, minus = draw(st.tuples(stereographic, stereographic))
+        x = r03_cone_point(alpha, beta, unit_vector(*plus), unit_vector(*minus))
+        pairs.append((x, draw(multivectors(R03))))
+    return InterpolationProblem.from_pairs(R03, pairs)
+
+
+def check_construction(problem):
+    """The construction is the oracle's unique polynomial at the degree
+    bound, takes every value, and is sum_j B_j w_j over the basis."""
+    p = interpolate(problem)
+    assert brute_force_interpolate(problem) == OracleResult("unique", p)
+    assert verify_interpolant(p, problem)
+    values = dict(problem.pairs)
+    combination = Polynomial.zero(problem.sig)
+    for node, basis in lagrange_basis(problem):
+        combination = combination + basis * values[node]
+    assert combination == p
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(h_problems())
+@example(random_h_problem(random.Random(4), sizes=(4, 4, 4, 4)))
+def test_h_construction_equals_the_oracle_and_the_basis_combination(problem):
+    check_construction(problem)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(r03_problems())
+def test_r03_construction_equals_the_oracle_and_the_basis_combination(problem):
+    check_construction(problem)
