@@ -19,7 +19,6 @@ import shlex
 import tokenize
 from pathlib import Path
 
-
 import clifflag
 from clifflag import Signature, cli
 
