@@ -8,39 +8,39 @@ c_h = n_h / d; zero is (0, ..., 0, 1). This is the storage of
 helpers :func:`add`, :func:`neg` and :func:`scale` take tuples
 of any length and serve both. Each works on the integer numerators and
 reduces its result by one gcd, instead of one gcd per ``Fraction``
-operation. :func:`divide_columns` divides integer polynomials, one per
-coordinate, by a real integer polynomial with no gcd: the root
-multiplicities of every signature.
+operation. :func:`divide_columns` divides integer polynomials, the
+columns of a polynomial's rows, by a real integer polynomial with no
+gcd: the root multiplicities of every signature.
 
 A quaternion a0 + a1 i + a2 j + a3 k is such a tuple of length 5. The
 units are i = e1, j = e2, k = e12 of R_{0,2}, so a quaternionic
 ``Multivector`` stores exactly its kernel tuple, and nothing is converted.
 An R_{0,3} tuple splits into two quaternions, one per half of its H (+) H
-split; :func:`_halves` and its inverse :func:`_blades` are the one place
-that writes out that layout.
+split; :func:`_halves` and its inverse :func:`join_rows` are the one
+place that writes out that layout.
 
 A polynomial, a_0 first and valued as sum_h x^h a_h like
 :class:`clifflag.poly.Polynomial`, lifts the layout from one coefficient
 to the whole polynomial, as FLINT's ``fmpq_poly`` stores one: integer
-4-tuple rows over one positive denominator, a_h = rows[h] / den.
+rows over one positive denominator, a_h = rows[h] / den.
 
-Values cross into the kernel two ways and out of it two ways, and the
-rule is the same for all four: nothing is reduced on the way in or
-inside, and each coefficient is reduced once on the way out. In,
-:func:`split` hands over a value's halves as its numerators over its own
-denominator, and :func:`split_rows` a polynomial's halves as rows over
-the lcm of its denominators; neither takes a gcd. Inside, every result
-stays unreduced: Horner's rule on the rows (:func:`_horner`), the
-remainder modulo a class quadratic (:func:`_remainder_numerators`), the
-root of a sphere class (:func:`sphere_root`, which decides the class on
-the remainder's numerators), :func:`inverse` and the Lagrange construction
-of :mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials
-are such rows, with one content gcd per step and one gcd for the root
-or constant a step finds; its append and its Newton step are one row
-combination (:func:`_row_step`). Out, :func:`join` gives one value and
-:func:`join_rows` a polynomial's coefficients, each reduced by one gcd
-over one lcm of the halves' denominators. The storage helpers above
-keep their results in lowest terms, since that storage is canonical.
+A polynomial crosses into the kernel one way, in every signature:
+:func:`split_rows` puts its coefficients over the lcm of their
+denominators, as the two halves of the H (+) H split in R_{0,3} and as
+the coordinate numerators themselves, one half, in every other
+signature. It leaves one way, :func:`join_rows`, and a single value
+crosses as a polynomial of one row (:func:`split`, :func:`join`). Nothing
+is reduced on the way in or inside, and each coefficient is reduced once
+on the way out. Inside, every result stays unreduced: Horner's rule on
+the rows (:func:`_horner`), the remainder modulo a class quadratic
+(:func:`_remainder_numerators`), the root of a sphere class
+(:func:`sphere_root`, which decides the class on the remainder's
+numerators), :func:`inverse` and the Lagrange construction of
+:mod:`clifflag.interpolate` (:class:`NewtonFrame`), whose polynomials are
+such rows, with one content gcd per step and one gcd for the root or
+constant a step finds; its append and its Newton step are one row
+combination (:func:`_row_step`). The storage helpers above keep their
+results in lowest terms, since that storage is canonical.
 Conjugacy classes are read off the halves too, each as one integer key:
 its quadratic L (X^2 - t X + n), primitive (:func:`class_key`). Every
 class id keeps such a key, and the root search, the remainder and the
@@ -54,10 +54,11 @@ with their conjugates. It gives the kind and the particular solution that
 4x4 blocks, because that expansion's pivot columns come in whole blocks.
 The oracle's rows hold unreduced integer powers of each point, with a
 real positive column 0, and every row is divided by its content first;
-a real pivot or a real multiplier then takes a path without quaternion
-products that gives the same integers as the products would. Only the
-width of an entry separates the two routines: both keep rows as tails and
-pivot rows with their column, and back-substitute by gcd(pivot, s).
+a positive real pivot or a real multiplier then takes a path without
+quaternion products that gives the same integers as the products would.
+Only the width of an entry separates the two routines: both keep rows as
+tails and pivot rows with their column, and back-substitute by
+gcd(pivot, s).
 """
 
 from __future__ import annotations
@@ -126,63 +127,44 @@ def split(a: tuple) -> tuple:
 
 
 def split_rows(nums: list, count: int) -> tuple[tuple[tuple[tuple, ...], ...], int]:
-    """(halves, den): the ``count`` halves (1 for H, 2 for R_{0,3}) of the
-    polynomial with coefficient tuples ``nums``, a_0 first, as integer rows
-    over den, the lcm of their denominators, with no gcd; all tuples."""
+    """(halves, den): the ``count`` halves (2 for R_{0,3}; else 1, the
+    numerators themselves, of any width) of the polynomial with coefficient
+    tuples ``nums``, a_0 first, as integer rows over den, the lcm of their
+    denominators, with no gcd; all tuples."""
     den = lcm(*(a[-1] for a in nums))
+    parts = _halves if count == 2 else lambda a: (a[:-1],)
     halves = [[] for _ in range(count)]
     for a in nums:
         f = den // a[-1]
-        for half, (h0, h1, h2, h3) in zip(halves, _halves(a)):
-            half.append((h0 * f, h1 * f, h2 * f, h3 * f))
+        for half, h in zip(halves, parts(a)):
+            half.append(tuple(map(f.__mul__, h)))
     return tuple(map(tuple, halves)), den
-
-
-def _blades(p, m, d: int) -> tuple:
-    """The R_{0,3} tuple (h+ + h-)/2 in blade order, not reduced, for the
-    halves' numerators p and m over one denominator d."""
-    p0, p1, p2, p3 = p
-    m0, m1, m2, m3 = m
-    return (
-        p0 + m0,  # 1
-        p1 + m1,  # e1
-        p2 + m2,  # e2
-        p3 + m3,  # e12
-        m3 - p3,  # e3
-        p2 - m2,  # e13
-        m1 - p1,  # e23
-        p0 - m0,  # e123
-        2 * d,
-    )
 
 
 def join(halves) -> tuple:
     """Inverse of :func:`split` on halves in any terms, reduced once: the
-    R_{0,3} tuple (h+ + h-)/2 in blade order over one lcm, or the one half."""
-    if len(halves) == 1:
-        return _reduce(*halves[0])
-    (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = halves
-    d = lcm(pd, md)
-    fp, fm = d // pd, d // md
-    return _reduce(*_blades((p0 * fp, p1 * fp, p2 * fp, p3 * fp), (m0 * fm, m1 * fm, m2 * fm, m3 * fm), d))
+    one-row case of :func:`join_rows`."""
+    return join_rows([((h[:-1],), h[-1]) for h in halves])[0]
 
 
 def join_rows(halves) -> list[tuple]:
-    """The reduced coefficients of the polynomial whose halves are the
-    (rows, den) pairs ``halves``, as :func:`join` gives them one by one:
-    both halves are brought over one lcm of their denominators once, and
-    each coefficient is reduced once. A shorter half is padded with zero
-    rows."""
+    """The coefficients, each reduced once, of the polynomial whose halves
+    are the (rows, den) pairs ``halves``: one half's rows of any width over
+    den, or the R_{0,3} tuples (h+ + h-)/2 in blade order over one lcm of
+    the two denominators, a shorter half padded with zero rows; a value is
+    a polynomial of one row (:func:`join`)."""
     if len(halves) == 1:
         ((rows, den),) = halves
         return [_reduce(*row, den) for row in rows]
     (p, pd), (m, md) = halves
     d = lcm(pd, md)
     fp, fm = d // pd, d // md
-    return [
-        _reduce(*_blades((p0 * fp, p1 * fp, p2 * fp, p3 * fp), (m0 * fm, m1 * fm, m2 * fm, m3 * fm), d))
-        for (p0, p1, p2, p3), (m0, m1, m2, m3) in zip_longest(p, m, fillvalue=_ZERO4)
-    ]
+    out = []
+    for (p0, p1, p2, p3), (m0, m1, m2, m3) in zip_longest(p, m, fillvalue=_ZERO4):
+        p0, p1, p2, p3, m0, m1, m2, m3 = p0 * fp, p1 * fp, p2 * fp, p3 * fp, m0 * fm, m1 * fm, m2 * fm, m3 * fm
+        # blade order: 1, e1, e2, e12, e3, e13, e23, e123
+        out.append(_reduce(p0 + m0, p1 + m1, p2 + m2, p3 + m3, m3 - p3, p2 - m2, m1 - p1, p0 - m0, 2 * d))
+    return out
 
 
 def add(a: tuple, b: tuple) -> tuple:
@@ -407,8 +389,9 @@ def solve_left(rows: list) -> tuple:
     becomes N row - f top, and every row is divided by its content. Both
     steps multiply equations on the left or add them, which keeps the
     solutions. Every row is primitive once divided by its content, so a
-    real pivot p gives top = sign(p) row, which is conj(p) row over its
-    content |p|, with no product and no gcd; a real multiplier f gives
+    positive real pivot p gives top = row, which is conj(p) row over its
+    content p, with no product and no gcd (a negative one takes the
+    product, whose content division gives -row); a real multiplier f gives
     N x - f_0 v per entry, the same integers as the Hamilton product with
     four multiplications instead of sixteen. Every intermediate row is
     therefore the one the products would give, kept as its tail as
@@ -439,7 +422,7 @@ def solve_left(rows: list) -> tuple:
             continue
         top = rest.pop(pivot)
         p0, p1, p2, p3 = top[0]
-        if p1 or p2 or p3:
+        if p1 or p2 or p3 or p0 < 0:
             top = _primitive(
                 [
                     (
@@ -451,9 +434,6 @@ def solve_left(rows: list) -> tuple:
                     for v0, v1, v2, v3 in top
                 ]
             )[0]
-        elif p0 < 0:
-            # the row is primitive, so conj(p) row over its content is -row
-            top = [(-v0, -v1, -v2, -v3) for v0, v1, v2, v3 in top]
         norm = top[0][0]
         tail = top[1:]
         for i, row in enumerate(rest):

@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial at a point")
     p_eval.add_argument("-s", "--signature", required=True, metavar="P,Q")
-    p_eval.add_argument("polynomial", help="polynomial text, e.g. 'X^2*(1) + (e1)'")
-    p_eval.add_argument("point", help="multivector text, e.g. '1 + e1'")
+    dash = "; put -- before the texts when one starts with '-'"
+    p_eval.add_argument("polynomial", help="polynomial text, e.g. 'X^2*(1) + (e1)'" + dash)
+    p_eval.add_argument("point", help="multivector text, e.g. '1 + e1'" + dash)
     p_eval.add_argument("--decimal", type=_digits, default=0, metavar="N")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose", help="cone membership, classes and invertibility of differences"
     )
     p_diag.add_argument("-s", "--signature", required=True, metavar="P,Q")
-    p_diag.add_argument("points", nargs="+", help="multivector texts")
+    p_diag.add_argument("points", nargs="+", help="multivector texts" + dash)
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
 

@@ -72,8 +72,8 @@ class _Frozen:
     value filled on first use: ``Polynomial._rows``, the rows with which
     the polynomial crosses into the quaternion kernel
     (``clifflag._quaternion.split_rows``), is ``None`` until the first
-    root search, census, restriction or evaluation forms them from the
-    coefficients, and is set only that once.
+    root search, census, restriction, evaluation or multiplicity call
+    forms them from the coefficients, and is set only that once.
     """
 
     __slots__ = ()

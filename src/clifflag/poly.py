@@ -19,8 +19,6 @@ coefficients omitted, the constant term written without a power.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from . import _quaternion as qk
 from .classpoints import quaternion_class_points
@@ -53,7 +51,7 @@ MAX_DEGREE = 1000
 class Polynomial(_Frozen):
     """A polynomial over one Clifford algebra, right coefficients, exact.
 
-    Copies and pickles go through the constructor. In H and R_{0,3} the
+    Copies and pickles go through the constructor. In every signature the
     polynomial keeps its kernel rows (:func:`_split`) once they are formed;
     they are derived from ``coeffs`` and take no part in equality, hashing,
     the repr or pickling.
@@ -385,12 +383,13 @@ class RootSet(_Value):
 
 def _split(p: Polynomial) -> tuple[tuple[tuple[tuple, ...], ...], int]:
     """P as integer rows over one denominator, (halves, den), as
-    :func:`_quaternion.split_rows` forms them: the one crossing of a
-    polynomial into the kernel.
+    :func:`_quaternion.split_rows` forms them: the one integer form of a
+    polynomial, in every signature.
 
-    There is one half for H, and the plus and minus halves for R_{0,3}.
-    The split is a ring isomorphism, so P(x) splits into P+(x+) and
-    P-(x-). The rows are formed once per polynomial and kept in P.
+    There are the plus and minus halves for R_{0,3}, and one half, the
+    coordinate numerators, in every other signature. The split is a ring
+    isomorphism, so P(x) splits into P+(x+) and P-(x-). The rows are
+    formed once per polynomial and kept in P.
     """
     if p._rows is None:
         _set(p, "_rows", qk.split_rows([c._num for c in p.coeffs], 2 if p.sig == R03 else 1))
@@ -500,14 +499,15 @@ def factor_out_characteristic(
 
     Delta is the degree-two characteristic polynomial of a sphere class;
     being real it divides two-sidedly and unambiguously. P is divided by
-    the class's key L Delta (:func:`_divide_out`), so Q is the quotient's
-    rows times L^s over P's denominator, each coefficient reduced once.
+    the class's key L Delta (:func:`_divide_out`), so Q has the quotient's
+    rows times L^s over P's denominator, and :func:`_quaternion.join_rows`
+    turns them into coefficients, each reduced once.
     """
     if cls_id.is_real:
         raise ValueError("expected a sphere class")
-    s, rows, den = _divide_out(p, cls_id._key)
+    s, halves, den = _divide_out(p, cls_id._key)
     f = cls_id._key[-1] ** s
-    coeffs = [qk._reduce(*map(f.__mul__, row), den) for row in rows]
+    coeffs = qk.join_rows([([tuple(map(f.__mul__, row)) for row in rows], den) for rows in halves])
     return s, Polynomial(p.sig, [Multivector._wrap(p.sig, c) for c in coeffs])
 
 
@@ -522,34 +522,35 @@ def real_root_multiplicity(p: Polynomial, alpha) -> int:
 
 
 def _divide_out(p: Polynomial, divisor: tuple) -> tuple[int, list, int]:
-    """(s, rows, den): the largest s with D^s dividing P, and P / D^s as
-    integer rows over den, for D = sum_k divisor[k] X^k a primitive
-    integer polynomial with leading coefficient l > 0: l (X - alpha) or a
-    class key l (X^2 - t X + n).
+    """(s, halves, den): the largest s with D^s dividing P, and P / D^s as
+    the rows of its halves over den, laid out as :func:`_split` gives P,
+    for D = sum_k divisor[k] X^k a primitive integer polynomial with
+    leading coefficient l > 0: l (X - alpha) or a class key
+    l (X^2 - t X + n).
 
-    A real divisor is central, so it divides each blade coordinate on its
-    own, in every signature: P's coefficient numerators are put over den,
-    the lcm of their denominators, as one integer polynomial per blade.
-    By Gauss's lemma a primitive D that divides them leaves integer
-    quotients, so repeated synthetic division
-    (:func:`_quaternion.divide_columns`) is exact on integers, one pass
-    per power of D and one more to find that D divides no further.
+    A real divisor is central, so it divides each column of P's kept rows
+    on its own, and repeated synthetic division
+    (:func:`_quaternion.divide_columns`) is exact on integers, one pass per
+    power of D and one more to find that D divides no further. In R_{0,3}
+    the columns are the halves' coordinates, integer combinations of the
+    blade columns, which are in turn those of the halves' columns over 2;
+    by Gauss's lemma the primitive D divides an integer polynomial exactly
+    when it divides twice it, so s is the blade columns' s.
 
     Every power of D divides P = 0, so it has no finite s, and ValueError
     is raised: the multiplicities of the zero polynomial are refused.
     """
     if not p:
         raise ValueError("zero polynomial has no finite multiplicity")
-    *columns, dens = zip(*(c._num for c in p.coeffs))
-    den = lcm(*dens)
-    scales = [den // d for d in dens]
-    columns = [list(map(mul, column, scales)) for column in columns]
+    halves, den = _split(p)
+    columns = [column for half in halves for column in zip(*half)]
     s = 0
     quotients = qk.divide_columns(columns, divisor)
     while quotients is not None:
         s, columns = s + 1, quotients
         quotients = qk.divide_columns(columns, divisor)
-    return s, list(zip(*columns)), den
+    width = len(columns) // len(halves)
+    return s, [list(zip(*columns[i : i + width])) for i in range(0, len(columns), width)], den
 
 
 def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, int]:
@@ -584,14 +585,14 @@ def paravector_root_census(p: Polynomial, witnessed_classes) -> tuple[int, int, 
             s += _divide_out(p, cls_id._key)[0]
         elif plus is None or minus is None:
             # One half pinned at c, the other free over the sphere. By
-            # _quaternion._blades the joined root is a paravector exactly
+            # _quaternion.join_rows the joined root is a paravector exactly
             # when the free half is c with k negated, a point of the same
             # sphere and so a root. roots_in_class samples that candidate
             # first and drops its repeats, and every other candidate differs
             # from it: the family holds exactly one paravector.
             k += 1
         else:
-            # by _blades, a paravector exactly when minus = (p0, p1, p2, -p3)
+            # by join_rows, a paravector exactly when minus = (p0, p1, p2, -p3)
             # for plus = (p0, p1, p2, p3), each over its own denominator
             (p0, p1, p2, p3, pd), (m0, m1, m2, m3, md) = plus, minus
             k += (m0 * pd, m1 * pd, m2 * pd, m3 * pd) == (p0 * md, p1 * md, p2 * md, -p3 * md)

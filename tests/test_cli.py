@@ -248,6 +248,29 @@ def test_eval_accepts_surrounding_whitespace(capsys):
     assert capsys.readouterr().out.splitlines() == ["e1", "-1"]
 
 
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["eval", "-s", "0,2", "X^3*(e1) + X^2*(1) + (1)", "--", "-e1"], "-1"),
+        (["eval", "-s", "0,2", "--", "X", "-1/2"], "-1/2"),
+        (["eval", "-s", "0,2", "--", "-X^2*(1)", "e1"], "1"),
+        (["diagnose", "-s", "0,2", "--", "-e1", "e1"], "pair (1,2): same class: yes; difference invertible: yes"),
+    ],
+    ids=["eval-point", "eval-fraction", "eval-polynomial", "diagnose"],
+)
+def test_literals_starting_with_a_minus_follow_a_double_dash(argv, last_line, capsys):
+    # argparse reads an argument that starts with '-' and is not a plain
+    # negative number as an option; after '--' every argument is positional
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines()[-1], captured.err) == (last_line, "")
+    rest = [arg for arg in argv if arg != "--"]
+    with pytest.raises(SystemExit) as exc:
+        main(rest)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_diagnose_zero_divisor_pair(capsys):
     code = main(["diagnose", "-s", "0,3", "e1", "e23"])
     assert code == 0

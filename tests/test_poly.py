@@ -483,14 +483,19 @@ def test_only_the_cofactor_is_joined(monkeypatch):
 def _multiplicities(p, cls_id):
     # (s, cofactor) from the public names, the cofactor of a real class
     # alpha = u / v from _divide_out, which real_root_multiplicity reads s
-    # from: its rows divided by (v X - u)^s, times v^s over den
+    # from: the rows of its halves divided by (v X - u)^s, times v^s over
+    # den, each coefficient built from Fractions and, in R(0,3), joined
+    # from its two quaternion halves by from_quaternion_pair
     if not cls_id.is_real:
         return factor_out_characteristic(p, cls_id)
     alpha = cls_id.alpha
-    s, rows, den = _divide_out(p, (-alpha.numerator, alpha.denominator))
+    s, halves, den = _divide_out(p, (-alpha.numerator, alpha.denominator))
     assert real_root_multiplicity(p, alpha) == s
     f = Fraction(alpha.denominator**s, den)
-    return s, Polynomial(p.sig, [Multivector(p.sig, [f * n for n in row]) for row in rows])
+    half_sig = H if p.sig == R03 else p.sig
+    parts = [[Multivector(half_sig, [f * n for n in row]) for row in rows] for rows in halves]
+    coeffs = [from_quaternion_pair(*c) if p.sig == R03 else c[0] for c in zip(*parts)]
+    return s, Polynomial(p.sig, coeffs)
 
 
 @pytest.mark.parametrize("sig", [H, R03], ids=["H", "R03"])

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clifflag import (
+    CollinearityViolated,
     InterpolationProblem,
     Multivector,
     OracleResult,
@@ -21,12 +22,13 @@ from clifflag import (
     R03,
     brute_force_interpolate,
     divide_by_real,
+    group_by_class,
     interpolate,
     lagrange_basis,
     verify_interpolant,
 )
 from clifflag.classpoints import quaternion_from_parts, r03_cone_point
-from util import random_h_problem
+from util import random_h_problem, random_h_problem_with_violation
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -143,20 +145,34 @@ def unit_vector(s, t):
     return (1 - s * s - t * t) / d, 2 * s / d, 2 * t / d
 
 
+def along_the_slope(points, values):
+    """``values`` for the first two points, then w_1 + (x - x_1) s for each
+    later point x, with s = (x_2 - x_1)^-1 (w_2 - w_1): collinear values."""
+    if len(points) < 3:
+        return values
+    slope = (points[1] - points[0]).inverse() * (values[1] - values[0])
+    return values + [values[0] + (x - points[0]) * slope for x in points[2:]]
+
+
 @st.composite
-def h_problems(draw):
-    """1-4 classes of 1-4 points (one in a real class); from a class's third
-    point on, the value is w_1 + (x - x_1) s for the slope
-    s = (x_2 - x_1)^-1 (w_2 - w_1), so the collinearity condition holds."""
+def h_problems(draw, broken=False):
+    """1-4 classes of 1-4 points (one in a real class), with values along
+    the slope from a class's third point on (:func:`along_the_slope`), so
+    the collinearity condition holds.
+
+    With ``broken``, the first class is a sphere of 3-5 points, and a drawn
+    multivector, zero among them, is added to the value of one of its points
+    from the third on: the slope is broken unless it is zero."""
+    layouts = st.lists(class_parameters, min_size=1, max_size=4, unique=True)
     pairs = []
-    for alpha, beta in draw(st.lists(class_parameters, min_size=1, max_size=4, unique=True)):
-        size = draw(st.integers(1, 4)) if beta else 1
+    for k, (alpha, beta) in enumerate(draw(layouts.filter(lambda c: c[0][1]) if broken else layouts)):
+        size = draw(st.integers(3, 5) if broken and k == 0 else st.integers(1, 4)) if beta else 1
         units = draw(st.lists(stereographic, min_size=size, max_size=size, unique=True))
         points = [quaternion_from_parts(alpha, [beta * c for c in unit_vector(*u)]) for u in units]
-        values = [draw(multivectors(QUATERNIONS)) for _ in points[:2]]
-        if size >= 3:
-            slope = (points[1] - points[0]).inverse() * (values[1] - values[0])
-            values += [values[0] + (x - points[0]) * slope for x in points[2:]]
+        values = along_the_slope(points, [draw(multivectors(QUATERNIONS)) for _ in points[:2]])
+        if broken and k == 0:
+            h = draw(st.integers(2, size - 1))
+            values[h] += draw(st.one_of(st.just(Multivector.zero(QUATERNIONS)), multivectors(QUATERNIONS)))
         pairs += zip(points, values)
     return InterpolationProblem.from_pairs(QUATERNIONS, draw(st.permutations(pairs)))
 
@@ -170,6 +186,34 @@ def r03_problems(draw):
         x = r03_cone_point(alpha, beta, unit_vector(*plus), unit_vector(*minus))
         pairs.append((x, draw(multivectors(R03))))
     return InterpolationProblem.from_pairs(R03, pairs)
+
+
+def wide_problem(sig, seed, sizes):
+    """A seeded problem with classes of ``sizes`` points (one each in
+    R(0,3)) whose class parameters, stereographic parameters and values have
+    numerators up to 10^12 and denominators up to 10^6, far wider than
+    ``fractions`` and ``rationals``; values collinear from a class's third
+    point on (:func:`along_the_slope`)."""
+    rng = random.Random(seed)
+
+    def wide():
+        return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6))
+
+    def value():
+        return Multivector(sig, [wide() for _ in range(sig.dim)])
+
+    def unit():
+        return unit_vector(wide(), wide())
+
+    pairs = []
+    for size in sizes:
+        alpha, beta = wide(), abs(wide())
+        if sig == R03:
+            pairs.append((r03_cone_point(alpha, beta, unit(), unit()), value()))
+            continue
+        points = [quaternion_from_parts(alpha, [beta * c for c in unit()]) for _ in range(size)]
+        pairs += zip(points, along_the_slope(points, [value() for _ in points[:2]]))
+    return InterpolationProblem.from_pairs(sig, pairs)
 
 
 def check_construction(problem):
@@ -188,11 +232,44 @@ def check_construction(problem):
 @settings(PROPERTY_SETTINGS, max_examples=30)
 @given(h_problems())
 @example(random_h_problem(random.Random(4), sizes=(4, 4, 4, 4)))
+@example(wide_problem(QUATERNIONS, 1, (3, 1)))
+@example(wide_problem(QUATERNIONS, 2, (2, 2, 1)))
 def test_h_construction_equals_the_oracle_and_the_basis_combination(problem):
     check_construction(problem)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)
 @given(r03_problems())
+@example(wide_problem(R03, 3, (1, 1, 1)))
+@example(wide_problem(R03, 4, (1, 1, 1, 1)))
 def test_r03_construction_equals_the_oracle_and_the_basis_combination(problem):
     check_construction(problem)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(h_problems(broken=True))
+@example(random_h_problem_with_violation(random.Random(5)))
+@example(random_h_problem(random.Random(5), force_triple=True))
+def test_broken_slope_raises_exactly_when_the_oracle_finds_no_solution(problem):
+    try:
+        p = interpolate(problem)
+    except CollinearityViolated:
+        assert brute_force_interpolate(problem).kind == "none"
+    else:
+        assert brute_force_interpolate(problem) == OracleResult("unique", p)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(st.one_of(h_problems(), r03_problems()))
+@example(wide_problem(QUATERNIONS, 5, (3, 2)))
+@example(wide_problem(R03, 6, (1, 1, 1)))
+def test_above_the_bound_the_oracle_gives_an_affine_family(problem):
+    # one and two degrees above the construction's bound the solutions form
+    # an affine family, and its particular solution takes every value within
+    # the asked degree
+    bound = group_by_class(problem).degree_bound
+    for asked in (bound + 1, bound + 2):
+        result = brute_force_interpolate(problem, max_degree=asked)
+        assert result.kind == "affine_family"
+        assert verify_interpolant(result.polynomial, problem)
+        assert result.polynomial.degree is None or result.polynomial.degree <= asked
